@@ -44,16 +44,13 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Composite quadrature description: total panel budget plus scheme."""
+    """Composite-Simpson quadrature: the total panel budget over all segments."""
 
     panels: int = 4096
-    scheme: str = "composite-simpson"
 
     def __post_init__(self):
         if self.panels < 16 or self.panels % 2:
             raise ConfigurationError(f"panels must be even and >= 16, got {self.panels}")
-        if self.scheme not in ("composite-simpson", "midpoint-on-breakpoints"):
-            raise ConfigurationError(f"unknown quadrature scheme {self.scheme!r}")
 
 
 DEFAULT_RULE = QuadratureRule()
@@ -88,12 +85,6 @@ def _simpson_segment(fn, a, b, panels):
     return (h / 3.0) * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum())
 
 
-def _midpoint_segment(fn, a, b, panels):
-    h = (b - a) / panels
-    x = a + h * (np.arange(panels) + 0.5)
-    return h * float(np.sum(np.asarray(fn(x), dtype=float)))
-
-
 def integrate(fn, a: float, b: float, breakpoints=(), rule: QuadratureRule = DEFAULT_RULE) -> float:
     """Integral of ``fn`` over [a, b], split at interior breakpoints."""
     a, b = float(a), float(b)
@@ -104,10 +95,9 @@ def integrate(fn, a: float, b: float, breakpoints=(), rule: QuadratureRule = DEF
     cuts = sorted({float(c) for c in breakpoints if a < c < b})
     edges = [a, *cuts, b]
     lengths = np.diff(edges)
-    seg = _simpson_segment if rule.scheme == "composite-simpson" else _midpoint_segment
     total = 0.0
     for (lo, hi), p in zip(zip(edges[:-1], edges[1:]), _segment_panels(lengths, rule.panels)):
-        total += seg(fn, lo, hi, p)
+        total += _simpson_segment(fn, lo, hi, p)
     return total
 
 
@@ -260,14 +250,14 @@ def kl_objective(true_intensity: TrueIntensity, model: IntensityModel, theta: fl
 
 
 _KL_GRID_PANELS = 16
-_SIMPSON_W = None
 
 
 def _simpson_weights(panels):
+    """Unscaled Simpson pattern 1, 4, 2, ..., 4, 1; callers scale by h/3 their own way."""
     w = np.ones(panels + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    return w / 3.0
+    return w
 
 
 def kl_objective_grid(true_intensity: TrueIntensity, model: IntensityModel,
@@ -303,7 +293,7 @@ def kl_objective_grid(true_intensity: TrueIntensity, model: IntensityModel,
     edges = np.sort(np.clip(edges, 0.0, tau), axis=1)
 
     p = _KL_GRID_PANELS
-    w = _simpson_weights(p)
+    w = _simpson_weights(p) / 3.0
     frac = np.linspace(0.0, 1.0, p + 1)
     frac[0] += _EDGE_NUDGE
     frac[-1] -= _EDGE_NUDGE

@@ -1,6 +1,6 @@
 """Scenario-file-driven command line front end.
 
-Scenarios are JSON documents (schema in README); the CLI only selects the
+Scenarios are JSON documents (schema in README.md); the CLI only selects the
 subcommand, paths, worker count, and n/replicates/seed overrides.  Exit
 codes: 0 success, 2 configuration/parse error, 3 runtime or estimation error.
 
@@ -67,13 +67,31 @@ def _cmd_experiment(args) -> int:
     return EXIT_OK
 
 
+# required and optional ``limits --set`` keys of each regime with a direct form
+_LIMIT_KEYS = {
+    "regular": ({"I"}, set()),
+    "misspecified": ({"D2"}, set()),
+    "null-fisher": ({"I3"}, set()),
+    "disc-fisher": ({"I_left", "I_right", "corr"}, set()),
+    "boundary": ({"I"}, {"orientation"}),
+    "cusp": ({"kappa", "gamma_sq"}, {"halfwidth", "grid_points"}),
+    "jump": ({"lam_left", "lam_right"}, {"halfwidth"}),
+}
+_POSITIVE_KEYS = {"I", "I3", "I_left", "I_right", "D2", "lam_left", "lam_right", "halfwidth"}
+
+
 def _parse_kv(pairs):
     out = {}
     for pair in pairs or ():
         if "=" not in pair:
             raise ConfigurationError(f"expected key=value, got {pair!r}")
         key, val = pair.split("=", 1)
-        out[key] = float(val)
+        try:
+            out[key] = float(val)
+        except ValueError:
+            raise ConfigurationError(f"{key}={val!r} is not a number") from None
+        if key in _POSITIVE_KEYS and not out[key] > 0:
+            raise ConfigurationError(f"{key} must be positive, got {val}")
     return out
 
 
@@ -100,6 +118,16 @@ def _cmd_limits(args) -> int:
 
 def _limit_from_params(regime: str, params: dict) -> limits.RegimeLimit:
     """Build a RegimeLimit from explicit key=value parameters."""
+    if regime not in _LIMIT_KEYS:
+        raise ConfigurationError(
+            f"regime {regime!r} needs a scenario file (no direct parameter form)")
+    required, optional = _LIMIT_KEYS[regime]
+    missing = sorted(required - set(params))
+    unknown = sorted(set(params) - required - optional)
+    if missing or unknown:
+        raise ConfigurationError(
+            f"regime {regime!r} takes {sorted(required)} and optionally {sorted(optional)}; "
+            f"missing {missing}, unknown {unknown}")
     if regime == "regular":
         return limits.RegimeLimit(regime, 0.5, {"fisher_information": params["I"]})
     if regime == "misspecified":
@@ -107,6 +135,8 @@ def _limit_from_params(regime: str, params: dict) -> limits.RegimeLimit:
     if regime == "null-fisher":
         return limits.RegimeLimit(regime, 1.0 / 6.0, {"i3": params["I3"]})
     if regime == "disc-fisher":
+        if not -1.0 <= params["corr"] <= 1.0:
+            raise ConfigurationError(f"corr must lie in [-1, 1], got {params['corr']}")
         return limits.RegimeLimit(regime, 0.5, {
             "info_left": params["I_left"], "info_right": params["I_right"],
             "corr": params["corr"]})
@@ -116,17 +146,14 @@ def _limit_from_params(regime: str, params: dict) -> limits.RegimeLimit:
             "orientation": params.get("orientation", 1.0)})
     if regime == "cusp":
         kappa = params["kappa"]
-        return limits.RegimeLimit(regime, 1.0 / (2.0 * (kappa + 0.5)), {
-            "kappa": kappa, "hurst": kappa + 0.5, "gamma_sq": params["gamma_sq"],
-            "grid_halfwidth": params.get("halfwidth", 20.0),
-            "grid_points": int(params.get("grid_points", 2001))})
-    if regime == "jump":
-        return limits.RegimeLimit(regime, 1.0, {
-            "lam_left": params["lam_left"], "lam_right": params["lam_right"],
-            "u_halfwidth": params.get("halfwidth", 60.0)})
-    raise ConfigurationError(
-        f"regime {regime!r} needs a scenario file (no direct parameter form)"
-    )
+        return limits.CuspParams(
+            kappa=kappa, hurst=kappa + 0.5, gamma_sq=params["gamma_sq"],
+            grid_halfwidth=params.get("halfwidth", 20.0),
+            grid_points=int(params.get("grid_points", 2001))).limit()
+    # jump
+    return limits.RegimeLimit(regime, 1.0, {
+        "lam_left": params["lam_left"], "lam_right": params["lam_right"],
+        "u_halfwidth": params.get("halfwidth", 60.0)})
 
 
 def _cmd_windows(args) -> int:

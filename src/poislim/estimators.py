@@ -9,11 +9,11 @@ section refines the bracketing cell only where the family is theta-smooth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import golden_section_max
+from .analysis import _simpson_weights, golden_section_max
 from .errors import (
     CapabilityError,
     ConfigurationError,
@@ -22,7 +22,7 @@ from .errors import (
     PreconditionError,
 )
 from .intensity import IntensityModel, SuffWinLinearModel
-from .likelihood import LikelihoodEvaluator, curve_grid
+from .likelihood import LikelihoodEvaluator, curve_grid, split_breaks
 from .simulate import Sample
 
 __all__ = ["EstimatorSettings", "Estimate", "mle", "bayes", "moments_preliminary", "two_stage"]
@@ -49,7 +49,6 @@ class EstimatorSettings:
     bayes_panels: int = 4096
     localize: bool | None = None
     zoom_rounds: int = 0
-    golden_tol: float = 1e-11
     estimators: tuple = ("mle", "bayes")
 
     def __post_init__(self):
@@ -109,18 +108,6 @@ def _eval_candidates(ev, sample, events, grid, jump_breaks, kink_breaks):
     return np.concatenate(thetas), np.concatenate(sides), np.concatenate(values)
 
 
-def _split_breaks(model, events, lo, hi):
-    """Sample-dependent breakpoints, split by whether the curve jumps there."""
-    if not model.has_event_breakpoints:
-        empty = np.empty(0)
-        return empty, empty
-    br = np.unique(model.event_theta_breakpoints(events))
-    br = br[(br > lo) & (br < hi)]
-    if getattr(model, "event_breakpoints_are_jumps", True):
-        return br, np.empty(0)
-    return np.empty(0), br
-
-
 def mle(model: IntensityModel, sample: Sample, settings: EstimatorSettings | None = None,
         window=None) -> Estimate:
     """Maximum-likelihood estimate over Theta's closure.
@@ -137,8 +124,8 @@ def mle(model: IntensityModel, sample: Sample, settings: EstimatorSettings | Non
 
     ev = LikelihoodEvaluator(model, window)
     events = ev.prepare_events(sample)
-    grid, _ = curve_grid(model, settings.grid_size, events=None)
-    jump_breaks, kink_breaks = _split_breaks(model, events, iv.alpha, iv.beta)
+    grid = curve_grid(model, settings.grid_size)
+    jump_breaks, kink_breaks = split_breaks(model, events, iv.alpha, iv.beta)
 
     localize = settings.localize
     if localize is None:
@@ -171,13 +158,12 @@ def mle(model: IntensityModel, sample: Sample, settings: EstimatorSettings | Non
             rounds=settings.zoom_rounds)
     elif settings.refine and model.smoothness_order >= 1:
         best_theta, best_val = _golden_refine(
-            ev, sample, events, model, th, sd, vals, best_theta, best_val,
-            tol=settings.golden_tol)
+            ev, sample, events, model, th, sd, vals, best_theta, best_val)
 
     return Estimate(_clamp(best_theta, iv), best_val, "mle")
 
 
-def _golden_refine(ev, sample, events, model, thetas, sides, values, best_theta, best_val, tol):
+def _golden_refine(ev, sample, events, model, thetas, sides, values, best_theta, best_val):
     """Golden-section inside the bracketing cell, never across a declared kink."""
     plain = sides == 0
     grid = np.unique(thetas[plain])
@@ -200,7 +186,7 @@ def _golden_refine(ev, sample, events, model, thetas, sides, values, best_theta,
     iv = model.theta_interval
     best = (best_theta, best_val)
     for a, b in segments:
-        x, v = golden_section_max(f, a, b, tol=max(tol, 1e-8))
+        x, v = golden_section_max(f, a, b, tol=1e-8)
         if model.is_theta_smooth:
             x = _score_bisect(f, x, iv.alpha, iv.beta)
             x = min(max(x, a), b)
@@ -254,7 +240,7 @@ def _zoom_refine(ev, sample, events, model, best_theta, best_val, start_cell, ro
         if hi <= lo:
             break
         fine = np.linspace(lo, hi, 129)
-        jb, kb = _split_breaks(model, events, lo, hi)
+        jb, kb = split_breaks(model, events, lo, hi)
         th, sd, vals = _eval_candidates(ev, sample, events, fine, jb, kb)
         th = np.concatenate([th, [theta]])
         sd = np.concatenate([sd, [0]])
@@ -279,13 +265,6 @@ def _prior_weights(settings, nodes, iv):
     return p / np.max(p)
 
 
-def _simpson_coeffs(panels):
-    w = np.ones(panels + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w / 3.0
-
-
 def bayes(model: IntensityModel, sample: Sample, settings: EstimatorSettings | None = None,
           window=None) -> Estimate:
     """Posterior-mean estimate under the quadratic loss.
@@ -303,7 +282,7 @@ def bayes(model: IntensityModel, sample: Sample, settings: EstimatorSettings | N
 
     ev = LikelihoodEvaluator(model, window)
     events = ev.prepare_events(sample)
-    jump_breaks, kink_breaks = _split_breaks(model, events, iv.alpha, iv.beta)
+    jump_breaks, kink_breaks = split_breaks(model, events, iv.alpha, iv.beta)
     cuts = np.unique(np.concatenate([
         jump_breaks, kink_breaks,
         np.array([k for k in model.theta_kinks() if iv.alpha < k < iv.beta]),
@@ -335,7 +314,7 @@ def bayes(model: IntensityModel, sample: Sample, settings: EstimatorSettings | N
 
     for nodes, vals, h in seg_data:
         w = np.exp(vals - max_ll) * _prior_weights(settings, nodes, iv)
-        coeff = _simpson_coeffs(nodes.size - 1) * h
+        coeff = _simpson_weights(nodes.size - 1) / 3.0 * h
         den += float(np.sum(w * coeff))
         num += float(np.sum(w * nodes * coeff))
 

@@ -9,16 +9,14 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import analysis, estimators, limits
-from .errors import ConfigurationError, DomainError, EstimationError, PoislimError
+from .errors import ConfigurationError, DomainError, PoislimError
 from .intensity import ChangePointModel, IntensityModel, TrueIntensity, make_model
-from .likelihood import LikelihoodEvaluator
 from .simulate import STREAM_STRIDE, RngStream, Sample, simulate_sample, simulate_trajectory
 
 __all__ = [
@@ -89,6 +87,8 @@ class Scenario:
             raise ConfigurationError(f"unknown window keys: {sorted(unknown)}")
         if self.window.get("mode", "none") not in ("none", "optimal", "sufficient"):
             raise ConfigurationError(f"unknown window mode {self.window.get('mode')!r}")
+        if self.window.get("mode") == "optimal" and self.window.get("mu_star") is None:
+            raise ConfigurationError("window mode 'optimal' needs mu_star")
         if self.true_intensity is not None:
             unknown = set(self.true_intensity) - _TRUE_KEYS
             if unknown:
@@ -194,7 +194,7 @@ def rate_regression(ns, mses) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def _replicate_stream_base(n_index: int, replicate: int, n_count: int, m: int) -> int:
+def _replicate_stream_base(n_index: int, replicate: int, m: int) -> int:
     return (n_index * m + replicate) * STREAM_STRIDE
 
 
@@ -217,7 +217,7 @@ def _estimate_row(scenario: Scenario, model, true_int, settings, n, n_index):
     long_model = None
     rows = []
     for r in range(m):
-        base = RngStream(scenario.seed, _replicate_stream_base(n_index, r, len(scenario.n), m))
+        base = RngStream(scenario.seed, _replicate_stream_base(n_index, r, m))
         sample = _simulate_for(scenario, true_int, model, n, base)
         est_model = model
         if scenario.long_record:
@@ -228,6 +228,7 @@ def _estimate_row(scenario: Scenario, model, true_int, settings, n, n_index):
             est_model = long_model
         row = {"n": n, "replicate": r, "stream_base": base.stream_index,
                "events": sample.total_events(), "status": "ok"}
+        errors = []
         for which in settings.estimators:
             try:
                 if mode == "none":
@@ -245,7 +246,10 @@ def _estimate_row(scenario: Scenario, model, true_int, settings, n, n_index):
                 row[which] = est.value
             except PoislimError as exc:
                 row[which] = float("nan")
-                row["status"] = f"{which}-error: {type(exc).__name__}"
+                errors.append(f"{which}-error: {type(exc).__name__}")
+        if errors:
+            # '; ' not ',': the status is one CSV field
+            row["status"] = "; ".join(errors)
         rows.append(row)
     return rows
 
@@ -305,14 +309,6 @@ class ExperimentReport:
             json.dump(self.summary, fh, indent=2, sort_keys=True, allow_nan=True,
                       default=default)
             fh.write("\n")
-
-
-def _normalized_errors(rows, which, n, rate_exponent, target, raw=False):
-    vals = np.array([row[which] for row in rows if row["n"] == n and which in row])
-    vals = vals[np.isfinite(vals)]
-    if raw:
-        return vals
-    return float(n) ** rate_exponent * (vals - target)
 
 
 def run_scenario(scenario: Scenario, workers: int = 1) -> ExperimentReport:

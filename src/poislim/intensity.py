@@ -15,7 +15,8 @@ value.  Smooth families ignore the flag.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -69,26 +70,26 @@ class ParameterInterval:
 class IntensityModel:
     """Base class: a parametric intensity family on [0, horizon].
 
-    ``lambda_max`` is an analytic certified bound (never a runtime scan), and
-    ``smoothness_order`` the highest theta-derivative order a family exposes.
+    ``lambda_max`` is an analytic certified bound (never a runtime scan).
+    Each family declares the class constants ``catalog_id`` and
+    ``smoothness_order``, the highest theta-derivative order it exposes.
     Construction runs a positivity/bound grid scan unless
     ``positivity_checked`` is False (used only by the catalog entry shipped
     verbatim despite being negative on part of its parameter set).
     """
 
-    catalog_id: str = field(init=False, default="")
+    catalog_id: ClassVar[str]
+    smoothness_order: ClassVar[int]
+
     theta_interval: ParameterInterval = ParameterInterval(0.0, 1.0)
     horizon: float = 1.0
     lambda_max: float = field(init=False, default=0.0)
-    smoothness_order: int = field(init=False, default=0)
     positivity_checked: bool = field(init=False, default=True)
     lambda_max_override: float | None = None
 
     def __post_init__(self):
         if self.horizon <= 0:
             raise ConfigurationError(f"horizon must be positive, got {self.horizon}")
-        object.__setattr__(self, "catalog_id", self._catalog_id())
-        object.__setattr__(self, "smoothness_order", self._smoothness_order())
         bound = self._lambda_bound()
         if self.lambda_max_override is not None:
             if self.lambda_max_override < bound:
@@ -101,12 +102,6 @@ class IntensityModel:
 
     # ---- hooks each family implements -------------------------------------
 
-    def _catalog_id(self) -> str:
-        raise NotImplementedError
-
-    def _smoothness_order(self) -> int:
-        raise NotImplementedError
-
     def _lambda_bound(self) -> float:
         raise NotImplementedError
 
@@ -117,14 +112,6 @@ class IntensityModel:
         raise CapabilityError(f"{self.catalog_id} exposes no theta-derivatives")
 
     # ---- shared surface ----------------------------------------------------
-
-    @property
-    def params(self) -> dict:
-        skip = {
-            "catalog_id", "theta_interval", "horizon", "lambda_max",
-            "smoothness_order", "positivity_checked", "lambda_max_override",
-        }
-        return {k: v for k, v in self.__dict__.items() if k not in skip}
 
     def value(self, theta, t, theta_side=0):
         """Intensity at (theta, t); broadcasts over array arguments."""
@@ -198,9 +185,6 @@ class IntensityModel:
         """Whether the log-likelihood jumps (vs only kinks) at event breakpoints."""
         return True
 
-    def with_interval(self, alpha: float, beta: float) -> "IntensityModel":
-        return replace(self, theta_interval=ParameterInterval(float(alpha), float(beta)))
-
     # ---- construction-time validation ---------------------------------
 
     def _positivity_scan(self) -> bool:
@@ -213,11 +197,11 @@ class IntensityModel:
         if np.min(vals) < -1e-12:
             bad = np.unravel_index(np.argmin(vals), vals.shape)
             raise ConfigurationError(
-                f"{self._catalog_id()} is negative at theta={th[bad[0]]:.6g}, t={tt[bad[1]]:.6g}"
+                f"{self.catalog_id} is negative at theta={th[bad[0]]:.6g}, t={tt[bad[1]]:.6g}"
             )
         if np.max(vals) > self.lambda_max * (1 + 1e-9) + 1e-12:
             raise ConfigurationError(
-                f"{self._catalog_id()} exceeds its certified bound {self.lambda_max}"
+                f"{self.catalog_id} exceeds its certified bound {self.lambda_max}"
             )
         return True
 
@@ -234,13 +218,10 @@ class IntensityModel:
 class ConstantModel(IntensityModel):
     """lambda(theta, t) = theta.  Closed-form MLE N/(n*tau); the estimator oracle."""
 
+    catalog_id = "CONSTANT"
+    smoothness_order = 3
+
     theta_interval: ParameterInterval = ParameterInterval(0.1, 10.0)
-
-    def _catalog_id(self):
-        return "CONSTANT"
-
-    def _smoothness_order(self):
-        return 3
 
     def _lambda_bound(self):
         return self.theta_interval.beta
@@ -273,13 +254,10 @@ class ConstantModel(IntensityModel):
 class RegularExpModel(IntensityModel):
     """lambda(theta, t) = exp(theta*t): the smooth baseline family."""
 
+    catalog_id = "REGULAR_EXP"
+    smoothness_order = 3
+
     theta_interval: ParameterInterval = ParameterInterval(-1.0, 1.0)
-
-    def _catalog_id(self):
-        return "REGULAR_EXP"
-
-    def _smoothness_order(self):
-        return 3
 
     def _lambda_bound(self):
         return math.exp(max(self.theta_interval.beta, 0.0) * self.horizon)
@@ -314,13 +292,10 @@ class NullFisherSineModel(IntensityModel):
     informative term is third order (6*t^2 at zero).
     """
 
+    catalog_id = "NULLFI_SINE"
+    smoothness_order = 3
+
     theta_interval: ParameterInterval = ParameterInterval(-1.0, 1.0)
-
-    def _catalog_id(self):
-        return "NULLFI_SINE"
-
-    def _smoothness_order(self):
-        return 3
 
     def _lambda_bound(self):
         return 2.0 + max(self.theta_interval.beta, 0.0)
@@ -356,13 +331,10 @@ class DiscFisherKinkModel(IntensityModel):
     one-sided informations differ (1/5 from the left, 1/3 from the right).
     """
 
+    catalog_id = "DISCFI_KINK"
+    smoothness_order = 3
+
     theta_interval: ParameterInterval = ParameterInterval(0.0, 2.0)
-
-    def _catalog_id(self):
-        return "DISCFI_KINK"
-
-    def _smoothness_order(self):
-        return 3
 
     def _lambda_bound(self):
         iv = self.theta_interval
@@ -406,37 +378,8 @@ def _abs_pow(x, kappa):
 
 
 @dataclass(frozen=True)
-class CuspModel(IntensityModel):
-    """lambda(theta, t) = a*|t-theta|^kappa + lam0 with kappa in (0, 1/2).
-
-    Not theta-differentiable at t=theta; classic infinite-information family.
-    """
-
-    a: float = 1.0
-    lam0: float = 2.0
-    kappa: float = 0.25
-    theta_interval: ParameterInterval = ParameterInterval(0.2, 0.8)
-
-    def __post_init__(self):
-        if not (0.0 < self.kappa < 0.5):
-            raise ConfigurationError(f"kappa must lie in (0, 1/2), got {self.kappa}")
-        if self.a <= 0 or self.lam0 <= 0:
-            raise ConfigurationError("cusp family needs a > 0 and lam0 > 0")
-        super().__post_init__()
-
-    def _catalog_id(self):
-        return "CUSP"
-
-    def _smoothness_order(self):
-        return 0
-
-    def _lambda_bound(self):
-        iv = self.theta_interval
-        reach = max(iv.beta, self.horizon - iv.alpha)
-        return self.a * reach ** self.kappa + self.lam0
-
-    def _value(self, theta, t, theta_side=0):
-        return self.a * _abs_pow(t - theta, self.kappa) + self.lam0
+class _BreakAtTheta(IntensityModel):
+    """Families that break at t = theta: every event in Theta is a theta-breakpoint."""
 
     def t_breakpoints(self, theta):
         th = float(theta)
@@ -450,6 +393,37 @@ class CuspModel(IntensityModel):
     @property
     def has_event_breakpoints(self):
         return True
+
+
+@dataclass(frozen=True)
+class CuspModel(_BreakAtTheta):
+    """lambda(theta, t) = a*|t-theta|^kappa + lam0 with kappa in (0, 1/2).
+
+    Not theta-differentiable at t=theta; classic infinite-information family.
+    """
+
+    catalog_id = "CUSP"
+    smoothness_order = 0
+
+    a: float = 1.0
+    lam0: float = 2.0
+    kappa: float = 0.25
+    theta_interval: ParameterInterval = ParameterInterval(0.2, 0.8)
+
+    def __post_init__(self):
+        if not (0.0 < self.kappa < 0.5):
+            raise ConfigurationError(f"kappa must lie in (0, 1/2), got {self.kappa}")
+        if self.a <= 0 or self.lam0 <= 0:
+            raise ConfigurationError("cusp family needs a > 0 and lam0 > 0")
+        super().__post_init__()
+
+    def _lambda_bound(self):
+        iv = self.theta_interval
+        reach = max(iv.beta, self.horizon - iv.alpha)
+        return self.a * reach ** self.kappa + self.lam0
+
+    def _value(self, theta, t, theta_side=0):
+        return self.a * _abs_pow(t - theta, self.kappa) + self.lam0
 
     @property
     def event_breakpoints_are_jumps(self):
@@ -478,6 +452,9 @@ class JumpShiftModel(IntensityModel):
     in observation time the jump sits at t = s_star - theta.
     """
 
+    catalog_id = "JUMP_SHIFT"
+    smoothness_order = 0
+
     c0: float = 2.0
     c1: float = 0.5
     r: float = 2.0
@@ -495,12 +472,6 @@ class JumpShiftModel(IntensityModel):
             raise ConfigurationError("JUMP_SHIFT requires a nonzero jump size r")
         super().__post_init__()
 
-    def _catalog_id(self):
-        return "JUMP_SHIFT"
-
-    def _smoothness_order(self):
-        return 0
-
     def _lambda_bound(self):
         ymax = self.horizon + self.theta_interval.beta
         base = self.c0 + max(self.c1 * ymax, self.c1 * self.theta_interval.alpha, 0.0)
@@ -508,12 +479,7 @@ class JumpShiftModel(IntensityModel):
 
     def _value(self, theta, t, theta_side=0):
         y = t + theta
-        if theta_side < 0:
-            above = y > self.s_star
-        elif theta_side > 0:
-            above = y >= self.s_star
-        else:
-            above = y >= self.s_star
+        above = y > self.s_star if theta_side < 0 else y >= self.s_star
         return self.c0 + self.c1 * y + self.r * above
 
     def t_breakpoints(self, theta):
@@ -542,8 +508,11 @@ class JumpShiftModel(IntensityModel):
 
 
 @dataclass(frozen=True)
-class ChangePointModel(IntensityModel):
+class ChangePointModel(_BreakAtTheta):
     """lambda(theta, t) = g1*1{t < theta} + g2*1{t >= theta}, constants g1 < g2 > 0."""
+
+    catalog_id = "CHANGEPOINT"
+    smoothness_order = 0
 
     g1: float = 1.0
     g2: float = 2.0
@@ -554,12 +523,6 @@ class ChangePointModel(IntensityModel):
             raise ConfigurationError(f"need 0 < g1 < g2, got g1={self.g1}, g2={self.g2}")
         super().__post_init__()
 
-    def _catalog_id(self):
-        return "CHANGEPOINT"
-
-    def _smoothness_order(self):
-        return 0
-
     def _lambda_bound(self):
         return self.g2
 
@@ -569,19 +532,6 @@ class ChangePointModel(IntensityModel):
         else:
             before = t < theta
         return np.where(before, self.g1, self.g2)
-
-    def t_breakpoints(self, theta):
-        th = float(theta)
-        return (th,) if 0.0 < th < self.horizon else ()
-
-    def event_theta_breakpoints(self, events):
-        iv = self.theta_interval
-        ev = np.asarray(events, dtype=float)
-        return ev[(ev > iv.alpha) & (ev < iv.beta)]
-
-    @property
-    def has_event_breakpoints(self):
-        return True
 
     def integral_hint(self, thetas, lo, hi):
         th = np.asarray(thetas, dtype=float)
@@ -597,6 +547,9 @@ class WindowSineModel(IntensityModel):
     makes the optimal observation window available in closed form.
     """
 
+    catalog_id = "WINDOW_SINE"
+    smoothness_order = 3
+
     b: float = 2.0
     omega: float = 2.0 * math.pi
     theta_interval: ParameterInterval = ParameterInterval(-1.0, 1.0)
@@ -610,12 +563,6 @@ class WindowSineModel(IntensityModel):
         if max(abs(iv.alpha), abs(iv.beta)) >= self.b:
             raise ConfigurationError("WINDOW_SINE needs |theta| < b to stay away from zero intensity")
         super().__post_init__()
-
-    def _catalog_id(self):
-        return "WINDOW_SINE"
-
-    def _smoothness_order(self):
-        return 3
 
     def _lambda_bound(self):
         iv = self.theta_interval
@@ -641,12 +588,15 @@ class WindowSineModel(IntensityModel):
 
 
 @dataclass(frozen=True)
-class SuffWinLinearModel(IntensityModel):
+class SuffWinLinearModel(_BreakAtTheta):
     """lambda(theta, t) = 2*a*t + b*1{t > theta}.
 
     Linear ramp plus one jump at t=theta; the mean terminal count
     a*tau^2 + b*(tau - theta) inverts into a method-of-moments estimator.
     """
+
+    catalog_id = "SUFFWIN_LINEAR"
+    smoothness_order = 0
 
     a: float = 1.0
     b: float = 2.0
@@ -657,12 +607,6 @@ class SuffWinLinearModel(IntensityModel):
             raise ConfigurationError("SUFFWIN_LINEAR needs a >= 0 and b > 0")
         super().__post_init__()
 
-    def _catalog_id(self):
-        return "SUFFWIN_LINEAR"
-
-    def _smoothness_order(self):
-        return 0
-
     def _lambda_bound(self):
         return 2.0 * self.a * self.horizon + self.b
 
@@ -672,19 +616,6 @@ class SuffWinLinearModel(IntensityModel):
         else:
             after = t > theta
         return 2.0 * self.a * t + self.b * after
-
-    def t_breakpoints(self, theta):
-        th = float(theta)
-        return (th,) if 0.0 < th < self.horizon else ()
-
-    def event_theta_breakpoints(self, events):
-        iv = self.theta_interval
-        ev = np.asarray(events, dtype=float)
-        return ev[(ev > iv.alpha) & (ev < iv.beta)]
-
-    @property
-    def has_event_breakpoints(self):
-        return True
 
     def mean_terminal_count(self, theta) -> float:
         tau = self.horizon
@@ -706,13 +637,10 @@ class NonIdentCubicModel(IntensityModel):
     Kept for reference only; use NONIDENT_FIXED as the working test bed.
     """
 
+    catalog_id = "NONIDENT_CUBIC"
+    smoothness_order = 3
+
     theta_interval: ParameterInterval = ParameterInterval(0.0, 3.0)
-
-    def _catalog_id(self):
-        return "NONIDENT_CUBIC"
-
-    def _smoothness_order(self):
-        return 3
 
     def _lambda_bound(self):
         return 10.0
@@ -741,13 +669,10 @@ class NonIdentFixedModel(IntensityModel):
     lambda(1,.) = lambda(2,.) = 1 while the scores at the two roots differ.
     """
 
+    catalog_id = "NONIDENT_FIXED"
+    smoothness_order = 3
+
     theta_interval: ParameterInterval = ParameterInterval(0.0, 3.0)
-
-    def _catalog_id(self):
-        return "NONIDENT_FIXED"
-
-    def _smoothness_order(self):
-        return 3
 
     def _lambda_bound(self):
         return 9.0
@@ -782,10 +707,12 @@ class PhaseModModel(IntensityModel):
     smooth: bool = True
     theta_interval: ParameterInterval = ParameterInterval(0.1, 0.9)
 
-    def _catalog_id(self):
+    @property
+    def catalog_id(self):
         return "PHASE_MOD_SMOOTH" if self.smooth else "PHASE_MOD_DISC"
 
-    def _smoothness_order(self):
+    @property
+    def smoothness_order(self):
         return 3 if self.smooth else 0
 
     def _lambda_bound(self):
@@ -861,10 +788,12 @@ class FreqModModel(IntensityModel):
     theta_interval: ParameterInterval = ParameterInterval(0.5, 1.5)
     horizon: float = 10.0
 
-    def _catalog_id(self):
+    @property
+    def catalog_id(self):
         return "FREQ_MOD_SMOOTH" if self.smooth else "FREQ_MOD_DISC"
 
-    def _smoothness_order(self):
+    @property
+    def smoothness_order(self):
         return 3 if self.smooth else 0
 
     def _lambda_bound(self):

@@ -30,10 +30,6 @@ __all__ = [
 ]
 
 
-def _window_intervals(window, horizon):
-    return analysis._window_intervals(window, horizon)
-
-
 def _window_measure(intervals):
     return sum(hi - lo for lo, hi in intervals)
 
@@ -56,7 +52,7 @@ class LikelihoodEvaluator:
 
     def __init__(self, model: IntensityModel, window=None, rule: QuadratureRule = DEFAULT_RULE):
         self.model = model
-        self.intervals = _window_intervals(window, model.horizon)
+        self.intervals = analysis._window_intervals(window, model.horizon)
         self.measure = _window_measure(self.intervals)
         self.rule = rule
         self._integral_cache: dict = {}
@@ -89,16 +85,13 @@ class LikelihoodEvaluator:
     def prepare_events(self, sample: Sample) -> np.ndarray:
         return _events_in(sample.pooled_events(), self.intervals)
 
-    def event_sums(self, thetas, events, theta_side=0) -> np.ndarray:
-        return self.model.event_log_sums(thetas, events, theta_side=theta_side)
-
     # -- full log-likelihood --------------------------------------------------
 
     def values(self, thetas, sample: Sample, events=None, theta_side=0) -> np.ndarray:
         thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
         if events is None:
             events = self.prepare_events(sample)
-        term = self.event_sums(thetas, events, theta_side=theta_side)
+        term = self.model.event_log_sums(thetas, events, theta_side=theta_side)
         integ = self.intensity_integral(thetas)
         vals = term - sample.n * (integ - self.measure)
         return np.where(np.isnan(vals), -np.inf, vals)
@@ -146,35 +139,30 @@ class LogLikelihoodCurve:
     break_left: np.ndarray
     break_right: np.ndarray
 
-    def candidates(self):
-        """(theta, side, value) triples sorted by (theta, side); first max wins."""
-        parts = [
-            (self.thetas, np.zeros(self.thetas.size, dtype=int), self.values),
-        ]
-        if self.break_thetas.size:
-            parts.append((self.break_thetas, -np.ones(self.break_thetas.size, dtype=int), self.break_left))
-            parts.append((self.break_thetas, np.ones(self.break_thetas.size, dtype=int), self.break_right))
-        th = np.concatenate([p[0] for p in parts])
-        sd = np.concatenate([p[1] for p in parts])
-        vv = np.concatenate([p[2] for p in parts])
-        order = np.lexsort((sd, th))
-        return th[order], sd[order], vv[order]
 
-
-def curve_grid(model: IntensityModel, grid_size: int, events=None,
-               theta_range=None) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform theta grid plus declared kinks; returns (grid, breakpoints)."""
+def curve_grid(model: IntensityModel, grid_size: int) -> np.ndarray:
+    """Uniform grid over Theta's closure plus the declared kinks."""
     iv = model.theta_interval
-    lo, hi = theta_range if theta_range is not None else (iv.alpha, iv.beta)
-    grid = np.linspace(lo, hi, grid_size)
-    kinks = [k for k in model.theta_kinks() if lo < k < hi]
+    grid = np.linspace(iv.alpha, iv.beta, grid_size)
+    kinks = [k for k in model.theta_kinks() if iv.alpha < k < iv.beta]
     if kinks:
         grid = np.unique(np.concatenate([grid, np.array(kinks)]))
-    breaks = np.empty(0)
-    if events is not None and model.has_event_breakpoints:
-        breaks = np.unique(model.event_theta_breakpoints(events))
-        breaks = breaks[(breaks > lo) & (breaks < hi)]
-    return grid, breaks
+    return grid
+
+
+def split_breaks(model: IntensityModel, events, lo: float, hi: float):
+    """Sample-dependent breakpoints in (lo, hi), split by whether the curve jumps there.
+
+    Returns (jumps, kinks); one of the two is always empty.
+    """
+    if not model.has_event_breakpoints:
+        empty = np.empty(0)
+        return empty, empty
+    br = np.unique(model.event_theta_breakpoints(events))
+    br = br[(br > lo) & (br < hi)]
+    if model.event_breakpoints_are_jumps:
+        return br, np.empty(0)
+    return np.empty(0), br
 
 
 def likelihood_curve(model: IntensityModel, sample: Sample, grid_size: int,
@@ -184,7 +172,9 @@ def likelihood_curve(model: IntensityModel, sample: Sample, grid_size: int,
         raise DomainError(f"grid_size must be >= 3, got {grid_size}")
     ev = LikelihoodEvaluator(model, window, rule)
     events = ev.prepare_events(sample)
-    grid, breaks = curve_grid(model, grid_size, events=events)
+    grid = curve_grid(model, grid_size)
+    iv = model.theta_interval
+    breaks = np.union1d(*split_breaks(model, events, iv.alpha, iv.beta))
     full = np.unique(np.concatenate([grid, breaks])) if breaks.size else grid
     values = ev.values(full, sample, events)
     if breaks.size:

@@ -9,7 +9,7 @@ count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy import special
@@ -40,16 +40,6 @@ REGIMES = (
     "disc-fisher", "boundary", "cusp", "jump",
 )
 
-_FIXED_RATES = {
-    "regular": 0.5,
-    "misspecified": 0.5,
-    "nonidentifiable": 0.5,
-    "null-fisher": 1.0 / 6.0,
-    "disc-fisher": 0.5,
-    "boundary": 0.5,
-    "jump": 1.0,
-}
-
 
 @dataclass(frozen=True)
 class CuspParams:
@@ -68,6 +58,9 @@ class CuspParams:
             raise ConfigurationError("gamma_sq must be positive")
         if self.grid_points > 4001 or self.grid_points < 3 or self.grid_points % 2 == 0:
             raise ConfigurationError("grid_points must be odd and in [3, 4001]")
+
+    def limit(self) -> "RegimeLimit":
+        return RegimeLimit("cusp", 1.0 / (2.0 * self.hurst), asdict(self))
 
 
 @dataclass(frozen=True)
@@ -176,11 +169,7 @@ def limit_params(regime: str, model: IntensityModel, theta0: float,
         if not isinstance(model, CuspModel):
             raise CapabilityError("cusp regime is defined for the CUSP family")
         gamma_sq = cusp_gamma_sq(model.a, model.lam0, model.kappa)
-        cp = CuspParams(kappa=model.kappa, hurst=model.hurst, gamma_sq=gamma_sq)
-        return RegimeLimit(regime, 1.0 / (2.0 * cp.hurst), {
-            "kappa": cp.kappa, "hurst": cp.hurst, "gamma_sq": cp.gamma_sq,
-            "grid_halfwidth": cp.grid_halfwidth, "grid_points": cp.grid_points,
-        })
+        return CuspParams(kappa=model.kappa, hurst=model.hurst, gamma_sq=gamma_sq).limit()
 
     # jump
     if not isinstance(model, JumpShiftModel):
@@ -260,10 +249,7 @@ def _grid_posterior_mean(u, log_z):
     """Numeric integral u Z / integral Z on a uniform grid (batched rows)."""
     m = np.max(log_z, axis=-1, keepdims=True)
     w = np.exp(log_z - m)
-    coeff = np.ones(u.size)
-    coeff[1:-1:2] = 4.0
-    coeff[2:-1:2] = 2.0
-    coeff *= (u[1] - u[0]) / 3.0
+    coeff = analysis._simpson_weights(u.size - 1) * ((u[1] - u[0]) / 3.0)
     den = w @ coeff
     num = w @ (coeff * u)
     return num / den
@@ -333,10 +319,7 @@ def _boundary_inner_integral(zs: np.ndarray) -> np.ndarray:
     width = 40.0
     panels = 2048
     frac = np.linspace(0.0, 1.0, panels + 1)
-    coeff = np.ones(panels + 1)
-    coeff[1:-1:2] = 4.0
-    coeff[2:-1:2] = 2.0
-    coeff *= (width / panels) / 3.0
+    coeff = analysis._simpson_weights(panels) * ((width / panels) / 3.0)
     out = np.empty(zs.shape)
     chunk = 2048
     for lo in range(0, zs.size, chunk):

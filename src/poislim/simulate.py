@@ -177,7 +177,10 @@ def read_events_csv(path, n: int, horizon: float) -> Sample:
             if not line.strip():
                 continue
             j_str, t_str = line.split(",")
-            buckets[int(j_str)].append(float(t_str))
+            j = int(j_str)
+            if not 0 <= j < n:
+                raise ConfigurationError(f"{path}: trajectory index {j} outside [0, {n})")
+            buckets[j].append(float(t_str))
     trajectories = tuple(
         Trajectory(events=np.array(sorted(b)), horizon=horizon) for b in buckets
     )

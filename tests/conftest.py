@@ -9,14 +9,11 @@ from poislim.intensity import IntensityModel, ParameterInterval
 class FlatModel(IntensityModel):
     """lambda(theta, t) = level, independent of theta (tie-break test bed)."""
 
+    catalog_id = "FLAT"
+    smoothness_order = 3
+
     level: float = 1.0
     theta_interval: ParameterInterval = ParameterInterval(0.2, 1.7)
-
-    def _catalog_id(self):
-        return "FLAT"
-
-    def _smoothness_order(self):
-        return 3
 
     def _lambda_bound(self):
         return self.level

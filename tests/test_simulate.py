@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 
 import poislim as pl
-from poislim.errors import DomainError
+from poislim.errors import ConfigurationError, DomainError
 from poislim.simulate import (
     RngStream,
     Sample,
@@ -125,3 +125,11 @@ def test_events_csv_roundtrip(tmp_path):
     back = read_events_csv(path, 5, 1.0)
     for a, b in zip(s.trajectories, back.trajectories):
         assert np.array_equal(a.events, b.events)
+
+
+@pytest.mark.parametrize("index", [-1, 3])
+def test_events_csv_rejects_out_of_range_index(tmp_path, index):
+    path = tmp_path / "events.csv"
+    path.write_text(f"trajectory_index,event_time\n0,0.25\n{index},0.5\n")
+    with pytest.raises(ConfigurationError, match="trajectory index"):
+        read_events_csv(path, 3, 1.0)
