@@ -38,7 +38,7 @@ def _load_scenario(path: str, overrides) -> Scenario:
     if not isinstance(doc, dict):
         raise ConfigurationError(f"{path}: scenario must be a JSON object")
     if overrides.n is not None:
-        doc["n"] = [int(v) for v in overrides.n.split(",")]
+        doc["n"] = overrides.n.split(",")
     if overrides.replicates is not None:
         doc["replicates"] = overrides.replicates
     if overrides.seed is not None:
@@ -63,7 +63,11 @@ def _cmd_experiment(args) -> int:
     summary = f"{args.out_prefix}.summary.json"
     report.write_table_csv(table)
     report.write_summary_json(summary)
-    print(f"wrote {table} and {summary} ({report.summary['failures']} failed replicates)")
+    failures = report.summary["failures"]
+    print(f"wrote {table} and {summary} ({failures} failed replicates)")
+    if failures == len(report.rows):
+        print(f"runtime error: every one of the {failures} replicates failed", file=sys.stderr)
+        return EXIT_RUNTIME
     return EXIT_OK
 
 
@@ -96,6 +100,8 @@ def _parse_kv(pairs):
 
 
 def _cmd_limits(args) -> int:
+    if args.samples < 1:
+        raise ConfigurationError(f"--samples must be >= 1, got {args.samples}")
     params = _parse_kv(args.set)
     if args.scenario:
         scenario = _load_scenario(args.scenario, args)
@@ -226,8 +232,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("limits", help="dump limit-law draws as a single-column CSV")
     p.add_argument("--regime", required=True, choices=limits.REGIMES)
-    p.add_argument("--scenario", default=None)
-    p.add_argument("--set", nargs="*", default=None, metavar="KEY=VALUE")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--scenario", default=None)
+    source.add_argument("--set", nargs="*", default=None, metavar="KEY=VALUE")
     p.add_argument("--which", choices=("mle", "bayes"), default="mle")
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--out", required=True)

@@ -1,8 +1,12 @@
 """Monte Carlo harness: replicated scenarios, limit-law comparison, rate slopes.
 
-Replicates are the unit of parallelism.  Each (n-index, replicate) pair owns a
-disjoint block of RNG stream indices, so the per-replicate table is
-reproducible bit-for-bit for any worker count.
+Replicates are the unit of parallelism.  ``run_scenario`` turns a scenario
+into one job list (a limit-draw job per estimator, then one job per
+(n-index, replicate) pair), lets a process pool work through it, and puts
+the results back in index order.  Each (n-index, replicate) pair owns a
+disjoint block of RNG stream indices and each estimator's limit draws own one
+stream, so the table and the summary are reproducible bit-for-bit for any
+worker count.
 """
 
 from __future__ import annotations
@@ -71,9 +75,12 @@ class Scenario:
 
     def __post_init__(self):
         ns = self.n if isinstance(self.n, (list, tuple)) else (self.n,)
-        ns = tuple(int(v) for v in ns)
-        if any(v < 1 for v in ns):
-            raise ConfigurationError("every n must be >= 1")
+        try:
+            ns = tuple(int(v) for v in ns)
+        except (TypeError, ValueError):
+            raise ConfigurationError(f"every n must be an integer, got {self.n!r}") from None
+        if not ns or any(v < 1 for v in ns):
+            raise ConfigurationError("n must list at least one value, each >= 1")
         object.__setattr__(self, "n", ns)
         if self.replicates < 1:
             raise ConfigurationError("replicates must be >= 1")
@@ -103,12 +110,15 @@ class Scenario:
         if missing:
             raise ConfigurationError(f"missing scenario keys: {sorted(missing)}")
         doc = dict(doc)
-        doc["model"] = str(doc["model"])
-        doc["theta0"] = float(doc["theta0"])
-        doc["replicates"] = int(doc["replicates"])
-        doc["seed"] = int(doc["seed"])
-        if doc.get("theta_interval") is not None:
-            doc["theta_interval"] = tuple(float(v) for v in doc["theta_interval"])
+        try:
+            doc["model"] = str(doc["model"])
+            doc["theta0"] = float(doc["theta0"])
+            doc["replicates"] = int(doc["replicates"])
+            doc["seed"] = int(doc["seed"])
+            if doc.get("theta_interval") is not None:
+                doc["theta_interval"] = tuple(float(v) for v in doc["theta_interval"])
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(f"bad scenario value: {exc}") from None
         return Scenario(**doc)
 
     def to_dict(self) -> dict:
@@ -209,14 +219,18 @@ def _simulate_for(scenario: Scenario, true_int: TrueIntensity, model: IntensityM
     return simulate_sample(true_int, n, base)
 
 
-def _estimate_row(scenario: Scenario, model, true_int, settings, n, n_index):
-    """All replicate rows for one n value; pure function of the scenario."""
+def _estimate_row(scenario: Scenario, model, true_int, settings, n, n_index,
+                  replicates=None):
+    """Rows of the given replicates (default: all) at one n value.
+
+    A pure function of the scenario: replicate r only reads its own stream block.
+    """
     m = scenario.replicates
     mode = scenario.window.get("mode", "none")
     mu_star = scenario.window.get("mu_star")
     long_model = None
     rows = []
-    for r in range(m):
+    for r in range(m) if replicates is None else replicates:
         base = RngStream(scenario.seed, _replicate_stream_base(n_index, r, m))
         sample = _simulate_for(scenario, true_int, model, n, base)
         est_model = model
@@ -254,13 +268,31 @@ def _estimate_row(scenario: Scenario, model, true_int, settings, n, n_index):
     return rows
 
 
-def _worker_rows(args):
-    doc, n, n_index = args
+# (scenario, model, true intensity, settings, limit), set once in each pool
+# worker by _init_worker; the serial path passes its context explicitly
+_WORKER_CONTEXT = None
+
+
+def _init_worker(doc, limit):
+    global _WORKER_CONTEXT
     scenario = Scenario.from_dict(doc)
     model = scenario.build_model()
-    true_int = scenario.build_true_intensity(model)
-    settings = scenario.build_settings()
-    return n_index, _estimate_row(scenario, model, true_int, settings, n, n_index)
+    _WORKER_CONTEXT = (scenario, model, scenario.build_true_intensity(model),
+                       scenario.build_settings(), limit)
+
+
+def _run_job(job, context=None):
+    """One job: an estimator name draws its limit law, (n_index, r) is one row."""
+    scenario, model, true_int, settings, limit = context or _WORKER_CONTEXT
+    if isinstance(job, str):
+        # all draws of one estimator stay in one call: the normal sampler
+        # consumes a variable number of Philox outputs, so a split would
+        # change the draws
+        stream = RngStream(scenario.seed, _LIMIT_STREAM_BASE + (0 if job == "mle" else 1))
+        return limits.sample_limit_batch(limit, stream, job, scenario.limit_draws)
+    n_index, r = job
+    return _estimate_row(scenario, model, true_int, settings, scenario.n[n_index],
+                         n_index, (r,))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -314,9 +346,18 @@ class ExperimentReport:
 def run_scenario(scenario: Scenario, workers: int = 1) -> ExperimentReport:
     """Execute the scenario and assemble the report.
 
-    Deterministic given (scenario, seed) for every worker count: replicates
-    own disjoint stream blocks and rows are reassembled in index order.
+    The work is one job list: first one limit-draw job per estimator (when
+    the scenario has a regime; these are the longest jobs), then one job per
+    (n_index, replicate), largest n first.  With ``workers`` > 1 a pool of
+    min(workers, len(jobs)) processes works through the list, each building
+    the scenario context once; with one worker the jobs run in this process.
+    Results are put back by index, rows in (n_index, replicate) order and
+    draws by estimator.  Every replicate owns a disjoint stream block and
+    each estimator's limit draws own one stream, so the report is identical
+    for every worker count.
     """
+    if workers < 1:
+        raise ConfigurationError(f"workers must be >= 1, got {workers}")
     model = scenario.build_model()
     true_int = scenario.build_true_intensity(model)
     settings = scenario.build_settings()
@@ -329,29 +370,31 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> ExperimentReport:
         if scenario.regime == "misspecified":
             target = limit.params["theta_star"]
 
-    jobs = [(scenario.to_dict(), n, k) for k, n in enumerate(scenario.n)]
-    rows_by_index: dict = {}
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for n_index, rows in pool.map(_worker_rows, jobs):
-                rows_by_index[n_index] = rows
+    draw_jobs = list(settings.estimators) if limit is not None else []
+    by_size = sorted(range(len(scenario.n)), key=lambda k: -scenario.n[k])
+    jobs = draw_jobs + [(k, r) for k in by_size for r in range(scenario.replicates)]
+    size = min(workers, len(jobs))
+    if size > 1:
+        with ProcessPoolExecutor(max_workers=size, initializer=_init_worker,
+                                 initargs=(scenario.to_dict(), limit)) as pool:
+            results = dict(zip(jobs, pool.map(_run_job, jobs)))
     else:
-        for job in jobs:
-            n_index, rows = _worker_rows(job)
-            rows_by_index[n_index] = rows
+        context = (scenario, model, true_int, settings, limit)
+        results = {job: _run_job(job, context) for job in jobs}
+    draws = {which: results[which] for which in draw_jobs}
 
     all_rows = []
     rate_exp = limit.rate_exponent if limit is not None else 0.5
     raw_compare = scenario.regime == "nonidentifiable"
     for k, n in enumerate(scenario.n):
-        rows = rows_by_index[k]
-        for row in rows:
+        for r in range(scenario.replicates):
+            row = results[(k, r)]
             for which in settings.estimators:
                 est = row.get(which, float("nan"))
                 err = est - target
                 row[f"err_{which}"] = err
                 row[f"norm_err_{which}"] = float(n) ** rate_exp * err
-        all_rows.extend(rows)
+            all_rows.append(row)
 
     summary = {
         "scenario": scenario.to_dict(),
@@ -361,10 +404,6 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> ExperimentReport:
     if limit is not None:
         summary["limit"] = {"regime": limit.regime,
                             "rate_exponent": limit.rate_exponent, **limit.params}
-        draws = {}
-        for which in settings.estimators:
-            stream = RngStream(scenario.seed, _LIMIT_STREAM_BASE + (0 if which == "mle" else 1))
-            draws[which] = limits.sample_limit_batch(limit, stream, which, scenario.limit_draws)
     est_summary = {}
     for which in settings.estimators:
         per_n = {}

@@ -31,6 +31,49 @@ def test_experiment_end_to_end(tmp_path):
     assert tables[0] == tables[1]
 
 
+@pytest.mark.parametrize("doc", [
+    dict(TINY, n=[40]),
+    {"model": "JUMP_SHIFT", "theta0": 0.5, "regime": "jump", "n": [20, 40],
+     "replicates": 2, "seed": 1, "limit_draws": 200},
+])
+def test_experiment_outputs_identical_for_any_worker_count(tmp_path, doc):
+    scenario = write_scenario(tmp_path, doc)
+    outputs = []
+    for workers in (1, 2, 3):
+        prefix = tmp_path / f"workers{workers}"
+        argv = ["experiment", scenario, "--out-prefix", str(prefix), "--workers", str(workers)]
+        assert cli.main(argv) == cli.EXIT_OK
+        outputs.append((tmp_path / f"workers{workers}.table.csv").read_bytes()
+                       + (tmp_path / f"workers{workers}.summary.json").read_bytes())
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+# two-stage estimation needs n >= 9, so both estimators fail on every replicate
+ALL_FAIL = {"model": "SUFFWIN_LINEAR", "theta0": 0.5, "window": {"mode": "sufficient"},
+            "n": [4], "replicates": 2, "seed": 3}
+
+
+@pytest.mark.parametrize("doc, extra, code", [
+    (TINY, ["--workers", "0"], cli.EXIT_CONFIG),
+    (TINY, ["--workers", "-3"], cli.EXIT_CONFIG),
+    (TINY, ["--n", "2.5"], cli.EXIT_CONFIG),
+    (TINY, ["--n", "x"], cli.EXIT_CONFIG),
+    (dict(TINY, replicates="abc"), [], cli.EXIT_CONFIG),
+    (dict(TINY, n=["x"]), [], cli.EXIT_CONFIG),
+    (dict(TINY, n=[]), [], cli.EXIT_CONFIG),
+    (ALL_FAIL, [], cli.EXIT_RUNTIME),
+])
+def test_experiment_exit_codes(tmp_path, doc, extra, code):
+    scenario = write_scenario(tmp_path, doc)
+    prefix = tmp_path / "out"
+    assert cli.main(["experiment", scenario, "--out-prefix", str(prefix), *extra]) == code
+    if code == cli.EXIT_RUNTIME:
+        # the outputs of a run in which every replicate failed are still written
+        summary = json.loads((tmp_path / "out.summary.json").read_text())
+        assert summary["failures"] == 2
+        assert len((tmp_path / "out.table.csv").read_text().splitlines()) == 3
+
+
 def test_experiment_rejects_optimal_window_without_mu_star(tmp_path):
     scenario = write_scenario(tmp_path, dict(TINY, window={"mode": "optimal"}))
     argv = ["experiment", scenario, "--out-prefix", str(tmp_path / "out")]
@@ -58,3 +101,16 @@ def test_limits_set_exit_codes(tmp_path, regime, pairs, code):
     assert cli.main(argv) == code
     if code == cli.EXIT_OK:
         assert len(out.read_text().splitlines()) == 21
+
+
+@pytest.mark.parametrize("args, code", [
+    (["--scenario", "SCENARIO", "--set", "bogus=1"], cli.EXIT_CONFIG),
+    (["--set", "I=2", "--samples", "0"], cli.EXIT_CONFIG),
+    (["--scenario", "SCENARIO", "--samples", "-1"], cli.EXIT_CONFIG),
+    (["--scenario", "SCENARIO"], cli.EXIT_OK),
+])
+def test_limits_exit_codes(tmp_path, args, code):
+    scenario = write_scenario(tmp_path, TINY)
+    args = [scenario if a == "SCENARIO" else a for a in args]
+    argv = ["limits", "--regime", "regular", *args, "--out", str(tmp_path / "draws.csv")]
+    assert cli.main(argv) == code
