@@ -163,9 +163,10 @@ def _limit_from_params(regime: str, params: dict) -> limits.RegimeLimit:
 
 
 def _cmd_windows(args) -> int:
-    params = {}
-    if args.params:
-        params = json.loads(args.params)
+    try:
+        params = json.loads(args.params) if args.params else {}
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(f"--params: invalid JSON ({exc})") from None
     model = make_model(args.model, params=params)
     win = windows.optimal_window(model, args.theta, args.mu_star)
     doc = {
@@ -182,12 +183,20 @@ def _cmd_windows(args) -> int:
 
 
 def _parse_grid(text: str):
-    lo, hi, count = text.split(":")
-    return np.linspace(float(lo), float(hi), int(count))
+    try:
+        lo, hi, count = text.split(":")
+        return np.linspace(float(lo), float(hi), int(count))
+    except ValueError:
+        raise ConfigurationError(f"expected a grid lo:hi:count, got {text!r}") from None
 
 
 def _cmd_region_map(args) -> int:
-    xs = [float(v) for v in args.x.split(",")]
+    try:
+        xs = [float(v) for v in args.x.split(",")]
+    except ValueError:
+        raise ConfigurationError(f"--x must list numbers, got {args.x!r}") from None
+    if not all(x > 1.0 for x in xs):
+        raise ConfigurationError(f"every --x must exceed 1, got {args.x}")
     h1 = _parse_grid(args.h1)
     h2 = _parse_grid(args.h2)
     result = experiments.region_scan(xs, h1, h2, theta0=args.theta0,

@@ -125,42 +125,51 @@ def mle(model: IntensityModel, sample: Sample, settings: EstimatorSettings | Non
     ev = LikelihoodEvaluator(model, window)
     events = ev.prepare_events(sample)
     grid = curve_grid(model, settings.grid_size)
-    jump_breaks, kink_breaks = split_breaks(model, events, iv.alpha, iv.beta)
+    breaks = split_breaks(model, events, iv.alpha, iv.beta)
+    n_breaks = breaks[0].size + breaks[1].size
+    cell = grid[1] - grid[0]
 
     localize = settings.localize
     if localize is None:
-        localize = (jump_breaks.size + kink_breaks.size) > _LOCALIZE_BREAK_COUNT
+        localize = n_breaks > _LOCALIZE_BREAK_COUNT
 
-    if localize and (jump_breaks.size or kink_breaks.size):
+    if localize and n_breaks:
         coarse_vals = ev.values(grid, sample, events)
         if not np.any(coarse_vals > -np.inf):
             raise EstimationError("log-likelihood is -inf over the whole grid")
         i = int(np.argmax(coarse_vals))
-        cell = grid[1] - grid[0] if grid.size > 1 else iv.width
-        lo = max(iv.alpha, grid[i] - _LOCALIZE_MARGIN_CELLS * cell)
-        hi = min(iv.beta, grid[i] + _LOCALIZE_MARGIN_CELLS * cell)
-        fine = np.linspace(lo, hi, 129)
-        jb = jump_breaks[(jump_breaks > lo) & (jump_breaks < hi)]
-        kb = kink_breaks[(kink_breaks > lo) & (kink_breaks < hi)]
-        th, sd, vals = _eval_candidates(ev, sample, events, fine, jb, kb)
-        th = np.concatenate([th, [grid[i]]])
-        sd = np.concatenate([sd, [0]])
-        vals = np.concatenate([vals, [coarse_vals[i]]])
+        th, sd, vals, _ = _local_candidates(ev, sample, events, breaks, grid[i],
+                                            coarse_vals[i], _LOCALIZE_MARGIN_CELLS * cell)
     else:
-        th, sd, vals = _eval_candidates(ev, sample, events, grid, jump_breaks, kink_breaks)
+        th, sd, vals = _eval_candidates(ev, sample, events, grid, *breaks)
 
     best_theta, best_side, best_val = _candidate_argmax(th, sd, vals)
 
     if settings.zoom_rounds and not model.is_theta_smooth:
-        best_theta, best_val = _zoom_refine(
-            ev, sample, events, model, best_theta, best_val,
-            start_cell=(grid[1] - grid[0] if grid.size > 1 else iv.width),
-            rounds=settings.zoom_rounds)
+        best_theta, best_val = _zoom_refine(ev, sample, events, breaks, best_theta, best_val,
+                                            4.0 * cell, settings.zoom_rounds)
     elif settings.refine and model.smoothness_order >= 1:
         best_theta, best_val = _golden_refine(
             ev, sample, events, model, th, sd, vals, best_theta, best_val)
 
     return Estimate(_clamp(best_theta, iv), best_val, "mle")
+
+
+def _local_candidates(ev, sample, events, breaks, center, center_val, width):
+    """Candidates of one local pass and their grid step, or None if the window is empty.
+
+    129 points over center +- width clipped to Theta, the (jump, kink) ``breaks``
+    inside, and the incumbent (center, center_val).
+    """
+    iv = ev.model.theta_interval
+    lo = max(iv.alpha, center - width)
+    hi = min(iv.beta, center + width)
+    if hi <= lo:
+        return None
+    fine = np.linspace(lo, hi, 129)
+    jb, kb = (b[(b > lo) & (b < hi)] for b in breaks)
+    th, sd, vals = _eval_candidates(ev, sample, events, fine, jb, kb)
+    return np.append(th, center), np.append(sd, 0), np.append(vals, center_val), fine[1] - fine[0]
 
 
 def _golden_refine(ev, sample, events, model, thetas, sides, values, best_theta, best_val):
@@ -229,29 +238,20 @@ def _score_bisect(f, x, lo, hi, iters=64):
     return 0.5 * (a + b)
 
 
-def _zoom_refine(ev, sample, events, model, best_theta, best_val, start_cell, rounds):
+def _zoom_refine(ev, sample, events, breaks, theta, val, width, rounds):
     """Iterated grid refinement for continuous non-smooth likelihoods."""
-    iv = model.theta_interval
-    width = 4.0 * start_cell
-    theta, val = best_theta, best_val
     for _ in range(rounds):
-        lo = max(iv.alpha, theta - width)
-        hi = min(iv.beta, theta + width)
-        if hi <= lo:
+        found = _local_candidates(ev, sample, events, breaks, theta, val, width)
+        if found is None:
             break
-        fine = np.linspace(lo, hi, 129)
-        jb, kb = split_breaks(model, events, lo, hi)
-        th, sd, vals = _eval_candidates(ev, sample, events, fine, jb, kb)
-        th = np.concatenate([th, [theta]])
-        sd = np.concatenate([sd, [0]])
-        vals = np.concatenate([vals, [val]])
-        theta, _, val = _candidate_argmax(th, sd, vals)
-        width = 4.0 * (fine[1] - fine[0])
+        *candidates, step = found
+        theta, _, val = _candidate_argmax(*candidates)
+        width = 4.0 * step
     return theta, val
 
 
-def _prior_weights(settings, nodes, iv):
-    """Prior density at nodes, normalized by its maximum.
+def _prior_weights(settings, nodes):
+    """Prior density at nodes, normalized by its maximum over all of them.
 
     Max-normalization makes rescaling the density by a power of two a bitwise
     no-op, which is what the rescale-invariance contract tests.
@@ -269,9 +269,10 @@ def bayes(model: IntensityModel, sample: Sample, settings: EstimatorSettings | N
           window=None) -> Estimate:
     """Posterior-mean estimate under the quadratic loss.
 
-    Composite Simpson over the theta grid, split at declared kinks and at
-    sample-dependent jump points; log-likelihood values are max-subtracted
-    before exponentiation.
+    Composite Simpson over Theta, split at declared kinks and at the
+    sample-dependent jump and kink breakpoints; the nodes of all segments are
+    evaluated as one array (one-sided values at jumps take one call per side).
+    Log-likelihood values are max-subtracted before exponentiation.
     """
     if sample.n < 1:
         raise PreconditionError("sample must contain at least one trajectory")
@@ -286,37 +287,35 @@ def bayes(model: IntensityModel, sample: Sample, settings: EstimatorSettings | N
     cuts = np.unique(np.concatenate([
         jump_breaks, kink_breaks,
         np.array([k for k in model.theta_kinks() if iv.alpha < k < iv.beta]),
-    ])) if (jump_breaks.size or kink_breaks.size or model.theta_kinks()) else np.empty(0)
+    ]))
     edges = np.concatenate([[iv.alpha], cuts, [iv.beta]])
-    lengths = np.diff(edges)
-    shares = np.maximum(4, (settings.bayes_panels * lengths / iv.width).astype(int))
+    shares = np.maximum(4, (settings.bayes_panels * np.diff(edges) / iv.width).astype(int))
     shares += shares % 2
-    jump_set = set(jump_breaks.tolist())
+    # one node array: segment k holds nodes[starts[k]:ends[k]], cut nodes appear twice
+    segments = list(zip(edges[:-1], edges[1:], shares))
+    nodes = np.concatenate([np.linspace(a, b, p + 1) for a, b, p in segments])
+    coeff = np.concatenate([_simpson_weights(p) / 3.0 * ((b - a) / p) for a, b, p in segments])
+    ends = np.cumsum(shares + 1)
+    starts = ends - (shares + 1)
 
-    num = 0.0
-    den = 0.0
-    max_ll = -np.inf
-    seg_data = []
-    for (a, b), panels in zip(zip(edges[:-1], edges[1:]), shares):
-        nodes = np.linspace(a, b, panels + 1)
-        vals = ev.values(nodes, sample, events)
-        if a in jump_set:
-            vals[0] = ev.value(a, sample, events, theta_side=+1)
-        if b in jump_set:
-            vals[-1] = ev.value(b, sample, events, theta_side=-1)
-        finite = vals[np.isfinite(vals)]
-        if finite.size:
-            max_ll = max(max_ll, float(np.max(finite)))
-        seg_data.append((nodes, vals, (b - a) / panels))
-
+    vals = ev.values(nodes, sample, events)
+    if jump_breaks.size:
+        # a segment starts right of a jump and ends left of one
+        first = starts[np.isin(edges[:-1], jump_breaks)]
+        last = ends[np.isin(edges[1:], jump_breaks)] - 1
+        vals[first] = ev.values(nodes[first], sample, events, theta_side=+1)
+        vals[last] = ev.values(nodes[last], sample, events, theta_side=-1)
+    max_ll = float(np.max(vals, where=np.isfinite(vals), initial=-np.inf))
     if not np.isfinite(max_ll):
         raise EstimationError("log-likelihood is -inf over the whole parameter grid")
 
-    for nodes, vals, h in seg_data:
-        w = np.exp(vals - max_ll) * _prior_weights(settings, nodes, iv)
-        coeff = _simpson_weights(nodes.size - 1) / 3.0 * h
-        den += float(np.sum(w * coeff))
-        num += float(np.sum(w * nodes * coeff))
+    w = np.exp(vals - max_ll) * _prior_weights(settings, nodes)
+    mass, moment = w * coeff, w * nodes * coeff
+    # summed per segment, in segment order: np.add.reduceat rounds differently
+    num = den = 0.0
+    for lo, hi in zip(starts, ends):
+        den += float(np.sum(mass[lo:hi]))
+        num += float(np.sum(moment[lo:hi]))
 
     if den <= 0.0 or not np.isfinite(den):
         raise EstimationError(

@@ -53,6 +53,18 @@ _WINDOW_KEYS = {"mode", "mu_star"}
 _TRUE_KEYS = {"kind", "h", "h1", "h2"}
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an int; a non-integral number such as 20.7 fails, not truncates."""
+    try:
+        out = int(value)
+        exact = out == float(value)
+    except (TypeError, ValueError, OverflowError):
+        exact = False
+    if not exact:
+        raise ConfigurationError(f"{what} must be an integer, got {value!r}")
+    return out
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One archivable experiment description."""
@@ -75,13 +87,12 @@ class Scenario:
 
     def __post_init__(self):
         ns = self.n if isinstance(self.n, (list, tuple)) else (self.n,)
-        try:
-            ns = tuple(int(v) for v in ns)
-        except (TypeError, ValueError):
-            raise ConfigurationError(f"every n must be an integer, got {self.n!r}") from None
+        ns = tuple(_integer(v, "every n") for v in ns)
         if not ns or any(v < 1 for v in ns):
             raise ConfigurationError("n must list at least one value, each >= 1")
         object.__setattr__(self, "n", ns)
+        object.__setattr__(self, "replicates", _integer(self.replicates, "replicates"))
+        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
         if self.replicates < 1:
             raise ConfigurationError("replicates must be >= 1")
         if self.regime is not None and self.regime not in limits.REGIMES:
@@ -113,8 +124,6 @@ class Scenario:
         try:
             doc["model"] = str(doc["model"])
             doc["theta0"] = float(doc["theta0"])
-            doc["replicates"] = int(doc["replicates"])
-            doc["seed"] = int(doc["seed"])
             if doc.get("theta_interval") is not None:
                 doc["theta_interval"] = tuple(float(v) for v in doc["theta_interval"])
         except (TypeError, ValueError) as exc:
@@ -219,53 +228,45 @@ def _simulate_for(scenario: Scenario, true_int: TrueIntensity, model: IntensityM
     return simulate_sample(true_int, n, base)
 
 
-def _estimate_row(scenario: Scenario, model, true_int, settings, n, n_index,
-                  replicates=None):
-    """Rows of the given replicates (default: all) at one n value.
+def _estimate_row(scenario: Scenario, model, true_int, settings, n, n_index, r):
+    """The table row of replicate ``r`` at one n value.
 
     A pure function of the scenario: replicate r only reads its own stream block.
     """
-    m = scenario.replicates
     mode = scenario.window.get("mode", "none")
     mu_star = scenario.window.get("mu_star")
-    long_model = None
-    rows = []
-    for r in range(m) if replicates is None else replicates:
-        base = RngStream(scenario.seed, _replicate_stream_base(n_index, r, m))
-        sample = _simulate_for(scenario, true_int, model, n, base)
-        est_model = model
-        if scenario.long_record:
-            if long_model is None:
-                long_model = make_model(scenario.model, params=scenario.params,
-                                        theta_interval=scenario.theta_interval,
-                                        horizon=model.horizon * n)
-            est_model = long_model
-        row = {"n": n, "replicate": r, "stream_base": base.stream_index,
-               "events": sample.total_events(), "status": "ok"}
-        errors = []
-        for which in settings.estimators:
-            try:
-                if mode == "none":
-                    if which == "mle":
-                        est = estimators.mle(est_model, sample, settings)
-                    else:
-                        est = estimators.bayes(est_model, sample, settings)
-                elif mode == "optimal":
-                    est = estimators.two_stage(est_model, sample, settings,
-                                               stage="optimal-window", mu_star=mu_star,
-                                               final=which)
+    base = RngStream(scenario.seed, _replicate_stream_base(n_index, r, scenario.replicates))
+    sample = _simulate_for(scenario, true_int, model, n, base)
+    est_model = model
+    if scenario.long_record:
+        est_model = make_model(scenario.model, params=scenario.params,
+                               theta_interval=scenario.theta_interval,
+                               horizon=model.horizon * n)
+    row = {"n": n, "replicate": r, "stream_base": base.stream_index,
+           "events": sample.total_events(), "status": "ok"}
+    errors = []
+    for which in settings.estimators:
+        try:
+            if mode == "none":
+                if which == "mle":
+                    est = estimators.mle(est_model, sample, settings)
                 else:
-                    est = estimators.two_stage(est_model, sample, settings,
-                                               stage="sufficient-window", final=which)
-                row[which] = est.value
-            except PoislimError as exc:
-                row[which] = float("nan")
-                errors.append(f"{which}-error: {type(exc).__name__}")
-        if errors:
-            # '; ' not ',': the status is one CSV field
-            row["status"] = "; ".join(errors)
-        rows.append(row)
-    return rows
+                    est = estimators.bayes(est_model, sample, settings)
+            elif mode == "optimal":
+                est = estimators.two_stage(est_model, sample, settings,
+                                           stage="optimal-window", mu_star=mu_star,
+                                           final=which)
+            else:
+                est = estimators.two_stage(est_model, sample, settings,
+                                           stage="sufficient-window", final=which)
+            row[which] = est.value
+        except PoislimError as exc:
+            row[which] = float("nan")
+            errors.append(f"{which}-error: {type(exc).__name__}")
+    if errors:
+        # '; ' not ',': the status is one CSV field
+        row["status"] = "; ".join(errors)
+    return row
 
 
 # (scenario, model, true intensity, settings, limit), set once in each pool
@@ -291,8 +292,7 @@ def _run_job(job, context=None):
         stream = RngStream(scenario.seed, _LIMIT_STREAM_BASE + (0 if job == "mle" else 1))
         return limits.sample_limit_batch(limit, stream, job, scenario.limit_draws)
     n_index, r = job
-    return _estimate_row(scenario, model, true_int, settings, scenario.n[n_index],
-                         n_index, (r,))[0]
+    return _estimate_row(scenario, model, true_int, settings, scenario.n[n_index], n_index, r)
 
 
 # ---------------------------------------------------------------------------

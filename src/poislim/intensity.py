@@ -126,15 +126,15 @@ class IntensityModel:
     def event_log_sums(self, thetas, events, theta_side=0):
         """sum_i log lambda(theta, t_i) for each theta in ``thetas``.
 
-        Chunked broadcast; families with a closed-form sufficient statistic
-        override this for speed (identical values up to rounding).
+        Chunked broadcast, 1M (theta, event) pairs at a time; families with a
+        closed-form sufficient statistic override this (same values up to rounding).
         """
         thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
         events = np.asarray(events, dtype=float)
         if events.size == 0:
             return np.zeros(thetas.shape)
         out = np.empty(thetas.shape)
-        chunk = max(1, int(4_000_000 // max(events.size, 1)))
+        chunk = max(1, int(1_000_000 // max(events.size, 1)))
         for lo in range(0, thetas.size, chunk):
             block = thetas[lo:lo + chunk, None]
             out[lo:lo + chunk] = self.log_value(block, events[None, :], theta_side).sum(axis=1)
@@ -950,12 +950,17 @@ def make_model(catalog_id: str, params: dict | None = None,
         raise ConfigurationError(
             f"unknown catalog id {catalog_id!r}; known: {sorted(CATALOG)}"
         )
+    if params is not None and not isinstance(params, dict):
+        raise ConfigurationError(f"params must be an object, got {params!r}")
     kwargs = dict(params or {})
     if theta_interval is not None:
         kwargs["theta_interval"] = ParameterInterval(float(theta_interval[0]), float(theta_interval[1]))
     if horizon is not None:
         kwargs["horizon"] = float(horizon)
-    return CATALOG[catalog_id](**kwargs)
+    try:
+        return CATALOG[catalog_id](**kwargs)
+    except TypeError as exc:  # the message names the unexpected keyword
+        raise ConfigurationError(f"bad params {sorted(params or {})} for {catalog_id}: {exc}") from None
 
 
 def _check_args(model: IntensityModel, theta: float, t) -> None:

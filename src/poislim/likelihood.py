@@ -46,8 +46,11 @@ def _events_in(events, intervals):
 class LikelihoodEvaluator:
     """Shared evaluation context for one (model, window, quadrature rule).
 
-    Caches the theta-grid intensity integral, which is sample independent,
-    so replicated estimation pays the event-sum cost only.
+    Caches the intensity integral of up to 8 theta arrays, keyed by their
+    bytes.  The integral depends neither on the sample nor on the side of a
+    jump, so the two one-sided evaluations at the same breakpoints compute it
+    once.  The cache lives as long as the evaluator, and every ``mle`` or
+    ``bayes`` call builds its own.
     """
 
     def __init__(self, model: IntensityModel, window=None, rule: QuadratureRule = DEFAULT_RULE):

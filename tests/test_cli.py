@@ -61,6 +61,10 @@ ALL_FAIL = {"model": "SUFFWIN_LINEAR", "theta0": 0.5, "window": {"mode": "suffic
     (dict(TINY, replicates="abc"), [], cli.EXIT_CONFIG),
     (dict(TINY, n=["x"]), [], cli.EXIT_CONFIG),
     (dict(TINY, n=[]), [], cli.EXIT_CONFIG),
+    (dict(TINY, n=[20.7]), [], cli.EXIT_CONFIG),
+    (dict(TINY, replicates=2.9), [], cli.EXIT_CONFIG),
+    (dict(TINY, seed=1.5), [], cli.EXIT_CONFIG),
+    (dict(TINY, params={"zz": 1}), [], cli.EXIT_CONFIG),
     (ALL_FAIL, [], cli.EXIT_RUNTIME),
 ])
 def test_experiment_exit_codes(tmp_path, doc, extra, code):
@@ -114,3 +118,52 @@ def test_limits_exit_codes(tmp_path, args, code):
     args = [scenario if a == "SCENARIO" else a for a in args]
     argv = ["limits", "--regime", "regular", *args, "--out", str(tmp_path / "draws.csv")]
     assert cli.main(argv) == code
+
+
+@pytest.mark.parametrize("doc, code", [
+    (dict(TINY, n=[5]), cli.EXIT_OK),
+    (dict(TINY, params={"zz": 1}), cli.EXIT_CONFIG),
+])
+def test_simulate_exit_codes(tmp_path, doc, code):
+    out = tmp_path / "events.csv"
+    assert cli.main(["simulate", write_scenario(tmp_path, doc), "--out", str(out)]) == code
+    if code == cli.EXIT_OK:
+        lines = out.read_text().splitlines()
+        assert lines[0] == "trajectory_index,event_time"
+        assert {int(line.split(",")[0]) for line in lines[1:]} <= set(range(5))
+
+
+@pytest.mark.parametrize("params, code", [
+    (None, cli.EXIT_OK),
+    ("{bad", cli.EXIT_CONFIG),
+    ('{"zz": 1}', cli.EXIT_CONFIG),
+    ("[1]", cli.EXIT_CONFIG),
+])
+def test_windows_exit_codes(tmp_path, params, code):
+    out = tmp_path / "window.json"
+    argv = ["windows", "--model", "WINDOW_SINE", "--theta", "0.5", "--mu-star", "0.3",
+            "--out", str(out)]
+    if params is not None:
+        argv += ["--params", params]
+    assert cli.main(argv) == code
+    if code == cli.EXIT_OK:
+        doc = json.loads(out.read_text())
+        assert set(doc) == {"model", "theta", "mu_star", "threshold", "intervals", "measure"}
+        assert doc["measure"] == pytest.approx(0.3)
+
+
+@pytest.mark.parametrize("x, h1, code", [
+    ("2", "0:0.5:2", cli.EXIT_OK),
+    ("2", "0:1", cli.EXIT_CONFIG),
+    ("a", "0:0.5:2", cli.EXIT_CONFIG),
+    ("0.5", "0:0.5:2", cli.EXIT_CONFIG),
+])
+def test_region_map_exit_codes(tmp_path, x, h1, code):
+    out = tmp_path / "map.csv"
+    argv = ["region-map", "--x", x, "--h1", h1, "--h2", "0:0.5:2", "--grid-size", "201",
+            "--out", str(out)]
+    assert cli.main(argv) == code
+    if code == cli.EXIT_OK:
+        lines = out.read_text().splitlines()
+        assert lines[0] == "x,h1,h2,kl_consistent,predicted"
+        assert len(lines) == 1 + 2 * 2

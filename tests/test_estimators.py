@@ -8,6 +8,7 @@ import poislim as pl
 from poislim.errors import CapabilityError, ConfigurationError, PreconditionError
 from poislim.estimators import EstimatorSettings, bayes, mle, moments_preliminary, two_stage
 from poislim.intensity import ParameterInterval
+from poislim.likelihood import likelihood_curve
 from poislim.simulate import RngStream, Sample, simulate_sample
 
 
@@ -80,6 +81,22 @@ def test_bayes_prior_rescaling_invariance():
     # arbitrary constants within float rounding
     almost = bayes(c, s, EstimatorSettings(prior=(grid, 3.0 * dens)))
     assert almost.value == pytest.approx(base.value, rel=1e-14)
+
+
+@pytest.mark.parametrize("family", ["CHANGEPOINT", "CUSP", "DISCFI_KINK", "JUMP_SHIFT"])
+def test_bayes_nonuniform_prior_against_dense_oracle(family):
+    # the posterior mean splits Theta at sample-dependent breaks; the prior
+    # must keep one scale over every segment
+    model = pl.make_model(family)
+    iv = model.theta_interval
+    s = simulate_sample((model, iv.midpoint), 20, RngStream(3, 0))
+    grid = np.linspace(iv.alpha, iv.beta, 5)
+    dens = np.exp(8.0 * (grid - iv.alpha) / iv.width)
+    est = bayes(model, s, EstimatorSettings(prior=(grid, dens)))
+    curve = likelihood_curve(model, s, 200_001)
+    w = np.exp(curve.values - curve.values.max()) * np.interp(curve.thetas, grid, dens)
+    oracle = np.trapezoid(w * curve.thetas, curve.thetas) / np.trapezoid(w, curve.thetas)
+    assert est.value == pytest.approx(oracle, abs=1e-4)
 
 
 def test_bayes_prior_must_be_positive():

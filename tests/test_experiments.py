@@ -33,9 +33,9 @@ def test_status_keeps_every_error():
     # a window that skipped the construction-time check: both estimators fail
     object.__setattr__(scenario, "window", {"mode": "optimal"})
     model = scenario.build_model()
-    rows = _estimate_row(scenario, model, scenario.build_true_intensity(model),
-                         scenario.build_settings(), 20, 0)
-    assert rows[0]["status"] == "mle-error: ConfigurationError; bayes-error: ConfigurationError"
+    row = _estimate_row(scenario, model, scenario.build_true_intensity(model),
+                        scenario.build_settings(), 20, 0, 0)
+    assert row["status"] == "mle-error: ConfigurationError; bayes-error: ConfigurationError"
 
 
 def test_failed_rows_stay_one_csv_field(tmp_path):
