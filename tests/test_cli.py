@@ -61,11 +61,11 @@ ALL_FAIL = {"model": "SUFFWIN_LINEAR", "theta0": 0.5, "window": {"mode": "suffic
     (dict(TINY, replicates="abc"), [], cli.EXIT_CONFIG),
     (dict(TINY, n=["x"]), [], cli.EXIT_CONFIG),
     (dict(TINY, n=[]), [], cli.EXIT_CONFIG),
+    (ALL_FAIL, [], cli.EXIT_RUNTIME),
     (dict(TINY, n=[20.7]), [], cli.EXIT_CONFIG),
     (dict(TINY, replicates=2.9), [], cli.EXIT_CONFIG),
     (dict(TINY, seed=1.5), [], cli.EXIT_CONFIG),
     (dict(TINY, params={"zz": 1}), [], cli.EXIT_CONFIG),
-    (ALL_FAIL, [], cli.EXIT_RUNTIME),
 ])
 def test_experiment_exit_codes(tmp_path, doc, extra, code):
     scenario = write_scenario(tmp_path, doc)
