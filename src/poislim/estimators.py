@@ -354,8 +354,7 @@ def two_stage(model: IntensityModel, sample: Sample, settings: EstimatorSettings
     if n < 9:
         raise PreconditionError(f"two-stage estimation needs n >= 9, got {n}")
     n1 = math.isqrt(n)
-    first = Sample(trajectories=sample.trajectories[:n1], horizon=sample.horizon)
-    rest = Sample(trajectories=sample.trajectories[n1:], horizon=sample.horizon)
+    first, rest = sample[:n1], sample[n1:]
 
     if isinstance(model, SuffWinLinearModel):
         prelim = moments_preliminary(model, first)

@@ -21,7 +21,7 @@ import numpy as np
 from . import analysis, estimators, limits
 from .errors import ConfigurationError, DomainError, PoislimError
 from .intensity import ChangePointModel, IntensityModel, TrueIntensity, make_model
-from .simulate import STREAM_STRIDE, RngStream, Sample, simulate_sample, simulate_trajectory
+from .simulate import STREAM_STRIDE, RngStream, Sample, simulate_sample
 
 __all__ = [
     "Scenario",
@@ -95,6 +95,13 @@ class Scenario:
         object.__setattr__(self, "seed", _integer(self.seed, "seed"))
         if self.replicates < 1:
             raise ConfigurationError("replicates must be >= 1")
+        # each (n, replicate) block holds STREAM_STRIDE streams below the limit-draw streams
+        if not self.long_record and max(ns) > STREAM_STRIDE:
+            raise ConfigurationError(f"n must be at most {STREAM_STRIDE} "
+                                     "(the streams of one replicate), unless long_record is set")
+        if len(ns) * self.replicates > _LIMIT_STREAM_BASE // STREAM_STRIDE:
+            raise ConfigurationError("len(n) * replicates must be at most "
+                                     f"{_LIMIT_STREAM_BASE // STREAM_STRIDE}")
         if self.regime is not None and self.regime not in limits.REGIMES:
             raise ConfigurationError(f"unknown regime {self.regime!r}")
         unknown = set(self.estimator) - _ESTIMATOR_KEYS
@@ -220,11 +227,11 @@ def _replicate_stream_base(n_index: int, replicate: int, m: int) -> int:
 def _simulate_for(scenario: Scenario, true_int: TrueIntensity, model: IntensityModel,
                   n: int, base: RngStream) -> Sample:
     if scenario.long_record:
-        stretched = TrueIntensity(
+        # one record on [0, n*tau]: trajectory 0 of the replicate's stream block
+        true_int = TrueIntensity(
             fn=true_int.fn, horizon=model.horizon * n, lambda_max=true_int.lambda_max,
             breakpoints=true_int.breakpoints, description=true_int.description)
-        return Sample(trajectories=(simulate_trajectory(stretched, base),),
-                      horizon=stretched.horizon)
+        n = 1
     return simulate_sample(true_int, n, base)
 
 

@@ -66,6 +66,14 @@ ALL_FAIL = {"model": "SUFFWIN_LINEAR", "theta0": 0.5, "window": {"mode": "suffic
     (dict(TINY, replicates=2.9), [], cli.EXIT_CONFIG),
     (dict(TINY, seed=1.5), [], cli.EXIT_CONFIG),
     (dict(TINY, params={"zz": 1}), [], cli.EXIT_CONFIG),
+    # stream blocks that overlap: replicate r's trajectory 2**21 + j would reuse
+    # replicate r+1's stream j, or replicate streams would reach the limit-draw
+    # streams at 2**52.  theta0 lies outside Theta, so a run that loaded such a
+    # scenario would stop (exit 3) before simulating anything that size.
+    (dict(TINY, theta0=5.0, n=[3_000_000]), [], cli.EXIT_CONFIG),
+    (dict(TINY, theta0=5.0, n=[2 ** 21 + 1]), [], cli.EXIT_CONFIG),
+    (dict(TINY, theta0=5.0, n=[20], replicates=2 ** 31 + 1), [], cli.EXIT_CONFIG),
+    (dict(TINY, theta0=5.0, n=[1, 2], replicates=2 ** 30 + 1), [], cli.EXIT_CONFIG),
 ])
 def test_experiment_exit_codes(tmp_path, doc, extra, code):
     scenario = write_scenario(tmp_path, doc)

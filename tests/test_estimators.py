@@ -133,9 +133,9 @@ def test_moments_preliminary():
     se = math.sqrt(lam_tau / (n * sw.b ** 2))
     assert abs(est.value - theta0) <= 4.0 * se
     # clamping
-    tiny = Sample(s.trajectories[:1], s.horizon)
+    tiny = s[:1]
     many = [t for t in s.trajectories if len(t) >= 4][:1]
-    assert moments_preliminary(sw, Sample(tuple(many), s.horizon)).value >= sw.theta_interval.alpha
+    assert moments_preliminary(sw, Sample.from_trajectories(many, s.horizon)).value >= sw.theta_interval.alpha
     with pytest.raises(CapabilityError):
         moments_preliminary(pl.make_model("REGULAR_EXP"), s)
 
@@ -155,7 +155,7 @@ def test_two_stage_sufficient_window_improves_on_preliminary():
     n1 = math.isqrt(n)
     for r in range(reps):
         s = simulate_sample((sw, theta0), n, RngStream(1000 + r, 0))
-        prelim = moments_preliminary(sw, Sample(s.trajectories[:n1], s.horizon))
+        prelim = moments_preliminary(sw, s[:n1])
         final = two_stage(sw, s, settings, stage="sufficient-window")
         win = pl.sufficient_window(prelim.value, n, sw.horizon)
         assert win.intervals[0][0] <= final.value <= win.intervals[0][1]

@@ -4,6 +4,7 @@ import pytest
 
 from poislim.errors import ConfigurationError
 from poislim.experiments import Scenario, _estimate_row, run_scenario
+from poislim.simulate import STREAM_STRIDE
 
 TINY = {"model": "REGULAR_EXP", "theta0": 0.3, "regime": "regular",
         "n": [20, 40], "replicates": 3, "seed": 1, "limit_draws": 200}
@@ -52,3 +53,15 @@ def test_failed_rows_stay_one_csv_field(tmp_path):
     for row in rows:
         assert None not in row  # no status overflowed into extra columns
         assert row["status"] == "mle-error: PreconditionError; bayes-error: PreconditionError"
+
+
+def test_replicate_stream_blocks_cannot_overlap():
+    # the largest n and replicate counts whose stream blocks stay disjoint load
+    Scenario.from_dict(dict(TINY, n=[STREAM_STRIDE]))
+    Scenario.from_dict(dict(TINY, n=[20], replicates=2 ** 31))
+    # a long record uses one stream per replicate, so n is not bounded by the stride
+    Scenario.from_dict(dict(TINY, n=[3_000_000], long_record=True))
+    with pytest.raises(ConfigurationError, match="at most"):
+        Scenario.from_dict(dict(TINY, n=[20, STREAM_STRIDE + 1]))
+    with pytest.raises(ConfigurationError, match="at most"):
+        Scenario.from_dict(dict(TINY, n=[20, 40], replicates=2 ** 30 + 1))

@@ -11,7 +11,7 @@ from poislim.simulate import RngStream, Sample, Trajectory, simulate_sample
 
 
 def one_event_sample(t, horizon=1.0):
-    return Sample((Trajectory(np.array([t]), horizon),), horizon)
+    return Sample.from_trajectories([Trajectory(np.array([t]), horizon)], horizon)
 
 
 def naive_log_likelihood(model, theta, sample, window=None):

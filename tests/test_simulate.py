@@ -7,6 +7,7 @@ from scipy import stats
 import poislim as pl
 from poislim.errors import ConfigurationError, DomainError
 from poislim.simulate import (
+    STREAM_STRIDE,
     RngStream,
     Sample,
     Trajectory,
@@ -117,6 +118,36 @@ def test_trajectory_validation():
         Trajectory(events=np.array([0.2, 1.5]), horizon=1.0)
 
 
+@pytest.mark.parametrize("events", [[0.1, np.nan], [np.nan], [np.nan, 0.5], [0.2, np.inf]])
+def test_non_finite_event_times_rejected(events):
+    ev = np.array(events)
+    with pytest.raises(DomainError, match="finite"):
+        Trajectory(events=ev, horizon=1.0)
+    with pytest.raises(DomainError, match="finite"):
+        Sample(ev, np.array([0, ev.size]), 1.0)
+    with pytest.raises(DomainError, match="finite"):
+        Sample(ev, np.arange(ev.size + 1), 1.0)
+
+
+def test_sample_csr_validation():
+    # decreasing times are fine across a record boundary, not inside a record
+    s = Sample(np.array([0.5, 0.2]), np.array([0, 1, 2]), 1.0)
+    assert s.n == 2 and [len(t) for t in s.trajectories] == [1, 1]
+    with pytest.raises(DomainError, match="increasing"):
+        Sample(np.array([0.5, 0.2]), np.array([0, 2]), 1.0)
+    with pytest.raises(DomainError, match="increasing"):
+        Sample(np.array([0.1, 0.5, 0.5]), np.array([0, 1, 3]), 1.0)
+    with pytest.raises(DomainError, match="outside"):
+        Sample(np.array([0.5, 1.5]), np.array([0, 1, 2]), 1.0)
+    for offsets in ([1, 2], [0, 1], [0, 2, 1, 2], [], [0.0, 2.0]):
+        with pytest.raises(DomainError, match="offsets"):
+            Sample(np.array([0.1, 0.2]), np.array(offsets), 1.0)
+    empty = Sample(np.empty(0), np.zeros(4, dtype=np.int64), 2.0)
+    assert empty.n == 3 and empty.total_events() == 0 and empty[1:].n == 2
+    with pytest.raises(ConfigurationError, match="horizon"):
+        Sample.from_trajectories([Trajectory(np.array([0.5]), 2.0)], 1.0)
+
+
 def test_events_csv_roundtrip(tmp_path):
     reg = pl.make_model("REGULAR_EXP")
     s = simulate_sample((reg, 0.5), 5, RngStream(18, 0))
@@ -133,3 +164,54 @@ def test_events_csv_rejects_out_of_range_index(tmp_path, index):
     path.write_text(f"trajectory_index,event_time\n0,0.25\n{index},0.5\n")
     with pytest.raises(ConfigurationError, match="trajectory index"):
         read_events_csv(path, 3, 1.0)
+
+
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+
+
+def per_stream_thinning(ti, n, base):
+    """Reference: the per-stream thinning loop, one fresh Philox per trajectory."""
+    out = []
+    for j in range(n):
+        key = np.array([base.master_seed & _MASK64, (base.stream_index + j) & _MASK64],
+                       dtype=np.uint64)
+        g = np.random.Generator(np.random.Philox(key=key))
+        n_cand = g.poisson(ti.lambda_max * ti.horizon)
+        times = g.uniform(0.0, ti.horizon, size=n_cand)
+        accept = g.uniform(0.0, 1.0, size=n_cand) * ti.lambda_max < ti.value(times)
+        kept = np.sort(times[accept])
+        if kept.size > 1:
+            kept = kept[np.concatenate(([True], np.diff(kept) > 0.0))]
+        out.append(kept)
+    return out
+
+
+def oracle_intensities():
+    models = {cid: pl.make_model(cid) for cid in
+              ("REGULAR_EXP", "CUSP", "JUMP_SHIFT", "SUFFWIN_LINEAR", "CHANGEPOINT")}
+    cases = {cid: pl.TrueIntensity.from_model(m, 0.5) for cid, m in models.items()
+             if cid != "CHANGEPOINT"}
+    cases["contaminated"] = pl.TrueIntensity.contaminated(
+        models["REGULAR_EXP"], 0.3, lambda t: 0.5 + 0.5 * np.sin(2 * np.pi * t), h_max=1.0)
+    cp = models["CHANGEPOINT"]
+    cases["changepoint"] = pl.TrueIntensity.changepoint(cp.g1, cp.g2, 0.5, -0.25, 0.4)
+    # candidate mean 60: Generator.poisson's rejection branch (mean >= 10)
+    cases["long-record"] = pl.TrueIntensity(
+        fn=lambda t: 2.0 + np.sin(2 * np.pi * t), horizon=20.0, lambda_max=3.0)
+    return cases
+
+
+@pytest.mark.parametrize("name", list(oracle_intensities()))
+@pytest.mark.parametrize("n, base", [(1, RngStream(3, 0)),
+                                     (300, RngStream(21, 5 * STREAM_STRIDE + 17))])
+def test_simulate_sample_matches_per_stream_oracle(name, n, base):
+    ti = oracle_intensities()[name]
+    sample = simulate_sample(ti, n, base)
+    expect = per_stream_thinning(ti, n, base)
+    assert sample.n == n
+    assert sample.total_events() == sum(e.size for e in expect)
+    for tr, ev in zip(sample.trajectories, expect):
+        assert np.array_equal(tr.events, ev)
+    single = simulate_trajectory(ti, base)
+    assert np.array_equal(single.events, simulate_sample(ti, 1, base).trajectories[0].events)
+    assert np.array_equal(single.events, expect[0])
