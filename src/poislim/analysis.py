@@ -73,11 +73,20 @@ def _segment_panels(lengths, total_panels):
 _EDGE_NUDGE = 1e-12
 
 
+def _edge_nudge(a, b):
+    """Inward shift of the endpoints of segments [a, b] (elementwise).
+
+    Segments are split exactly at declared discontinuities; evaluating the
+    endpoints a hair inside keeps every node on this segment's branch.  A few
+    ulps floor the shift, which short segments would otherwise round away.
+    """
+    floor = 4.0 * np.finfo(float).eps * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+    return np.minimum(np.maximum(_EDGE_NUDGE * (b - a), floor), 0.25 * (b - a))
+
+
 def _simpson_segment(fn, a, b, panels):
     x = np.linspace(a, b, panels + 1)
-    # segments are split exactly at declared discontinuities; evaluating the
-    # endpoints a hair inside keeps every node on this segment's branch
-    nudge = _EDGE_NUDGE * (b - a)
+    nudge = _edge_nudge(a, b)
     x[0] += nudge
     x[-1] -= nudge
     y = np.asarray(fn(x), dtype=float)
@@ -295,11 +304,12 @@ def kl_objective_grid(true_intensity: TrueIntensity, model: IntensityModel,
     p = _KL_GRID_PANELS
     w = _simpson_weights(p) / 3.0
     frac = np.linspace(0.0, 1.0, p + 1)
-    frac[0] += _EDGE_NUDGE
-    frac[-1] -= _EDGE_NUDGE
     lo = edges[:, :-1][:, :, None]
     ln = (edges[:, 1:] - edges[:, :-1])[:, :, None]
     nodes = lo + ln * frac[None, None, :]          # (G, S, p+1)
+    nudge = _edge_nudge(edges[:, :-1], edges[:, 1:])
+    nodes[:, :, 0] += nudge
+    nodes[:, :, -1] -= nudge
     th3 = thetas[:, None, None]
     vals = _kl_integrand(model.value(th3, nodes), true_intensity.value(nodes))
     h = ln[:, :, 0] / p

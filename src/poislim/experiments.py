@@ -21,7 +21,7 @@ import numpy as np
 from . import analysis, estimators, limits
 from .errors import ConfigurationError, DomainError, PoislimError
 from .intensity import ChangePointModel, IntensityModel, TrueIntensity, make_model
-from .simulate import STREAM_STRIDE, RngStream, Sample, simulate_sample
+from .simulate import STREAM_STRIDE, RngStream, simulate_sample
 
 __all__ = [
     "Scenario",
@@ -224,15 +224,26 @@ def _replicate_stream_base(n_index: int, replicate: int, m: int) -> int:
     return (n_index * m + replicate) * STREAM_STRIDE
 
 
-def _simulate_for(scenario: Scenario, true_int: TrueIntensity, model: IntensityModel,
-                  n: int, base: RngStream) -> Sample:
-    if scenario.long_record:
-        # one record on [0, n*tau]: trajectory 0 of the replicate's stream block
-        true_int = TrueIntensity(
-            fn=true_int.fn, horizon=model.horizon * n, lambda_max=true_int.lambda_max,
+def _long_record(scenario: Scenario, model: IntensityModel, true_int: TrueIntensity,
+                 n: int) -> tuple[TrueIntensity, IntensityModel]:
+    """True intensity and model of one record on [0, n*tau].
+
+    Raises ConfigurationError where the family's formula leaves its bound past tau
+    or fixes tau.
+    """
+    length = model.horizon * n
+    where = f"long_record: {scenario.model} on one record of n*tau = {length:g}"
+    try:
+        est_model = make_model(scenario.model, params=scenario.params,
+                               theta_interval=scenario.theta_interval, horizon=length)
+        long_true = TrueIntensity(
+            fn=true_int.fn, horizon=length, lambda_max=true_int.lambda_max,
             breakpoints=true_int.breakpoints, description=true_int.description)
-        n = 1
-    return simulate_sample(true_int, n, base)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{where}: {exc}") from None
+    if est_model.horizon != length:
+        raise ConfigurationError(f"{where}: the family fixes its horizon at {est_model.horizon:g}")
+    return long_true, est_model
 
 
 def _estimate_row(scenario: Scenario, model, true_int, settings, n, n_index, r):
@@ -243,12 +254,12 @@ def _estimate_row(scenario: Scenario, model, true_int, settings, n, n_index, r):
     mode = scenario.window.get("mode", "none")
     mu_star = scenario.window.get("mu_star")
     base = RngStream(scenario.seed, _replicate_stream_base(n_index, r, scenario.replicates))
-    sample = _simulate_for(scenario, true_int, model, n, base)
-    est_model = model
+    est_model, size = model, n
     if scenario.long_record:
-        est_model = make_model(scenario.model, params=scenario.params,
-                               theta_interval=scenario.theta_interval,
-                               horizon=model.horizon * n)
+        # one record on [0, n*tau]: trajectory 0 of the replicate's stream block
+        true_int, est_model = _long_record(scenario, model, true_int, n)
+        size = 1
+    sample = simulate_sample(true_int, size, base)
     row = {"n": n, "replicate": r, "stream_base": base.stream_index,
            "events": sample.total_events(), "status": "ok"}
     errors = []
@@ -368,6 +379,9 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> ExperimentReport:
     model = scenario.build_model()
     true_int = scenario.build_true_intensity(model)
     settings = scenario.build_settings()
+    if scenario.long_record:
+        for n in scenario.n:
+            _long_record(scenario, model, true_int, n)
 
     limit = None
     target = float(scenario.theta0)

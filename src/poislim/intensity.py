@@ -72,10 +72,9 @@ class IntensityModel:
 
     ``lambda_max`` is an analytic certified bound (never a runtime scan).
     Each family declares the class constants ``catalog_id`` and
-    ``smoothness_order``, the highest theta-derivative order it exposes.
-    Construction runs a positivity/bound grid scan unless
-    ``positivity_checked`` is False (used only by the catalog entry shipped
-    verbatim despite being negative on part of its parameter set).
+    ``smoothness_order``, the highest theta-derivative order it exposes, and
+    implements the hooks ``_lambda_bound``, ``_value`` and ``integral_hint``.
+    Construction runs a positivity/bound grid scan.
     """
 
     catalog_id: ClassVar[str]
@@ -84,7 +83,6 @@ class IntensityModel:
     theta_interval: ParameterInterval = ParameterInterval(0.0, 1.0)
     horizon: float = 1.0
     lambda_max: float = field(init=False, default=0.0)
-    positivity_checked: bool = field(init=False, default=True)
     lambda_max_override: float | None = None
 
     def __post_init__(self):
@@ -98,7 +96,7 @@ class IntensityModel:
                 )
             bound = float(self.lambda_max_override)
         object.__setattr__(self, "lambda_max", float(bound))
-        object.__setattr__(self, "positivity_checked", self._positivity_scan())
+        self._positivity_scan()
 
     # ---- hooks each family implements -------------------------------------
 
@@ -110,6 +108,10 @@ class IntensityModel:
 
     def _dtheta(self, theta, t, order, side):
         raise CapabilityError(f"{self.catalog_id} exposes no theta-derivatives")
+
+    def integral_hint(self, thetas, lo: float, hi: float):
+        """Closed-form integral of lambda(theta, .) over [lo, hi], vectorized over ``thetas``."""
+        raise NotImplementedError
 
     # ---- shared surface ----------------------------------------------------
 
@@ -151,15 +153,6 @@ class IntensityModel:
             )
         return self._dtheta(float(theta), np.asarray(t, dtype=float), order, side)
 
-    def integral_hint(self, thetas, lo: float, hi: float):
-        """Closed-form integral of lambda(theta, .) over [lo, hi], or None.
-
-        Vectorized over ``thetas``.  Families without a closed form return
-        None and callers fall back to quadrature; where a form exists it is
-        cross-checked against quadrature in the test suite.
-        """
-        return None
-
     def t_breakpoints(self, theta) -> tuple:
         """Interior t-points where lambda(theta, .) is discontinuous or kinked."""
         return ()
@@ -187,9 +180,7 @@ class IntensityModel:
 
     # ---- construction-time validation ---------------------------------
 
-    def _positivity_scan(self) -> bool:
-        if not self._check_positivity():
-            return False
+    def _positivity_scan(self) -> None:
         iv = self.theta_interval
         th = np.linspace(iv.alpha, iv.beta, _POSITIVITY_GRID)
         tt = np.linspace(0.0, self.horizon, _POSITIVITY_GRID)
@@ -203,10 +194,6 @@ class IntensityModel:
             raise ConfigurationError(
                 f"{self.catalog_id} exceeds its certified bound {self.lambda_max}"
             )
-        return True
-
-    def _check_positivity(self) -> bool:
-        return True
 
 
 # ---------------------------------------------------------------------------
@@ -628,40 +615,6 @@ class SuffWinLinearModel(_BreakAtTheta):
 
 
 @dataclass(frozen=True)
-class NonIdentCubicModel(IntensityModel):
-    """lambda = (theta^3-3theta^2+2theta)*t + (2theta-3)*t^2 + 1, theta in (0,3).
-
-    Shipped verbatim from its source despite two defects: the advertised
-    coincidence lambda(1,.)=lambda(2,.) fails (1-t^2 vs t^2+1), and the
-    intensity is negative on part of the parameter set (e.g. theta=0.5, t=1).
-    Kept for reference only; use NONIDENT_FIXED as the working test bed.
-    """
-
-    catalog_id = "NONIDENT_CUBIC"
-    smoothness_order = 3
-
-    theta_interval: ParameterInterval = ParameterInterval(0.0, 3.0)
-
-    def _lambda_bound(self):
-        return 10.0
-
-    def _check_positivity(self):
-        return False
-
-    def _value(self, theta, t, theta_side=0):
-        c1 = theta ** 3 - 3.0 * theta ** 2 + 2.0 * theta
-        c2 = 2.0 * theta - 3.0
-        return c1 * t + c2 * t ** 2 + 1.0
-
-    def _dtheta(self, theta, t, order, side):
-        if order == 1:
-            return (3.0 * theta ** 2 - 6.0 * theta + 2.0) * t + 2.0 * t ** 2
-        if order == 2:
-            return (6.0 * theta - 6.0) * t
-        return 6.0 * t
-
-
-@dataclass(frozen=True)
 class NonIdentFixedModel(IntensityModel):
     """Corrected non-identifiable family: both t-coefficients vanish at theta=1,2.
 
@@ -691,9 +644,19 @@ class NonIdentFixedModel(IntensityModel):
     def nonident_roots(self) -> tuple[float, float]:
         return (1.0, 2.0)
 
+    def integral_hint(self, thetas, lo, hi):
+        th = np.asarray(thetas, dtype=float)
+        q = (th - 1.0) * (th - 2.0)
+        return (hi - lo) + th * q * (hi ** 2 - lo ** 2) / 2.0 + q * (hi ** 3 - lo ** 3) / 3.0
+
 
 def _frac(y):
     return y - np.floor(y)
+
+
+def _upper_half(y):
+    """G(y) = floor(y)/2 + min(frac(y), 1/2); y + 2*G(y) is the square wave's antiderivative."""
+    return 0.5 * np.floor(y) + np.minimum(_frac(y), 0.5)
 
 
 @dataclass(frozen=True)
@@ -730,6 +693,13 @@ class PhaseModModel(IntensityModel):
         else:
             hi = f < 0.5
         return 1.0 + 2.0 * hi
+
+    def integral_hint(self, thetas, lo, hi):
+        th = np.asarray(thetas, dtype=float)
+        if self.smooth:
+            # sin(2*pi*(hi+theta)) - sin(2*pi*(lo+theta)) in product form
+            return (hi - lo) * (2.0 + np.cos(math.pi * (hi + lo + 2.0 * th)) * np.sinc(hi - lo))
+        return (hi - lo) + 2.0 * (_upper_half(hi + th) - _upper_half(lo + th))
 
     def _dtheta(self, theta, t, order, side):
         if not self.smooth:
@@ -810,6 +780,18 @@ class FreqModModel(IntensityModel):
             hi = f < 0.5
         return 1.0 + 2.0 * hi
 
+    def integral_hint(self, thetas, lo, hi):
+        th = np.asarray(thetas, dtype=float)
+        if self.smooth:
+            # (sin(2*pi*theta*hi) - sin(2*pi*theta*lo)) / (2*pi*theta) in product
+            # form; sinc keeps theta = 0 exact at 3*(hi - lo)
+            return (hi - lo) * (2.0 + np.cos(math.pi * th * (hi + lo)) * np.sinc(th * (hi - lo)))
+        # substitute y = theta*t; at theta = 0 the rate is base(0) = 3 throughout
+        zero = th == 0.0
+        safe = np.where(zero, 1.0, th)
+        scaled = (_upper_half(safe * hi) - _upper_half(safe * lo)) / safe
+        return (hi - lo) + 2.0 * np.where(zero, hi - lo, scaled)
+
     def _dtheta(self, theta, t, order, side):
         if not self.smooth:
             raise CapabilityError("FREQ_MOD_DISC exposes no theta-derivatives")
@@ -824,8 +806,8 @@ class FreqModModel(IntensityModel):
     def t_breakpoints(self, theta):
         if self.smooth:
             return ()
-        th = float(theta)
-        if th <= 0:
+        th = abs(float(theta))
+        if th == 0:
             return ()
         ks = np.arange(1, int(math.floor(2 * th * self.horizon)) + 1)
         pts = ks / (2.0 * th)
@@ -933,7 +915,6 @@ CATALOG = {
     "CHANGEPOINT": ChangePointModel,
     "WINDOW_SINE": WindowSineModel,
     "SUFFWIN_LINEAR": SuffWinLinearModel,
-    "NONIDENT_CUBIC": NonIdentCubicModel,
     "NONIDENT_FIXED": NonIdentFixedModel,
     "PHASE_MOD_SMOOTH": lambda **kw: PhaseModModel(smooth=True, **kw),
     "PHASE_MOD_DISC": lambda **kw: PhaseModModel(smooth=False, **kw),
@@ -980,14 +961,8 @@ def evaluate(model: IntensityModel, theta: float, t):
 
 def cumulative(model: IntensityModel, theta: float, t: float):
     """Expected count Lambda(t) = integral of the intensity over [0, t]."""
-    from . import analysis  # local import: analysis owns the quadrature rule
-
     _check_args(model, theta, t)
-    t = float(t)
-    if t == 0.0:
-        return 0.0
-    breaks = [b for b in model.t_breakpoints(theta) if 0.0 < b < t]
-    return analysis.integrate(lambda s: model.value(theta, s), 0.0, t, breakpoints=breaks)
+    return float(model.integral_hint(np.array([float(theta)]), 0.0, float(t))[0])
 
 
 def theta_derivative(model: IntensityModel, theta: float, t, order: int, side=None):

@@ -5,8 +5,9 @@ log L(theta) = sum_j sum_{t_i in W} ln lambda(theta, t_i)
 
 The "-1" reference intensity inside the integral is kept verbatim; it shifts
 the log-likelihood by a theta-free constant and cancels in every ratio.
-Everything is computed in log space; ratios are exponentiated only at the API
-boundary.
+The integral term is each family's closed-form ``integral_hint`` summed over
+the window's intervals.  Everything is computed in log space; ratios are
+exponentiated only at the API boundary.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis
-from .analysis import DEFAULT_RULE, QuadratureRule, integrate
 from .errors import DomainError
 from .intensity import IntensityModel
 from .simulate import Sample
@@ -44,7 +44,7 @@ def _events_in(events, intervals):
 
 
 class LikelihoodEvaluator:
-    """Shared evaluation context for one (model, window, quadrature rule).
+    """Shared evaluation context for one (model, window).
 
     Caches the intensity integral of up to 8 theta arrays, keyed by their
     bytes.  The integral depends neither on the sample nor on the side of a
@@ -53,11 +53,10 @@ class LikelihoodEvaluator:
     ``bayes`` call builds its own.
     """
 
-    def __init__(self, model: IntensityModel, window=None, rule: QuadratureRule = DEFAULT_RULE):
+    def __init__(self, model: IntensityModel, window=None):
         self.model = model
         self.intervals = analysis._window_intervals(window, model.horizon)
         self.measure = _window_measure(self.intervals)
-        self.rule = rule
         self._integral_cache: dict = {}
 
     # -- integral term ------------------------------------------------------
@@ -71,14 +70,7 @@ class LikelihoodEvaluator:
             return hit
         total = np.zeros(thetas.shape)
         for lo, hi in self.intervals:
-            hinted = self.model.integral_hint(thetas, lo, hi)
-            if hinted is not None:
-                total += hinted
-                continue
-            for i, th in enumerate(thetas):
-                breaks = [b for b in self.model.t_breakpoints(th) if lo < b < hi]
-                total[i] += integrate(lambda t, th=th: self.model.value(th, t),
-                                      lo, hi, breakpoints=breaks, rule=self.rule)
+            total += self.model.integral_hint(thetas, lo, hi)
         if len(self._integral_cache) < 8:
             self._integral_cache[key] = total
         return total
@@ -104,13 +96,13 @@ class LikelihoodEvaluator:
 
 
 def log_likelihood(model: IntensityModel, theta: float, sample: Sample,
-                   window=None, theta_side=0, rule: QuadratureRule = DEFAULT_RULE) -> float:
+                   window=None, theta_side=0) -> float:
     """Windowed log-likelihood; -inf (not an exception) if an event has zero rate."""
     theta = float(theta)
     iv = model.theta_interval
     if not iv.contains(theta):
         raise DomainError(f"theta={theta} outside [{iv.alpha}, {iv.beta}]")
-    return LikelihoodEvaluator(model, window, rule).value(theta, sample, theta_side=theta_side)
+    return LikelihoodEvaluator(model, window).value(theta, sample, theta_side=theta_side)
 
 
 def normalized_lr(model: IntensityModel, theta0: float, u: float, rate_exponent: float,
@@ -169,11 +161,11 @@ def split_breaks(model: IntensityModel, events, lo: float, hi: float):
 
 
 def likelihood_curve(model: IntensityModel, sample: Sample, grid_size: int,
-                     window=None, rule: QuadratureRule = DEFAULT_RULE) -> LogLikelihoodCurve:
+                     window=None) -> LogLikelihoodCurve:
     """log L over a uniform grid with kinks inserted and one-sided jump values."""
     if grid_size < 3:
         raise DomainError(f"grid_size must be >= 3, got {grid_size}")
-    ev = LikelihoodEvaluator(model, window, rule)
+    ev = LikelihoodEvaluator(model, window)
     events = ev.prepare_events(sample)
     grid = curve_grid(model, grid_size)
     iv = model.theta_interval

@@ -150,6 +150,19 @@ def test_kl_objective_grid_matches_scalar():
         assert gv == pytest.approx(pl.kl_objective(tcp, cp, th), rel=1e-8, abs=1e-12)
 
 
+@pytest.mark.parametrize("d", [1e-5, 1e-6])
+def test_short_segments_keep_their_branch(d):
+    # the only contribution is a segment of length d next to the jump at 0.5;
+    # an endpoint nudge below float spacing would evaluate it on the far branch
+    cp = pl.make_model("CHANGEPOINT")
+    true = pl.TrueIntensity.changepoint(cp.g1, cp.g2, 0.0, 0.0, 0.5)
+    kl_exact = (2.0 * math.log(2.0) - 1.0) * d
+    assert pl.hellinger_sq(cp, 0.5, 0.5 + d) == pytest.approx(
+        (math.sqrt(2.0) - 1.0) ** 2 * d, rel=1e-9)
+    assert pl.kl_objective(true, cp, 0.5 + d) == pytest.approx(kl_exact, rel=1e-9)
+    assert kl_objective_grid(true, cp, np.array([0.5 + d]))[0] == pytest.approx(kl_exact, rel=1e-9)
+
+
 def test_theta_star_well_specified():
     for cid, th0 in (("REGULAR_EXP", 0.5), ("CHANGEPOINT", 0.5), ("WINDOW_SINE", 0.3)):
         m = pl.make_model(cid)

@@ -74,11 +74,21 @@ ALL_FAIL = {"model": "SUFFWIN_LINEAR", "theta0": 0.5, "window": {"mode": "suffic
     (dict(TINY, theta0=5.0, n=[2 ** 21 + 1]), [], cli.EXIT_CONFIG),
     (dict(TINY, theta0=5.0, n=[20], replicates=2 ** 31 + 1), [], cli.EXIT_CONFIG),
     (dict(TINY, theta0=5.0, n=[1, 2], replicates=2 ** 30 + 1), [], cli.EXIT_CONFIG),
+    # long_record families that are not one record on [0, n*tau]: exp(0.3 t)
+    # leaves its bound past tau, and WINDOW_SINE pins its horizon to one period
+    ({"model": "REGULAR_EXP", "theta0": 0.3, "n": [5], "replicates": 2, "seed": 1,
+      "long_record": True}, [], cli.EXIT_CONFIG),
+    ({"model": "WINDOW_SINE", "theta0": 0.3, "n": [50], "replicates": 2, "seed": 1,
+      "long_record": True}, [], cli.EXIT_CONFIG),
 ])
-def test_experiment_exit_codes(tmp_path, doc, extra, code):
+def test_experiment_exit_codes(tmp_path, capsys, doc, extra, code):
     scenario = write_scenario(tmp_path, doc)
     prefix = tmp_path / "out"
     assert cli.main(["experiment", scenario, "--out-prefix", str(prefix), *extra]) == code
+    if doc.get("long_record"):
+        expect = f"long_record: {doc['model']} on one record of n*tau = {doc['n'][0]}"
+        assert expect in capsys.readouterr().err
+        assert not prefix.with_suffix(".table.csv").exists()
     if code == cli.EXIT_RUNTIME:
         # the outputs of a run in which every replicate failed are still written
         summary = json.loads((tmp_path / "out.summary.json").read_text())

@@ -65,3 +65,13 @@ def test_replicate_stream_blocks_cannot_overlap():
         Scenario.from_dict(dict(TINY, n=[20, STREAM_STRIDE + 1]))
     with pytest.raises(ConfigurationError, match="at most"):
         Scenario.from_dict(dict(TINY, n=[20, 40], replicates=2 ** 30 + 1))
+
+
+def test_long_record_freq_mod_mle_near_theta0():
+    # one record on [0, 4000]: the likelihood's integral term must stay exact
+    # over about 4,000 oscillations
+    doc = {"model": "FREQ_MOD_SMOOTH", "theta0": 1.0137, "n": [400], "replicates": 1,
+           "seed": 5, "long_record": True, "estimator": {"estimators": ["mle"]}}
+    (row,) = run_scenario(Scenario.from_dict(doc)).rows
+    assert row["status"] == "ok"
+    assert abs(row["mle"] - 1.0137) < 1e-4

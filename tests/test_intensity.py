@@ -7,8 +7,7 @@ import poislim as pl
 from poislim import intensity
 from poislim.errors import CapabilityError, ConfigurationError, DomainError
 
-SMOOTH_IDS = [cid for cid in pl.CATALOG
-              if pl.make_model(cid).smoothness_order >= 1 and cid != "NONIDENT_CUBIC"]
+SMOOTH_IDS = [cid for cid in pl.CATALOG if pl.make_model(cid).smoothness_order >= 1]
 ALL_IDS = list(pl.CATALOG)
 
 
@@ -110,33 +109,25 @@ def test_integral_hint_against_adaptive_oracle(cid):
     from poislim.analysis import integrate
 
     m = pl.make_model(cid)
-    thetas = interior_grid(m, 7)
+    cases = [(m, interior_grid(m, 7))]
+    if cid.startswith("FREQ_MOD"):
+        # theta = 0 and negative frequencies: the 1/theta scaling and its limit
+        neg = pl.make_model(cid, theta_interval=(-0.6, 0.4))
+        cases.append((neg, np.append(interior_grid(neg, 7), 0.0)))
     # Simpson converges only algebraically across a cusp point, so the
     # package-quadrature cross-check gets a looser band there
     simpson_rel = 1e-4 if cid == "CUSP" else 1e-9
     spans = [(0.0, m.horizon), (0.13 * m.horizon, 0.71 * m.horizon)]
-    for lo, hi in spans:
-        hint = m.integral_hint(thetas, lo, hi)
-        if hint is None:
-            continue
-        for i, th in enumerate(thetas):
-            breaks = [b for b in m.t_breakpoints(th) if lo < b < hi]
-            oracle, err = quad(lambda t, th=th: float(m.value(th, t)), lo, hi,
-                               points=breaks or None, limit=200)
-            assert hint[i] == pytest.approx(oracle, rel=1e-8, abs=1e-9), (cid, th)
-            simpson = integrate(lambda t, th=th: m.value(th, t), lo, hi, breakpoints=breaks)
-            assert simpson == pytest.approx(oracle, rel=simpson_rel, abs=1e-9), (cid, th)
-
-
-def test_nonident_cubic_ships_printed_defects():
-    m = pl.make_model("NONIDENT_CUBIC")
-    t = np.linspace(0, 1, 11)
-    assert np.allclose(m.value(1.0, t), 1.0 - t ** 2)
-    assert np.allclose(m.value(2.0, t), t ** 2 + 1.0)
-    # the advertised coincidence fails, and the family goes negative on Theta
-    assert not np.allclose(m.value(1.0, t), m.value(2.0, t))
-    assert m.value(0.5, 1.0) < 0
-    assert m.positivity_checked is False
+    for model, thetas in cases:
+        for lo, hi in spans:
+            hint = model.integral_hint(thetas, lo, hi)
+            for i, th in enumerate(thetas):
+                breaks = [b for b in model.t_breakpoints(th) if lo < b < hi]
+                oracle, err = quad(lambda t, th=th: float(model.value(th, t)), lo, hi,
+                                   points=breaks or None, limit=200)
+                assert hint[i] == pytest.approx(oracle, rel=1e-8, abs=1e-9), (cid, th)
+                simpson = integrate(lambda t, th=th: model.value(th, t), lo, hi, breakpoints=breaks)
+                assert simpson == pytest.approx(oracle, rel=simpson_rel, abs=1e-9), (cid, th)
 
 
 def test_nonident_fixed_truly_coincides():

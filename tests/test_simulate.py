@@ -33,8 +33,9 @@ def test_zero_intensity_gives_empty_trajectory():
 
 def test_counts_match_poisson_moments_and_gof():
     lam2 = const_intensity(2.0)
-    counts = np.array([len(simulate_trajectory(lam2, RngStream(11, i)))
-                       for i in range(100_000)])
+    # trajectory j of the sample uses stream (11, j), so one call gives the
+    # counts of 100,000 single-stream trajectories bit for bit
+    counts = np.diff(simulate_sample(lam2, 100_000, RngStream(11, 0)).offsets)
     assert counts.mean() == pytest.approx(2.0, abs=0.02)
     assert counts.var() == pytest.approx(2.0, abs=0.05)
     # chi-square goodness of fit against Poisson(2), tail binned
@@ -49,8 +50,7 @@ def test_counts_match_poisson_moments_and_gof():
 def test_mean_count_matches_cumulative():
     null = pl.make_model("NULLFI_SINE")
     lam = pl.TrueIntensity.from_model(null, 0.5)
-    counts = np.array([len(simulate_trajectory(lam, RngStream(12, i)))
-                       for i in range(100_000)])
+    counts = np.diff(simulate_sample(lam, 100_000, RngStream(12, 0)).offsets)
     expect = pl.cumulative(null, 0.5, null.horizon)
     se = math.sqrt(expect / counts.size)
     assert abs(counts.mean() - expect) <= 3.0 * se
@@ -59,8 +59,8 @@ def test_mean_count_matches_cumulative():
 def test_thinning_is_bound_independent():
     tight = const_intensity(2.0)
     loose = const_intensity(2.0, lambda_max=4.0)
-    a = np.array([len(simulate_trajectory(tight, RngStream(13, i))) for i in range(10_000)])
-    b = np.array([len(simulate_trajectory(loose, RngStream(14, i))) for i in range(10_000)])
+    a = np.diff(simulate_sample(tight, 10_000, RngStream(13, 0)).offsets)
+    b = np.diff(simulate_sample(loose, 10_000, RngStream(14, 0)).offsets)
     assert pl.ks_two_sample(a, b) < 0.02
 
 
