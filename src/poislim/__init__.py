@@ -10,7 +10,6 @@ against the predicted rates and limit distributions.
 from .analysis import (
     MisspecAsymptotics,
     NonIdentCovariance,
-    QuadratureRule,
     consistency_region,
     fisher_information,
     hellinger_sq,

@@ -21,8 +21,6 @@ from .errors import (
 from .intensity import IntensityModel, TrueIntensity
 
 __all__ = [
-    "QuadratureRule",
-    "DEFAULT_RULE",
     "MisspecAsymptotics",
     "NonIdentCovariance",
     "integrate",
@@ -42,18 +40,10 @@ __all__ = [
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Composite-Simpson quadrature: the total panel budget over all segments."""
-
-    panels: int = 4096
-
-    def __post_init__(self):
-        if self.panels < 16 or self.panels % 2:
-            raise ConfigurationError(f"panels must be even and >= 16, got {self.panels}")
-
-
-DEFAULT_RULE = QuadratureRule()
+# panel budget of one ``integrate`` call: 4096, or 64 per unit length on
+# intervals longer than 64, so long records keep their resolution per period
+_MIN_PANELS = 4096
+_PANELS_PER_UNIT = 64
 
 
 def _segment_panels(lengths, total_panels):
@@ -94,7 +84,7 @@ def _simpson_segment(fn, a, b, panels):
     return (h / 3.0) * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum())
 
 
-def integrate(fn, a: float, b: float, breakpoints=(), rule: QuadratureRule = DEFAULT_RULE) -> float:
+def integrate(fn, a: float, b: float, breakpoints=()) -> float:
     """Integral of ``fn`` over [a, b], split at interior breakpoints."""
     a, b = float(a), float(b)
     if b < a:
@@ -104,8 +94,9 @@ def integrate(fn, a: float, b: float, breakpoints=(), rule: QuadratureRule = DEF
     cuts = sorted({float(c) for c in breakpoints if a < c < b})
     edges = [a, *cuts, b]
     lengths = np.diff(edges)
+    panels = max(_MIN_PANELS, _PANELS_PER_UNIT * math.ceil(b - a))
     total = 0.0
-    for (lo, hi), p in zip(zip(edges[:-1], edges[1:]), _segment_panels(lengths, rule.panels)):
+    for (lo, hi), p in zip(zip(edges[:-1], edges[1:]), _segment_panels(lengths, panels)):
         total += _simpson_segment(fn, lo, hi, p)
     return total
 
@@ -125,9 +116,9 @@ def _window_intervals(window, horizon: float):
     return out
 
 
-def integrate_window(fn, window, horizon, breakpoints=(), rule: QuadratureRule = DEFAULT_RULE) -> float:
+def integrate_window(fn, window, horizon, breakpoints=()) -> float:
     return sum(
-        integrate(fn, lo, hi, breakpoints=breakpoints, rule=rule)
+        integrate(fn, lo, hi, breakpoints=breakpoints)
         for lo, hi in _window_intervals(window, horizon)
     )
 
@@ -176,8 +167,7 @@ def _guard_positive(vals, what: str):
     return vals
 
 
-def fisher_information(model: IntensityModel, theta: float, window=None, side=None,
-                       rule: QuadratureRule = DEFAULT_RULE) -> float:
+def fisher_information(model: IntensityModel, theta: float, window=None, side=None) -> float:
     """integral of (d_theta lambda)^2 / lambda over the window (default [0, tau])."""
     theta = float(theta)
 
@@ -187,11 +177,10 @@ def fisher_information(model: IntensityModel, theta: float, window=None, side=No
         return dot * dot / lam
 
     breaks = model.t_breakpoints(theta)
-    return integrate_window(integrand, window, model.horizon, breakpoints=breaks, rule=rule)
+    return integrate_window(integrand, window, model.horizon, breakpoints=breaks)
 
 
-def higher_order_information(model: IntensityModel, theta: float, order: int = 3,
-                             rule: QuadratureRule = DEFAULT_RULE) -> float:
+def higher_order_information(model: IntensityModel, theta: float, order: int = 3) -> float:
     """integral of (third theta-derivative)^2 / ((3!)^2 lambda) over [0, tau]."""
     if order != 3:
         raise DomainError(f"only order=3 is defined, got {order}")
@@ -203,11 +192,10 @@ def higher_order_information(model: IntensityModel, theta: float, order: int = 3
         return d3 * d3 / (36.0 * lam)
 
     return integrate_window(integrand, None, model.horizon,
-                            breakpoints=model.t_breakpoints(theta), rule=rule)
+                            breakpoints=model.t_breakpoints(theta))
 
 
-def hellinger_sq(model: IntensityModel, theta1: float, theta2: float,
-                 rule: QuadratureRule = DEFAULT_RULE) -> float:
+def hellinger_sq(model: IntensityModel, theta1: float, theta2: float) -> float:
     """integral of (sqrt(lambda(theta2,.)) - sqrt(lambda(theta1,.)))^2 over [0, tau]."""
     theta1, theta2 = float(theta1), float(theta2)
     iv = model.theta_interval
@@ -220,7 +208,7 @@ def hellinger_sq(model: IntensityModel, theta1: float, theta2: float,
         return d * d
 
     breaks = set(model.t_breakpoints(theta1)) | set(model.t_breakpoints(theta2))
-    return integrate(integrand, 0.0, model.horizon, breakpoints=breaks, rule=rule)
+    return integrate(integrand, 0.0, model.horizon, breakpoints=breaks)
 
 
 def _kl_integrand(lam_model, lam_true):
@@ -240,8 +228,7 @@ def _kl_integrand(lam_model, lam_true):
     return np.where(bad, np.inf, out)
 
 
-def kl_objective(true_intensity: TrueIntensity, model: IntensityModel, theta: float,
-                 rule: QuadratureRule = DEFAULT_RULE) -> float:
+def kl_objective(true_intensity: TrueIntensity, model: IntensityModel, theta: float) -> float:
     """Kullback-Leibler-type objective whose argmin is the pseudo-true value."""
     theta = float(theta)
     iv = model.theta_interval
@@ -255,7 +242,7 @@ def kl_objective(true_intensity: TrueIntensity, model: IntensityModel, theta: fl
         return vals
 
     breaks = set(model.t_breakpoints(theta)) | set(true_intensity.breakpoints)
-    return integrate(integrand, 0.0, model.horizon, breakpoints=breaks, rule=rule)
+    return integrate(integrand, 0.0, model.horizon, breakpoints=breaks)
 
 
 _KL_GRID_PANELS = 16
@@ -328,7 +315,7 @@ def theta_star(true_intensity: TrueIntensity, model: IntensityModel,
     bracketing cell; theta-discontinuous families use a pure 20001-point grid.
     Ties break toward the smaller theta.
     """
-    smooth = model.is_theta_smooth and not model.has_event_breakpoints
+    smooth = model.is_theta_smooth
     if grid_size is None:
         grid_size = 2001 if smooth else 20001
     if refine is None:
@@ -366,8 +353,7 @@ class MisspecAsymptotics:
             raise ConfigurationError("variance components must be nonnegative")
 
 
-def misspec_asymptotics(true_intensity: TrueIntensity, model: IntensityModel,
-                        rule: QuadratureRule = DEFAULT_RULE) -> MisspecAsymptotics:
+def misspec_asymptotics(true_intensity: TrueIntensity, model: IntensityModel) -> MisspecAsymptotics:
     """Sandwich asymptotics at the pseudo-true value.
 
     d*^2 integrates score^2 * lambda*/lambda^2; I* adds the curvature
@@ -394,8 +380,8 @@ def misspec_asymptotics(true_intensity: TrueIntensity, model: IntensityModel,
         ddot = model.dtheta(ts, t, 2)
         return ddot * (1.0 - true_intensity.value(t) / lam)
 
-    d_sq = integrate(d_integrand, 0.0, model.horizon, breakpoints=breaks, rule=rule)
-    i_star = d_sq + integrate(curv_integrand, 0.0, model.horizon, breakpoints=breaks, rule=rule)
+    d_sq = integrate(d_integrand, 0.0, model.horizon, breakpoints=breaks)
+    i_star = d_sq + integrate(curv_integrand, 0.0, model.horizon, breakpoints=breaks)
     if i_star <= 1e-9:
         # zero up to the numerical resolution of theta_star; a null-information
         # point would otherwise masquerade as an astronomically large variance
@@ -433,8 +419,7 @@ class NonIdentCovariance:
             raise ConfigurationError("correlation matrix is not positive semidefinite")
 
 
-def nonident_covariance(model: IntensityModel, roots,
-                        rule: QuadratureRule = DEFAULT_RULE) -> NonIdentCovariance:
+def nonident_covariance(model: IntensityModel, roots) -> NonIdentCovariance:
     """Score-correlation matrix across coinciding-intensity roots."""
     roots = [float(r) for r in roots]
     if not roots:
@@ -447,7 +432,7 @@ def nonident_covariance(model: IntensityModel, roots,
             raise PreconditionError(
                 f"intensities at roots {roots[0]} and {r} do not coincide"
             )
-    infos = [fisher_information(model, r, rule=rule) for r in roots]
+    infos = [fisher_information(model, r) for r in roots]
     for r, info in zip(roots, infos):
         if info <= 0.0:
             raise SingularityError(f"zero Fisher information at root {r}")
@@ -461,6 +446,6 @@ def nonident_covariance(model: IntensityModel, roots,
                 return model.dtheta(a, t, 1) * model.dtheta(b, t, 1) / lam
 
             breaks = set(model.t_breakpoints(roots[l])) | set(model.t_breakpoints(roots[i]))
-            cross = integrate(integrand, 0.0, model.horizon, breakpoints=breaks, rule=rule)
+            cross = integrate(integrand, 0.0, model.horizon, breakpoints=breaks)
             rho[l, i] = rho[i, l] = cross / math.sqrt(infos[l] * infos[i])
     return NonIdentCovariance(roots=tuple(roots), informations=tuple(infos), rho=rho)

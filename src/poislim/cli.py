@@ -147,15 +147,20 @@ def _limit_from_params(regime: str, params: dict) -> limits.RegimeLimit:
             "info_left": params["I_left"], "info_right": params["I_right"],
             "corr": params["corr"]})
     if regime == "boundary":
+        orientation = params.get("orientation", 1.0)
+        if orientation not in (1.0, -1.0):
+            raise ConfigurationError(f"orientation must be 1 or -1, got {orientation:g}")
         return limits.RegimeLimit(regime, 0.5, {
-            "fisher_information": params["I"],
-            "orientation": params.get("orientation", 1.0)})
+            "fisher_information": params["I"], "orientation": orientation})
     if regime == "cusp":
         kappa = params["kappa"]
+        grid_points = params.get("grid_points", 2001.0)
+        if not grid_points.is_integer():
+            raise ConfigurationError(f"grid_points must be an integer, got {grid_points:g}")
         return limits.CuspParams(
             kappa=kappa, hurst=kappa + 0.5, gamma_sq=params["gamma_sq"],
             grid_halfwidth=params.get("halfwidth", 20.0),
-            grid_points=int(params.get("grid_points", 2001))).limit()
+            grid_points=int(grid_points)).limit()
     # jump
     return limits.RegimeLimit(regime, 1.0, {
         "lam_left": params["lam_left"], "lam_right": params["lam_right"],

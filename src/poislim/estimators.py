@@ -182,7 +182,7 @@ def _golden_refine(ev, sample, events, model, thetas, sides, values, best_theta,
         return best_theta, best_val
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, grid.size - 1)]
-    kinks = [k for k in model.theta_kinks() if lo < k < hi]
+    kinks = [k for k in model.theta_kinks if lo < k < hi]
     segments = []
     edges = [lo, *sorted(kinks), hi]
     for a, b in zip(edges[:-1], edges[1:]):
@@ -286,7 +286,7 @@ def bayes(model: IntensityModel, sample: Sample, settings: EstimatorSettings | N
     jump_breaks, kink_breaks = split_breaks(model, events, iv.alpha, iv.beta)
     cuts = np.unique(np.concatenate([
         jump_breaks, kink_breaks,
-        np.array([k for k in model.theta_kinks() if iv.alpha < k < iv.beta]),
+        np.array([k for k in model.theta_kinks if iv.alpha < k < iv.beta]),
     ]))
     edges = np.concatenate([[iv.alpha], cuts, [iv.beta]])
     shares = np.maximum(4, (settings.bayes_panels * np.diff(edges) / iv.width).astype(int))

@@ -74,11 +74,16 @@ class IntensityModel:
     Each family declares the class constants ``catalog_id`` and
     ``smoothness_order``, the highest theta-derivative order it exposes, and
     implements the hooks ``_lambda_bound``, ``_value`` and ``integral_hint``.
+    ``theta_kinks`` lists the theta values where the family loses
+    theta-smoothness; ``event_breakpoints_are_jumps`` says whether the
+    log-likelihood jumps (not only kinks) at ``event_theta_breakpoints``.
     Construction runs a positivity/bound grid scan.
     """
 
     catalog_id: ClassVar[str]
     smoothness_order: ClassVar[int]
+    theta_kinks: ClassVar[tuple] = ()
+    event_breakpoints_are_jumps: ClassVar[bool] = True
 
     theta_interval: ParameterInterval = ParameterInterval(0.0, 1.0)
     horizon: float = 1.0
@@ -157,26 +162,13 @@ class IntensityModel:
         """Interior t-points where lambda(theta, .) is discontinuous or kinked."""
         return ()
 
-    def theta_kinks(self) -> tuple:
-        """Theta values where the family loses theta-smoothness."""
-        return ()
-
     def event_theta_breakpoints(self, events) -> np.ndarray:
         """Theta values where sum_i log lambda(theta, t_i) jumps or kinks."""
         return np.empty(0)
 
     @property
     def is_theta_smooth(self) -> bool:
-        return self.smoothness_order >= 1 and not self.theta_kinks()
-
-    @property
-    def has_event_breakpoints(self) -> bool:
-        return False
-
-    @property
-    def event_breakpoints_are_jumps(self) -> bool:
-        """Whether the log-likelihood jumps (vs only kinks) at event breakpoints."""
-        return True
+        return self.smoothness_order >= 1 and not self.theta_kinks
 
     # ---- construction-time validation ---------------------------------
 
@@ -216,13 +208,6 @@ class ConstantModel(IntensityModel):
     def _value(self, theta, t, theta_side=0):
         return np.broadcast_to(theta, np.broadcast_shapes(theta.shape, t.shape)).copy()
 
-    def log_value(self, theta, t, theta_side=0):
-        theta = np.asarray(theta, dtype=float)
-        t = np.asarray(t, dtype=float)
-        with np.errstate(divide="ignore"):
-            ln = np.log(theta)
-        return np.broadcast_to(ln, np.broadcast_shapes(theta.shape, t.shape)).copy()
-
     def event_log_sums(self, thetas, events, theta_side=0):
         thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
         n_events = np.asarray(events).size
@@ -251,9 +236,6 @@ class RegularExpModel(IntensityModel):
 
     def _value(self, theta, t, theta_side=0):
         return np.exp(theta * t)
-
-    def log_value(self, theta, t, theta_side=0):
-        return np.asarray(theta, dtype=float) * np.asarray(t, dtype=float)
 
     def event_log_sums(self, thetas, events, theta_side=0):
         thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
@@ -320,6 +302,7 @@ class DiscFisherKinkModel(IntensityModel):
 
     catalog_id = "DISCFI_KINK"
     smoothness_order = 3
+    theta_kinks = (1.0,)
 
     theta_interval: ParameterInterval = ParameterInterval(0.0, 2.0)
 
@@ -330,9 +313,6 @@ class DiscFisherKinkModel(IntensityModel):
     def _value(self, theta, t, theta_side=0):
         s = np.where(theta < 1.0, 3.0 * t, 5.0 * t ** 2)
         return (theta - 1.0) * s + 15.0
-
-    def theta_kinks(self):
-        return (1.0,)
 
     def _dtheta(self, theta, t, order, side):
         if theta == 1.0:
@@ -377,10 +357,6 @@ class _BreakAtTheta(IntensityModel):
         ev = np.asarray(events, dtype=float)
         return ev[(ev > iv.alpha) & (ev < iv.beta)]
 
-    @property
-    def has_event_breakpoints(self):
-        return True
-
 
 @dataclass(frozen=True)
 class CuspModel(_BreakAtTheta):
@@ -391,6 +367,8 @@ class CuspModel(_BreakAtTheta):
 
     catalog_id = "CUSP"
     smoothness_order = 0
+    # |t-theta|^kappa is continuous in theta; events only kink the curve
+    event_breakpoints_are_jumps = False
 
     a: float = 1.0
     lam0: float = 2.0
@@ -411,10 +389,6 @@ class CuspModel(_BreakAtTheta):
 
     def _value(self, theta, t, theta_side=0):
         return self.a * _abs_pow(t - theta, self.kappa) + self.lam0
-
-    @property
-    def event_breakpoints_are_jumps(self):
-        return False  # |t-theta|^kappa is continuous in theta; events only kink the curve
 
     @property
     def hurst(self) -> float:
@@ -477,10 +451,6 @@ class JumpShiftModel(IntensityModel):
         iv = self.theta_interval
         br = self.s_star - np.asarray(events, dtype=float)
         return br[(br > iv.alpha) & (br < iv.beta)]
-
-    @property
-    def has_event_breakpoints(self):
-        return True
 
     def jump_values(self) -> tuple[float, float]:
         """Base-profile limits (lambda(s*-), lambda(s*+))."""
@@ -659,51 +629,41 @@ def _upper_half(y):
     return 0.5 * np.floor(y) + np.minimum(_frac(y), 0.5)
 
 
-@dataclass(frozen=True)
-class PhaseModModel(IntensityModel):
-    """Phase modulation lambda(theta, t) = base(t + theta) with 1-periodic base.
+def _square_wave(y, theta_side):
+    """base(y) = 3 on [k, k+1/2), 1 on [k+1/2, k+1).
 
-    smooth variant: base(y) = 2 + cos(2*pi*y); discontinuous variant:
-    base(y) = 1 + 2*1{frac(y) < 1/2}.
+    y increases with theta, so the one-sided limits in theta shift the
+    half-open conventions: side -1 takes 3 on (k, k+1/2].
     """
+    f = _frac(y)
+    if theta_side < 0:
+        hi = (f > 0.0) & (f <= 0.5)
+    else:
+        hi = f < 0.5
+    return 1.0 + 2.0 * hi
 
-    smooth: bool = True
+
+@dataclass(frozen=True)
+class PhaseModSmoothModel(IntensityModel):
+    """Phase modulation lambda(theta, t) = base(t + theta), base(y) = 2 + cos(2*pi*y)."""
+
+    catalog_id = "PHASE_MOD_SMOOTH"
+    smoothness_order = 3
+
     theta_interval: ParameterInterval = ParameterInterval(0.1, 0.9)
-
-    @property
-    def catalog_id(self):
-        return "PHASE_MOD_SMOOTH" if self.smooth else "PHASE_MOD_DISC"
-
-    @property
-    def smoothness_order(self):
-        return 3 if self.smooth else 0
 
     def _lambda_bound(self):
         return 3.0
 
     def _value(self, theta, t, theta_side=0):
-        y = t + theta
-        if self.smooth:
-            return 2.0 + np.cos(2.0 * math.pi * y)
-        f = _frac(y)
-        # base = 3 on [k, k+1/2), 1 on [k+1/2, k+1); one-sided limits in theta
-        # shift the half-open conventions accordingly.
-        if theta_side < 0:
-            hi = (f > 0.0) & (f <= 0.5)
-        else:
-            hi = f < 0.5
-        return 1.0 + 2.0 * hi
+        return 2.0 + np.cos(2.0 * math.pi * (t + theta))
 
     def integral_hint(self, thetas, lo, hi):
         th = np.asarray(thetas, dtype=float)
-        if self.smooth:
-            # sin(2*pi*(hi+theta)) - sin(2*pi*(lo+theta)) in product form
-            return (hi - lo) * (2.0 + np.cos(math.pi * (hi + lo + 2.0 * th)) * np.sinc(hi - lo))
-        return (hi - lo) + 2.0 * (_upper_half(hi + th) - _upper_half(lo + th))
+        # sin(2*pi*(hi+theta)) - sin(2*pi*(lo+theta)) in product form
+        return (hi - lo) * (2.0 + np.cos(math.pi * (hi + lo + 2.0 * th)) * np.sinc(hi - lo))
 
     def _dtheta(self, theta, t, order, side):
-        if not self.smooth:
-            raise CapabilityError("PHASE_MOD_DISC exposes no theta-derivatives")
         y = 2.0 * math.pi * (t + theta)
         w = 2.0 * math.pi
         if order == 1:
@@ -712,9 +672,27 @@ class PhaseModModel(IntensityModel):
             return -w ** 2 * np.cos(y)
         return w ** 3 * np.sin(y)
 
+
+@dataclass(frozen=True)
+class PhaseModDiscModel(IntensityModel):
+    """Phase modulation lambda(theta, t) = base(t + theta), base(y) = 1 + 2*1{frac(y) < 1/2}."""
+
+    catalog_id = "PHASE_MOD_DISC"
+    smoothness_order = 0
+
+    theta_interval: ParameterInterval = ParameterInterval(0.1, 0.9)
+
+    def _lambda_bound(self):
+        return 3.0
+
+    def _value(self, theta, t, theta_side=0):
+        return _square_wave(t + theta, theta_side)
+
+    def integral_hint(self, thetas, lo, hi):
+        th = np.asarray(thetas, dtype=float)
+        return (hi - lo) + 2.0 * (_upper_half(hi + th) - _upper_half(lo + th))
+
     def t_breakpoints(self, theta):
-        if self.smooth:
-            return ()
         th = float(theta)
         pts = []
         k = math.floor(th)
@@ -727,8 +705,6 @@ class PhaseModModel(IntensityModel):
         return tuple(sorted(set(pts)))
 
     def event_theta_breakpoints(self, events):
-        if self.smooth:
-            return np.empty(0)
         ev = np.asarray(events, dtype=float)
         if ev.size == 0:
             return np.empty(0)
@@ -741,60 +717,34 @@ class PhaseModModel(IntensityModel):
             out.append(th[(th > iv.alpha) & (th < iv.beta)])
         return np.unique(np.concatenate(out)) if out else np.empty(0)
 
-    @property
-    def has_event_breakpoints(self):
-        return not self.smooth
-
 
 @dataclass(frozen=True)
-class FreqModModel(IntensityModel):
-    """Frequency modulation lambda(theta, t) = base(theta * t), 1-periodic base.
+class FreqModSmoothModel(IntensityModel):
+    """Frequency modulation lambda(theta, t) = base(theta * t), base(y) = 2 + cos(2*pi*y).
 
     Estimated from one long record (the i.i.d.-slices equivalence does not
     apply); horizon is a free structural constant.
     """
 
-    smooth: bool = True
+    catalog_id = "FREQ_MOD_SMOOTH"
+    smoothness_order = 3
+
     theta_interval: ParameterInterval = ParameterInterval(0.5, 1.5)
     horizon: float = 10.0
-
-    @property
-    def catalog_id(self):
-        return "FREQ_MOD_SMOOTH" if self.smooth else "FREQ_MOD_DISC"
-
-    @property
-    def smoothness_order(self):
-        return 3 if self.smooth else 0
 
     def _lambda_bound(self):
         return 3.0
 
     def _value(self, theta, t, theta_side=0):
-        y = theta * t
-        if self.smooth:
-            return 2.0 + np.cos(2.0 * math.pi * y)
-        f = _frac(y)
-        if theta_side < 0:
-            hi = (f > 0.0) & (f <= 0.5)
-        else:
-            hi = f < 0.5
-        return 1.0 + 2.0 * hi
+        return 2.0 + np.cos(2.0 * math.pi * (theta * t))
 
     def integral_hint(self, thetas, lo, hi):
         th = np.asarray(thetas, dtype=float)
-        if self.smooth:
-            # (sin(2*pi*theta*hi) - sin(2*pi*theta*lo)) / (2*pi*theta) in product
-            # form; sinc keeps theta = 0 exact at 3*(hi - lo)
-            return (hi - lo) * (2.0 + np.cos(math.pi * th * (hi + lo)) * np.sinc(th * (hi - lo)))
-        # substitute y = theta*t; at theta = 0 the rate is base(0) = 3 throughout
-        zero = th == 0.0
-        safe = np.where(zero, 1.0, th)
-        scaled = (_upper_half(safe * hi) - _upper_half(safe * lo)) / safe
-        return (hi - lo) + 2.0 * np.where(zero, hi - lo, scaled)
+        # (sin(2*pi*theta*hi) - sin(2*pi*theta*lo)) / (2*pi*theta) in product
+        # form; sinc keeps theta = 0 exact at 3*(hi - lo)
+        return (hi - lo) * (2.0 + np.cos(math.pi * th * (hi + lo)) * np.sinc(th * (hi - lo)))
 
     def _dtheta(self, theta, t, order, side):
-        if not self.smooth:
-            raise CapabilityError("FREQ_MOD_DISC exposes no theta-derivatives")
         y = 2.0 * math.pi * theta * t
         w = 2.0 * math.pi
         if order == 1:
@@ -803,9 +753,35 @@ class FreqModModel(IntensityModel):
             return -(w * t) ** 2 * np.cos(y)
         return (w * t) ** 3 * np.sin(y)
 
+
+@dataclass(frozen=True)
+class FreqModDiscModel(IntensityModel):
+    """Frequency modulation lambda(theta, t) = base(theta * t), base(y) = 1 + 2*1{frac(y) < 1/2}.
+
+    One long record, like ``FreqModSmoothModel``.
+    """
+
+    catalog_id = "FREQ_MOD_DISC"
+    smoothness_order = 0
+
+    theta_interval: ParameterInterval = ParameterInterval(0.5, 1.5)
+    horizon: float = 10.0
+
+    def _lambda_bound(self):
+        return 3.0
+
+    def _value(self, theta, t, theta_side=0):
+        return _square_wave(theta * t, theta_side)
+
+    def integral_hint(self, thetas, lo, hi):
+        th = np.asarray(thetas, dtype=float)
+        # substitute y = theta*t; at theta = 0 the rate is base(0) = 3 throughout
+        zero = th == 0.0
+        safe = np.where(zero, 1.0, th)
+        scaled = (_upper_half(safe * hi) - _upper_half(safe * lo)) / safe
+        return (hi - lo) + 2.0 * np.where(zero, hi - lo, scaled)
+
     def t_breakpoints(self, theta):
-        if self.smooth:
-            return ()
         th = abs(float(theta))
         if th == 0:
             return ()
@@ -814,8 +790,6 @@ class FreqModModel(IntensityModel):
         return tuple(pts[(pts > 0) & (pts < self.horizon)])
 
     def event_theta_breakpoints(self, events):
-        if self.smooth:
-            return np.empty(0)
         iv = self.theta_interval
         ev = np.asarray(events, dtype=float)
         ev = ev[ev > 1e-12]
@@ -825,10 +799,6 @@ class FreqModModel(IntensityModel):
             th = ks / (2.0 * t_i)
             out.append(th[(th > iv.alpha) & (th < iv.beta)])
         return np.unique(np.concatenate(out)) if out else np.empty(0)
-
-    @property
-    def has_event_breakpoints(self):
-        return not self.smooth
 
 
 # ---------------------------------------------------------------------------
@@ -905,22 +875,11 @@ class TrueIntensity:
 # catalog registry and the public operations
 # ---------------------------------------------------------------------------
 
-CATALOG = {
-    "CONSTANT": ConstantModel,
-    "REGULAR_EXP": RegularExpModel,
-    "NULLFI_SINE": NullFisherSineModel,
-    "DISCFI_KINK": DiscFisherKinkModel,
-    "CUSP": CuspModel,
-    "JUMP_SHIFT": JumpShiftModel,
-    "CHANGEPOINT": ChangePointModel,
-    "WINDOW_SINE": WindowSineModel,
-    "SUFFWIN_LINEAR": SuffWinLinearModel,
-    "NONIDENT_FIXED": NonIdentFixedModel,
-    "PHASE_MOD_SMOOTH": lambda **kw: PhaseModModel(smooth=True, **kw),
-    "PHASE_MOD_DISC": lambda **kw: PhaseModModel(smooth=False, **kw),
-    "FREQ_MOD_SMOOTH": lambda **kw: FreqModModel(smooth=True, **kw),
-    "FREQ_MOD_DISC": lambda **kw: FreqModModel(smooth=False, **kw),
-}
+CATALOG = {cls.catalog_id: cls for cls in (
+    ConstantModel, RegularExpModel, NullFisherSineModel, DiscFisherKinkModel, CuspModel,
+    JumpShiftModel, ChangePointModel, WindowSineModel, SuffWinLinearModel, NonIdentFixedModel,
+    PhaseModSmoothModel, PhaseModDiscModel, FreqModSmoothModel, FreqModDiscModel,
+)}
 
 
 def make_model(catalog_id: str, params: dict | None = None,

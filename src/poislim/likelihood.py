@@ -44,35 +44,21 @@ def _events_in(events, intervals):
 
 
 class LikelihoodEvaluator:
-    """Shared evaluation context for one (model, window).
-
-    Caches the intensity integral of up to 8 theta arrays, keyed by their
-    bytes.  The integral depends neither on the sample nor on the side of a
-    jump, so the two one-sided evaluations at the same breakpoints compute it
-    once.  The cache lives as long as the evaluator, and every ``mle`` or
-    ``bayes`` call builds its own.
-    """
+    """Shared evaluation context for one (model, window)."""
 
     def __init__(self, model: IntensityModel, window=None):
         self.model = model
         self.intervals = analysis._window_intervals(window, model.horizon)
         self.measure = _window_measure(self.intervals)
-        self._integral_cache: dict = {}
 
     # -- integral term ------------------------------------------------------
 
     def intensity_integral(self, thetas) -> np.ndarray:
         """integral_W lambda(theta, t) dt for each theta (vectorized)."""
         thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-        key = (thetas.tobytes(),)
-        hit = self._integral_cache.get(key)
-        if hit is not None:
-            return hit
         total = np.zeros(thetas.shape)
         for lo, hi in self.intervals:
             total += self.model.integral_hint(thetas, lo, hi)
-        if len(self._integral_cache) < 8:
-            self._integral_cache[key] = total
         return total
 
     # -- event term ---------------------------------------------------------
@@ -139,7 +125,7 @@ def curve_grid(model: IntensityModel, grid_size: int) -> np.ndarray:
     """Uniform grid over Theta's closure plus the declared kinks."""
     iv = model.theta_interval
     grid = np.linspace(iv.alpha, iv.beta, grid_size)
-    kinks = [k for k in model.theta_kinks() if iv.alpha < k < iv.beta]
+    kinks = [k for k in model.theta_kinks if iv.alpha < k < iv.beta]
     if kinks:
         grid = np.unique(np.concatenate([grid, np.array(kinks)]))
     return grid
@@ -150,9 +136,6 @@ def split_breaks(model: IntensityModel, events, lo: float, hi: float):
 
     Returns (jumps, kinks); one of the two is always empty.
     """
-    if not model.has_event_breakpoints:
-        empty = np.empty(0)
-        return empty, empty
     br = np.unique(model.event_theta_breakpoints(events))
     br = br[(br > lo) & (br < hi)]
     if model.event_breakpoints_are_jumps:

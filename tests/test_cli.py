@@ -116,6 +116,10 @@ def test_experiment_rejects_optimal_window_without_mu_star(tmp_path):
     ("jump", ["lam_left=2", "lam_right=4"], cli.EXIT_OK),
     ("jump", ["lam_left=0", "lam_right=4"], cli.EXIT_CONFIG),
     ("nonidentifiable", ["I=1"], cli.EXIT_CONFIG),
+    ("boundary", ["I=1", "orientation=5"], cli.EXIT_CONFIG),
+    ("boundary", ["I=1", "orientation=0"], cli.EXIT_CONFIG),
+    ("cusp", ["kappa=0.25", "gamma_sq=1.5", "grid_points=2001.7"], cli.EXIT_CONFIG),
+    ("boundary", ["I=1", "orientation=-1"], cli.EXIT_OK),
 ])
 def test_limits_set_exit_codes(tmp_path, regime, pairs, code):
     out = tmp_path / "draws.csv"

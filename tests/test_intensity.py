@@ -158,6 +158,23 @@ def test_side_conventions_at_breakpoints():
     assert sw.value(0.5, 0.5, theta_side=-1) == pytest.approx(2 * 0.5 + 2.0)
 
 
+@pytest.mark.parametrize("cid, t", [
+    ("PHASE_MOD_DISC", 0.25), ("PHASE_MOD_DISC", 0.75),
+    ("FREQ_MOD_DISC", 2.0), ("FREQ_MOD_DISC", 4.0),
+])
+def test_disc_modulation_one_sided_values(cid, t):
+    m = pl.make_model(cid)
+    breaks = m.event_theta_breakpoints(np.array([t]))
+    assert breaks.size >= 2
+    for th in breaks:
+        assert m.value(th, t, theta_side=-1) == m.value(th - 1e-9, t), th
+        assert m.value(th, t, theta_side=+1) == m.value(th + 1e-9, t), th
+    pm = pl.make_model("PHASE_MOD_DISC")
+    # y = t + theta: the base drops 3 -> 1 at y = 1/2 and rises 1 -> 3 at y = 1
+    assert (pm.value(0.25, 0.25, theta_side=-1), pm.value(0.25, 0.25, theta_side=+1)) == (3.0, 1.0)
+    assert (pm.value(0.25, 0.75, theta_side=-1), pm.value(0.25, 0.75, theta_side=+1)) == (1.0, 3.0)
+
+
 def test_event_theta_breakpoints():
     js = pl.make_model("JUMP_SHIFT")
     ev = np.array([0.3, 0.6, 0.95])

@@ -144,21 +144,21 @@ def test_jump_sampler_against_dense_oracle():
         u_mle = _jump_mle_one(tp, tm, log_ratio, drift, 30.0)
 
         def log_z(u):
-            if u >= 0:
-                return log_ratio * np.searchsorted(tp, u, side="right") - drift * u
-            return -log_ratio * np.searchsorted(tm, -u, side="right") - drift * u
+            u = np.asarray(u, dtype=float)
+            return np.where(u >= 0, log_ratio * np.searchsorted(tp, u, side="right"),
+                            -log_ratio * np.searchsorted(tm, -u, side="right")) - drift * u
 
         # dense evaluation over candidate one-sided limits; the sup is a
         # one-sided limit at the returned point, so compare both sides there
         eps = 1e-9
         cands = np.concatenate([[0.0], tp, tp - eps, -tm, -(tm - eps), [30.0, -30.0]])
-        vals = np.array([log_z(u) for u in cands])
+        vals = log_z(cands)
         attained = max(log_z(u_mle - eps), log_z(u_mle), log_z(u_mle + eps))
         assert attained >= vals.max() - 1e-6
 
         u_bayes = _jump_bayes_one(tp, tm, log_ratio, drift, 30.0)
         grid = np.linspace(-30, 30, 600_001)
-        lz = np.array([log_z(u) for u in grid])
+        lz = log_z(grid)
         w = np.exp(lz - lz.max())
         oracle = float(np.trapezoid(w * grid, grid) / np.trapezoid(w, grid))
         assert u_bayes == pytest.approx(oracle, abs=5e-4)
