@@ -255,35 +255,56 @@ def _grid_posterior_mean(u, log_z):
     return num / den
 
 
-def _jump_mle_one(tp, tm, log_ratio, drift, u_max):
-    """Exact argmax of the two-branch jump limit over realized event points."""
-    best_u, best_v = 0.0, 0.0
-    ks = np.arange(1, tp.size + 1)
-    for times, counts in ((tp, ks), (tp, ks - 1)):
-        if times.size:
-            vals = log_ratio * counts - drift * times
-            i = int(np.argmax(vals))
-            if vals[i] > best_v:
-                best_u, best_v = float(times[i]), float(vals[i])
-    tail = log_ratio * tp.size - drift * u_max
-    if tail > best_v:
-        best_u, best_v = u_max, tail
-    ms = np.arange(1, tm.size + 1)
-    for times, counts in ((tm, ms), (tm, ms - 1)):
-        if times.size:
-            vals = -log_ratio * counts + drift * times
-            i = int(np.argmax(vals))
-            if vals[i] > best_v:
-                best_u, best_v = -float(times[i]), float(vals[i])
-    tail = -log_ratio * tm.size + drift * u_max
-    if tail > best_v:
-        best_u, best_v = -u_max, tail
+_JUMP_BLOCK = 1024  # draws per uniform call in the jump sampler; bounds its memory
+
+
+def _jump_groups(times, starts, counts):
+    """[(draw indices, their sorted (k, L) event times)] per distinct count L."""
+    order = np.argsort(counts, kind="stable")
+    groups = []
+    for idx in np.split(order, np.flatnonzero(np.diff(counts[order])) + 1):
+        cols = np.arange(counts[idx[0]])
+        groups.append((idx, np.sort(times[starts[idx, None] + cols], axis=1)))
+    return groups
+
+
+def _jump_mle(plus, minus, log_ratio, drift, u_max, size):
+    """Exact argmax of the two-branch jump limit over realized event points.
+
+    ``plus`` and ``minus`` hold each draw's event times s >= 0 on the
+    positive and negative half-lines (u = s and u = -s), grouped as by
+    ``_jump_groups``.  Each draw tries its candidates in one fixed order
+    (+ counts k, + counts k-1, + tail, then the same on the - side) and keeps
+    a candidate only if it is strictly better, so ties resolve the same way
+    whatever the grouping.
+    """
+    best_u, best_v = np.zeros(size), np.zeros(size)
+    for sign, groups in ((1.0, plus), (-1.0, minus)):
+        # the - side is log_ratio -> -log_ratio, drift -> -drift, u -> -s
+        lr, dr = sign * log_ratio, sign * drift
+        for idx, times in groups:
+            n_events = times.shape[1]
+            cands = []
+            if n_events:
+                ks = np.arange(1, n_events + 1)
+                rows = np.arange(idx.size)
+                for counts in (ks, ks - 1):
+                    vals = lr * counts - dr * times
+                    i = np.argmax(vals, axis=1)
+                    cands.append((sign * times[rows, i], vals[rows, i]))
+            tail = lr * n_events - dr * u_max
+            cands.append((np.full(idx.size, sign * u_max), np.full(idx.size, tail)))
+            for u, v in cands:
+                better = v > best_v[idx]
+                best_u[idx[better]] = u[better]
+                best_v[idx[better]] = v[better]
     return best_u
 
 
-def _jump_seg_sums(edges, levels, r, m):
-    """Per-segment exact integrals of exp(level - m - r*s) and s * same."""
-    a, b = edges[:-1], edges[1:]
+def _segment_integrals(edges, levels, r, m):
+    """Per-row sums of the exact integrals of exp(level - m - r*s) and s * same
+    over the segments between consecutive ``edges``."""
+    a, b = edges[:, :-1], edges[:, 1:]
     amp = np.exp(levels - m)
     if abs(r) < 1e-14:
         i0 = amp * (b - a)
@@ -292,24 +313,42 @@ def _jump_seg_sums(edges, levels, r, m):
         ea, eb = np.exp(-r * a), np.exp(-r * b)
         i0 = amp * (ea - eb) / r
         i1 = amp * ((a / r + 1.0 / r ** 2) * ea - (b / r + 1.0 / r ** 2) * eb)
-    return float(i0.sum()), float(i1.sum())
+    return i0.sum(axis=1), i1.sum(axis=1)
 
 
-def _jump_bayes_one(tp, tm, log_ratio, drift, u_max):
-    """integral u Z / integral Z with piecewise-exact segments between jumps."""
-    edges_p = np.concatenate([[0.0], tp, [u_max]])
-    levels_p = log_ratio * np.arange(tp.size + 1)
-    edges_m = np.concatenate([[0.0], tm, [u_max]])
-    levels_m = -log_ratio * np.arange(tm.size + 1)
-    m = max(float(np.max(levels_p - drift * np.minimum(edges_p[:-1], edges_p[1:]))),
-            float(np.max(levels_m + drift * np.maximum(edges_m[:-1], edges_m[1:]))))
-    # positive side: Z(u) = exp(level - drift*u); negative side with s = -u:
-    # Z = exp(level + drift*s), and u-weight flips sign
-    den_p, num_p = _jump_seg_sums(edges_p, levels_p, drift, m)
-    den_m, num_m = _jump_seg_sums(edges_m, levels_m, -drift, m)
-    den = den_p + den_m
-    num = num_p - num_m
-    if den <= 0.0 or not math.isfinite(den):
+def _jump_bayes(plus, minus, log_ratio, drift, u_max, size):
+    """integral u Z / integral Z with piecewise-exact segments between jumps.
+
+    Arguments as for ``_jump_mle``.  Each row sum runs over exactly one
+    draw's segments, so it rounds as a 1-D sum over that draw would.
+    """
+    peak = np.full(size, -np.inf)
+    sides = []
+    for sign, groups in ((1.0, plus), (-1.0, minus)):
+        # positive side: Z(u) = exp(level - drift*u); negative side with
+        # s = -u: Z = exp(level + drift*s), and the u-weight flips sign
+        segs = []
+        for idx, times in groups:
+            edges = np.empty((idx.size, times.shape[1] + 2))
+            edges[:, 0] = 0.0
+            edges[:, 1:-1] = times
+            edges[:, -1] = u_max
+            levels = sign * log_ratio * np.arange(times.shape[1] + 1)
+            near = np.minimum if sign > 0 else np.maximum
+            top = np.max(levels - sign * drift * near(edges[:, :-1], edges[:, 1:]), axis=1)
+            peak[idx] = np.maximum(peak[idx], top)
+            segs.append((idx, edges, levels))
+        sides.append((sign * drift, segs))
+    den, num = [], []
+    for r, segs in sides:
+        side_den, side_num = np.empty(size), np.empty(size)
+        for idx, edges, levels in segs:
+            side_den[idx], side_num[idx] = _segment_integrals(edges, levels, r, peak[idx, None])
+        den.append(side_den)
+        num.append(side_num)
+    den = den[0] + den[1]
+    num = num[0] - num[1]
+    if np.any((den <= 0.0) | ~np.isfinite(den)):
         raise NumericalError("jump-limit posterior mass degenerate")
     return num / den
 
@@ -412,11 +451,19 @@ def sample_limit_batch(limit: RegimeLimit, rng: RngStream, which: str, size: int
         n_plus = g.poisson(lam_left * u_max, size)
         n_minus = g.poisson(lam_right * u_max, size)
         out = np.empty(size)
-        fn = _jump_mle_one if which == "mle" else _jump_bayes_one
-        for i in range(size):
-            tp = np.sort(g.uniform(0.0, u_max, n_plus[i]))
-            tm = np.sort(g.uniform(0.0, u_max, n_minus[i]))
-            out[i] = fn(tp, tm, log_ratio, drift, u_max)
+        fn = _jump_mle if which == "mle" else _jump_bayes
+        for lo in range(0, size, _JUMP_BLOCK):
+            # one uniform call per block with the counts in the order
+            # p0, m0, p1, m1, ...: a Generator yields the same doubles as one
+            # call per draw and side, so the draws do not depend on the block
+            # size and are bit-identical to drawing one limit value at a time
+            counts = np.stack([n_plus[lo:lo + _JUMP_BLOCK], n_minus[lo:lo + _JUMP_BLOCK]], axis=1)
+            times = g.uniform(0.0, u_max, counts.sum())
+            starts = (np.cumsum(counts) - counts.ravel()).reshape(counts.shape)
+            plus = _jump_groups(times, starts[:, 0], counts[:, 0])
+            minus = _jump_groups(times, starts[:, 1], counts[:, 1])
+            block = counts.shape[0]
+            out[lo:lo + block] = fn(plus, minus, log_ratio, drift, u_max, block)
         return out
 
     if regime == "cusp":

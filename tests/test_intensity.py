@@ -169,10 +169,39 @@ def test_disc_modulation_one_sided_values(cid, t):
     for th in breaks:
         assert m.value(th, t, theta_side=-1) == m.value(th - 1e-9, t), th
         assert m.value(th, t, theta_side=+1) == m.value(th + 1e-9, t), th
+    # every breakpoint of 300 events: theta_b * t_i may round off k/2, and the
+    # one-sided value must still be the limit from the requested side
+    sweep = np.random.default_rng(0).uniform(0.0, m.horizon, 300)
+    mismatches = [(th, t_i, side) for t_i in sweep
+                  for th in m.event_theta_breakpoints(np.array([t_i])) for side in (-1, 1)
+                  if m.value(th, t_i, theta_side=side) != m.value(th + side * 1e-9, t_i)]
+    assert mismatches == []
     pm = pl.make_model("PHASE_MOD_DISC")
     # y = t + theta: the base drops 3 -> 1 at y = 1/2 and rises 1 -> 3 at y = 1
     assert (pm.value(0.25, 0.25, theta_side=-1), pm.value(0.25, 0.25, theta_side=+1)) == (3.0, 1.0)
     assert (pm.value(0.25, 0.75, theta_side=-1), pm.value(0.25, 0.75, theta_side=+1)) == (1.0, 3.0)
+
+
+GENERIC_SUM_IDS = [cid for cid in ALL_IDS
+                   if pl.CATALOG[cid].event_log_sums is intensity.IntensityModel.event_log_sums]
+
+
+@pytest.mark.parametrize("cid", GENERIC_SUM_IDS)
+def test_event_log_sums_blocks_match_row_loop(cid):
+    # the block size must not change a single bit: every block row is one
+    # whole theta row, summed as the per-theta loop sums it
+    m = pl.make_model(cid)
+    rng = np.random.default_rng(3)
+    for n_events, n_thetas in ((0, 4), (1, 16_001), (7, 5_000), (15_999, 3), (16_000, 3), (16_001, 3)):
+        events = np.sort(rng.uniform(0.0, m.horizon, n_events))
+        # theta counts that are no multiple of the block rows, plus a few
+        # breakpoints, where the one-sided values differ
+        thetas = np.concatenate([interior_grid(m, n_thetas),
+                                 m.event_theta_breakpoints(events[:3])[:4]])
+        for side in (-1, 0, 1):
+            got = m.event_log_sums(thetas, events, theta_side=side)
+            ref = np.array([m.log_value(th, events, side).sum() for th in thetas])
+            assert np.array_equal(got, ref), (n_events, side)
 
 
 def test_event_theta_breakpoints():

@@ -7,9 +7,10 @@ from scipy import special, stats
 import poislim as pl
 from poislim.errors import CapabilityError, ConfigurationError, PreconditionError
 from poislim.limits import (
+    _JUMP_BLOCK,
     RegimeLimit,
-    _jump_bayes_one,
-    _jump_mle_one,
+    _jump_bayes,
+    _jump_mle,
     cusp_gamma_sq,
     limit_params,
     sample_limit,
@@ -134,6 +135,102 @@ def test_null_fisher_sampler_moments():
     assert np.all(np.abs(db) <= 8.0 / i3 ** (1.0 / 6.0))
 
 
+# Per-draw reference: the scalar jump sampler the batched kernels must match bit for bit.
+def _jump_mle_one(tp, tm, log_ratio, drift, u_max):
+    best_u, best_v = 0.0, 0.0
+    ks = np.arange(1, tp.size + 1)
+    for times, counts in ((tp, ks), (tp, ks - 1)):
+        if times.size:
+            vals = log_ratio * counts - drift * times
+            i = int(np.argmax(vals))
+            if vals[i] > best_v:
+                best_u, best_v = float(times[i]), float(vals[i])
+    tail = log_ratio * tp.size - drift * u_max
+    if tail > best_v:
+        best_u, best_v = u_max, tail
+    ms = np.arange(1, tm.size + 1)
+    for times, counts in ((tm, ms), (tm, ms - 1)):
+        if times.size:
+            vals = -log_ratio * counts + drift * times
+            i = int(np.argmax(vals))
+            if vals[i] > best_v:
+                best_u, best_v = -float(times[i]), float(vals[i])
+    tail = -log_ratio * tm.size + drift * u_max
+    if tail > best_v:
+        best_u, best_v = -u_max, tail
+    return best_u
+
+
+def _jump_seg_sums(edges, levels, r, m):
+    a, b = edges[:-1], edges[1:]
+    amp = np.exp(levels - m)
+    if abs(r) < 1e-14:
+        i0 = amp * (b - a)
+        i1 = amp * 0.5 * (b * b - a * a)
+    else:
+        ea, eb = np.exp(-r * a), np.exp(-r * b)
+        i0 = amp * (ea - eb) / r
+        i1 = amp * ((a / r + 1.0 / r ** 2) * ea - (b / r + 1.0 / r ** 2) * eb)
+    return float(i0.sum()), float(i1.sum())
+
+
+def _jump_bayes_one(tp, tm, log_ratio, drift, u_max):
+    edges_p = np.concatenate([[0.0], tp, [u_max]])
+    levels_p = log_ratio * np.arange(tp.size + 1)
+    edges_m = np.concatenate([[0.0], tm, [u_max]])
+    levels_m = -log_ratio * np.arange(tm.size + 1)
+    m = max(float(np.max(levels_p - drift * np.minimum(edges_p[:-1], edges_p[1:]))),
+            float(np.max(levels_m + drift * np.maximum(edges_m[:-1], edges_m[1:]))))
+    den_p, num_p = _jump_seg_sums(edges_p, levels_p, drift, m)
+    den_m, num_m = _jump_seg_sums(edges_m, levels_m, -drift, m)
+    return (num_p - num_m) / (den_p + den_m)
+
+
+def _jump_reference(limit, rng, which, size):
+    p = limit.params
+    g = rng.generator()
+    u_max = p["u_halfwidth"]
+    log_ratio = math.log(p["lam_right"] / p["lam_left"])
+    drift = p["lam_right"] - p["lam_left"]
+    n_plus = g.poisson(p["lam_left"] * u_max, size)
+    n_minus = g.poisson(p["lam_right"] * u_max, size)
+    fn = _jump_mle_one if which == "mle" else _jump_bayes_one
+    out = np.empty(size)
+    for i in range(size):
+        tp = np.sort(g.uniform(0.0, u_max, n_plus[i]))
+        tm = np.sort(g.uniform(0.0, u_max, n_minus[i]))
+        out[i] = fn(tp, tm, log_ratio, drift, u_max)
+    return out
+
+
+def _jump_one(kernel, tp, tm, log_ratio, drift, u_max):
+    """One draw through a batched kernel: each side is one group of one row."""
+    one = np.array([0])
+    return float(kernel([(one, tp[None, :])], [(one, tm[None, :])],
+                        log_ratio, drift, u_max, 1)[0])
+
+
+@pytest.mark.parametrize("which", ["mle", "bayes"])
+@pytest.mark.parametrize("seed", [1, 7919])
+def test_jump_sampler_matches_per_draw_loop(which, seed):
+    lim = RegimeLimit("jump", 1.0, {"lam_left": 2.5, "lam_right": 4.5, "u_halfwidth": 60.0})
+    for size in (1, 5, _JUMP_BLOCK - 1, _JUMP_BLOCK + 1, 8000):
+        got = sample_limit_batch(lim, RngStream(seed, size), which, size)
+        assert np.array_equal(got, _jump_reference(lim, RngStream(seed, size), which, size)), size
+
+
+@pytest.mark.parametrize("rates", [(2.5, 4.5), (4.5, 2.5), (3.0, 3.0)])
+def test_jump_sampler_matches_per_draw_loop_few_events(rates):
+    # a half-width of 0.4 leaves many sides with no event (count-0 groups);
+    # equal rates take the zero-drift branch of the segment integrals
+    lim = RegimeLimit("jump", 1.0, {"lam_left": rates[0], "lam_right": rates[1],
+                                    "u_halfwidth": 0.4})
+    for which in ("mle", "bayes"):
+        got = sample_limit_batch(lim, RngStream(2, 0), which, _JUMP_BLOCK + 1)
+        ref = _jump_reference(lim, RngStream(2, 0), which, _JUMP_BLOCK + 1)
+        assert np.array_equal(got, ref), which
+
+
 def test_jump_sampler_against_dense_oracle():
     log_ratio = math.log(4.5 / 2.5)
     drift = 2.0
@@ -141,7 +238,7 @@ def test_jump_sampler_against_dense_oracle():
     for _ in range(25):
         tp = np.sort(rng.uniform(0, 30.0, rng.poisson(2.5 * 30)))
         tm = np.sort(rng.uniform(0, 30.0, rng.poisson(4.5 * 30)))
-        u_mle = _jump_mle_one(tp, tm, log_ratio, drift, 30.0)
+        u_mle = _jump_one(_jump_mle, tp, tm, log_ratio, drift, 30.0)
 
         def log_z(u):
             u = np.asarray(u, dtype=float)
@@ -156,7 +253,7 @@ def test_jump_sampler_against_dense_oracle():
         attained = max(log_z(u_mle - eps), log_z(u_mle), log_z(u_mle + eps))
         assert attained >= vals.max() - 1e-6
 
-        u_bayes = _jump_bayes_one(tp, tm, log_ratio, drift, 30.0)
+        u_bayes = _jump_one(_jump_bayes, tp, tm, log_ratio, drift, 30.0)
         grid = np.linspace(-30, 30, 600_001)
         lz = log_z(grid)
         w = np.exp(lz - lz.max())
