@@ -56,6 +56,10 @@ class EstimatorSettings:
             raise ConfigurationError(f"grid_size must be >= 3, got {self.grid_size}")
         if self.bayes_panels < 16 or self.bayes_panels % 2:
             raise ConfigurationError("bayes_panels must be even and >= 16")
+        names = tuple(self.estimators)
+        if not names or len(set(names)) < len(names) or not set(names) <= {"mle", "bayes"}:
+            raise ConfigurationError("estimators must list distinct names out of 'mle' and "
+                                     f"'bayes', got {self.estimators!r}")
         if isinstance(self.prior, str):
             if self.prior != "uniform":
                 raise ConfigurationError(f"unknown prior {self.prior!r}")

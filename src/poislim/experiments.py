@@ -1,10 +1,10 @@
 """Monte Carlo harness: replicated scenarios, limit-law comparison, rate slopes.
 
 Replicates are the unit of parallelism.  ``run_scenario`` turns a scenario
-into one job list (a limit-draw job per estimator, then one job per
-(n-index, replicate) pair), lets a process pool work through it, and puts
-the results back in index order.  Each (n-index, replicate) pair owns a
-disjoint block of RNG stream indices and each estimator's limit draws own one
+into one job list (one limit-draw job, then one job per (n-index, replicate)
+pair), lets a process pool work through it, and puts the results back in
+index order.  Each (n-index, replicate) pair owns a disjoint block of RNG
+stream indices and the limit draws of every estimator come from one shared
 stream, so the table and the summary are reproducible bit-for-bit for any
 worker count.
 """
@@ -301,14 +301,15 @@ def _init_worker(doc, limit):
 
 
 def _run_job(job, context=None):
-    """One job: an estimator name draws its limit law, (n_index, r) is one row."""
+    """One job: "limits" draws the limit laws, (n_index, r) is one row."""
     scenario, model, true_int, settings, limit = context or _WORKER_CONTEXT
-    if isinstance(job, str):
-        # all draws of one estimator stay in one call: the normal sampler
-        # consumes a variable number of Philox outputs, so a split would
-        # change the draws
-        stream = RngStream(scenario.seed, _LIMIT_STREAM_BASE + (0 if job == "mle" else 1))
-        return limits.sample_limit_batch(limit, stream, job, scenario.limit_draws)
+    if job == "limits":
+        # one call draws each limit process once and gives one row per
+        # estimator; all draws stay in it, because the normal sampler consumes
+        # a variable number of Philox outputs, so a split would change them
+        stream = RngStream(scenario.seed, _LIMIT_STREAM_BASE)
+        return limits.sample_limit_batch(limit, stream, settings.estimators,
+                                         scenario.limit_draws)
     n_index, r = job
     return _estimate_row(scenario, model, true_int, settings, scenario.n[n_index], n_index, r)
 
@@ -364,15 +365,17 @@ class ExperimentReport:
 def run_scenario(scenario: Scenario, workers: int = 1) -> ExperimentReport:
     """Execute the scenario and assemble the report.
 
-    The work is one job list: first one limit-draw job per estimator (when
-    the scenario has a regime; these are the longest jobs), then one job per
-    (n_index, replicate), largest n first.  With ``workers`` > 1 a pool of
-    min(workers, len(jobs)) processes works through the list, each building
-    the scenario context once; with one worker the jobs run in this process.
-    Results are put back by index, rows in (n_index, replicate) order and
-    draws by estimator.  Every replicate owns a disjoint stream block and
-    each estimator's limit draws own one stream, so the report is identical
-    for every worker count.
+    The work is one job list: first one limit-draw job (when the scenario
+    has a regime; it is the longest job), then one job per (n_index,
+    replicate), largest n first.  The limit-draw job draws each limit process
+    once from stream 2^52 and applies every estimator's functional to it
+    (``limits.sample_limit_batch`` with ``settings.estimators``).  With
+    ``workers`` > 1 a pool of min(workers, len(jobs)) processes works through
+    the list, each building the scenario context once; with one worker the
+    jobs run in this process.  Results are put back by index, rows in
+    (n_index, replicate) order and draws by estimator.  Every replicate owns
+    a disjoint stream block and the limit draws own one stream, so the report
+    is identical for every worker count.
     """
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
@@ -391,7 +394,7 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> ExperimentReport:
         if scenario.regime == "misspecified":
             target = limit.params["theta_star"]
 
-    draw_jobs = list(settings.estimators) if limit is not None else []
+    draw_jobs = ["limits"] if limit is not None else []
     by_size = sorted(range(len(scenario.n)), key=lambda k: -scenario.n[k])
     jobs = draw_jobs + [(k, r) for k in by_size for r in range(scenario.replicates)]
     size = min(workers, len(jobs))
@@ -402,7 +405,7 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> ExperimentReport:
     else:
         context = (scenario, model, true_int, settings, limit)
         results = {job: _run_job(job, context) for job in jobs}
-    draws = {which: results[which] for which in draw_jobs}
+    draws = dict(zip(settings.estimators, results["limits"])) if draw_jobs else {}
 
     all_rows = []
     rate_exp = limit.rate_exponent if limit is not None else 0.5

@@ -194,16 +194,22 @@ def _fbm_cholesky(hurst: float, grid: np.ndarray) -> np.ndarray:
         return hit
     u = grid[grid != 0.0]
     h2 = 2.0 * hurst
-    au = np.abs(u)
-    cov = 0.5 * (au[:, None] ** h2 + au[None, :] ** h2 - np.abs(u[:, None] - u[None, :]) ** h2)
+    pw = np.abs(u) ** h2
+    # 0.5 (|u_i|^2H + |u_j|^2H - |u_i - u_j|^2H), the |u_i - u_j|^2H term built in place
+    dist = np.subtract.outer(u, u)
+    np.abs(dist, out=dist)
+    dist **= h2
+    cov = np.subtract(np.add.outer(pw, pw), dist, out=dist)
+    cov *= 0.5
+    diag = cov.diagonal().copy()
     jitter = 0.0
-    scale = float(np.max(np.diag(cov)))
     for _ in range(6):
         try:
-            chol = np.linalg.cholesky(cov + jitter * np.eye(cov.shape[0]))
+            chol = np.linalg.cholesky(cov)
             break
         except np.linalg.LinAlgError:
-            jitter = max(jitter * 10.0, 1e-12 * scale)
+            jitter = max(jitter * 10.0, 1e-12 * float(np.max(diag)))
+            np.fill_diagonal(cov, diag + jitter)
     else:
         raise NumericalError("fBm covariance failed Cholesky even after jitter")
     if len(_FBM_CACHE) > 8:
@@ -369,89 +375,119 @@ def _boundary_inner_integral(zs: np.ndarray) -> np.ndarray:
     return out
 
 
-def sample_limit_batch(limit: RegimeLimit, rng: RngStream, which: str, size: int) -> np.ndarray:
-    """size i.i.d. draws from the limit law of the chosen estimator."""
-    if which not in ("mle", "bayes"):
-        raise CapabilityError(f"which must be 'mle' or 'bayes', got {which!r}")
+def _null_fisher_bayes(zeta, i3):
+    """Numeric posterior mean of Z(u) = exp(u^3 zeta - u^6 i3 / 2), standardized
+    via v = u * i3^(1/6)."""
+    v = np.linspace(-8.0, 8.0, 1601)
+    zeta_std = zeta / math.sqrt(i3)
+    out = np.empty(zeta.size)
+    chunk = 4096
+    for lo in range(0, zeta.size, chunk):
+        zs = zeta_std[lo:lo + chunk, None]
+        log_z = v[None, :] ** 3 * zs - v[None, :] ** 6 / 2.0
+        out[lo:lo + chunk] = _grid_posterior_mean(v, log_z)
+    return out / i3 ** (1.0 / 6.0)
+
+
+def _disc_fisher_mle(zl, zr, il, ir):
+    left = zl / math.sqrt(il)
+    right = zr / math.sqrt(ir)
+    return np.where(
+        (zl < 0) & (zr < 0), left,
+        np.where(
+            (zl > 0) & (zr > 0), right,
+            np.where(
+                (zl > 0) & (zr < 0), 0.0,
+                np.where(np.abs(zl) > np.abs(zr), left, right),
+            ),
+        ),
+    )
+
+
+def _disc_fisher_bayes(zl, zr, il, ir):
+    hw = 20.0 / math.sqrt(min(il, ir))
+    u = np.linspace(-hw, hw, 2001)
+    neg = u <= 0
+    out = np.empty(zl.size)
+    chunk = 2048
+    for lo in range(0, zl.size, chunk):
+        a = zl[lo:lo + chunk, None]
+        b = zr[lo:lo + chunk, None]
+        log_z = np.where(
+            neg[None, :],
+            u[None, :] * a * math.sqrt(il) - u[None, :] ** 2 * il / 2.0,
+            u[None, :] * b * math.sqrt(ir) - u[None, :] ** 2 * ir / 2.0,
+        )
+        out[lo:lo + chunk] = _grid_posterior_mean(u, log_z)
+    return out
+
+
+def _nonident_bayes(zeta, roots, infos, weights):
+    q = weights * infos ** -0.5 * np.exp(zeta ** 2 / 2.0)
+    q /= q.sum(axis=1, keepdims=True)
+    return q @ roots
+
+
+def sample_limit_batch(limit: RegimeLimit, rng: RngStream, which: str | tuple | list,
+                       size: int) -> np.ndarray:
+    """size i.i.d. draws from the limit law of one or more estimators.
+
+    ``which`` is "mle", "bayes" or a list or tuple of distinct names.  A name
+    gives a 1-D array; a sequence gives one row per name.  The MLE and Bayes
+    limits are two functionals (argmax, posterior mean) of one limit
+    likelihood-ratio process, so a sequence draws that process once and
+    applies each functional to it.  Both estimators consume the same variates
+    of the stream, so row k is bit-identical to the call with ``which[k]``.
+    """
+    names = tuple(which) if isinstance(which, (list, tuple)) else (which,)
+    if not names or len(set(names)) < len(names) or not set(names) <= {"mle", "bayes"}:
+        raise CapabilityError("which must be 'mle', 'bayes' or a sequence of distinct "
+                              f"ones, got {which!r}")
     if size < 1:
         raise DomainError("size must be >= 1")
     g = rng.generator()
     p = limit.params
     regime = limit.regime
+    out = np.empty((len(names), size))
+    whole = slice(None)
+
+    def emit(draws, **functionals):
+        # runs the requested functionals on variates already drawn
+        for row, name in zip(out, names):
+            row[draws] = functionals[name]()
 
     if regime in ("regular", "misspecified"):
         var = 1.0 / p["fisher_information"] if regime == "regular" else p["d_big_sq"]
-        return g.normal(0.0, math.sqrt(var), size)
+        x = g.normal(0.0, math.sqrt(var), size)
+        emit(whole, mle=lambda: x, bayes=lambda: x)
 
-    if regime == "null-fisher":
+    elif regime == "null-fisher":
         i3 = p["i3"]
         zeta = g.normal(0.0, math.sqrt(i3), size)
-        if which == "mle":
-            return np.cbrt(zeta / i3)
-        # numeric posterior mean of Z(u) = exp(u^3 zeta - u^6 i3 / 2),
-        # standardized via v = u * i3^(1/6)
-        v = np.linspace(-8.0, 8.0, 1601)
-        zeta_std = zeta / math.sqrt(i3)
-        out = np.empty(size)
-        chunk = 4096
-        for lo in range(0, size, chunk):
-            zs = zeta_std[lo:lo + chunk, None]
-            log_z = v[None, :] ** 3 * zs - v[None, :] ** 6 / 2.0
-            out[lo:lo + chunk] = _grid_posterior_mean(v, log_z)
-        return out / i3 ** (1.0 / 6.0)
+        emit(whole, mle=lambda: np.cbrt(zeta / i3), bayes=lambda: _null_fisher_bayes(zeta, i3))
 
-    if regime == "disc-fisher":
-        il, ir, corr = p["info_left"], p["info_right"], p["corr"]
-        zl, zr = _bivariate_normal(g, corr, size)
-        if which == "mle":
-            left = zl / math.sqrt(il)
-            right = zr / math.sqrt(ir)
-            out = np.where(
-                (zl < 0) & (zr < 0), left,
-                np.where(
-                    (zl > 0) & (zr > 0), right,
-                    np.where(
-                        (zl > 0) & (zr < 0), 0.0,
-                        np.where(np.abs(zl) > np.abs(zr), left, right),
-                    ),
-                ),
-            )
-            return out
-        hw = 20.0 / math.sqrt(min(il, ir))
-        u = np.linspace(-hw, hw, 2001)
-        neg = u <= 0
-        out = np.empty(size)
-        chunk = 2048
-        for lo in range(0, size, chunk):
-            a = zl[lo:lo + chunk, None]
-            b = zr[lo:lo + chunk, None]
-            log_z = np.where(
-                neg[None, :],
-                u[None, :] * a * math.sqrt(il) - u[None, :] ** 2 * il / 2.0,
-                u[None, :] * b * math.sqrt(ir) - u[None, :] ** 2 * ir / 2.0,
-            )
-            out[lo:lo + chunk] = _grid_posterior_mean(u, log_z)
-        return out
+    elif regime == "disc-fisher":
+        il, ir = p["info_left"], p["info_right"]
+        zl, zr = _bivariate_normal(g, p["corr"], size)
+        emit(whole, mle=lambda: _disc_fisher_mle(zl, zr, il, ir),
+             bayes=lambda: _disc_fisher_bayes(zl, zr, il, ir))
 
-    if regime == "boundary":
+    elif regime == "boundary":
         info = p["fisher_information"]
         orient = p.get("orientation", 1.0)
-        if which == "mle":
-            zeta = g.normal(0.0, math.sqrt(info), size)
-            return orient * np.where(zeta >= 0.0, zeta / info, 0.0)
         zs = g.standard_normal(size)
-        inner = _boundary_inner_integral(zs)
-        return orient * (zs + 1.0 / inner) / math.sqrt(info)
+        # sqrt(info) * zs is bit-identical to g.normal(0, sqrt(info), size)
+        zeta = math.sqrt(info) * zs
+        emit(whole, mle=lambda: orient * np.where(zeta >= 0.0, zeta / info, 0.0),
+             bayes=lambda: orient * (zs + 1.0 / _boundary_inner_integral(zs)) / math.sqrt(info))
 
-    if regime == "jump":
+    elif regime == "jump":
         lam_left, lam_right = p["lam_left"], p["lam_right"]
         u_max = p.get("u_halfwidth", 60.0)
         log_ratio = math.log(lam_right / lam_left)
         drift = lam_right - lam_left
         n_plus = g.poisson(lam_left * u_max, size)
         n_minus = g.poisson(lam_right * u_max, size)
-        out = np.empty(size)
-        fn = _jump_mle if which == "mle" else _jump_bayes
         for lo in range(0, size, _JUMP_BLOCK):
             # one uniform call per block with the counts in the order
             # p0, m0, p1, m1, ...: a Generator yields the same doubles as one
@@ -460,46 +496,40 @@ def sample_limit_batch(limit: RegimeLimit, rng: RngStream, which: str, size: int
             counts = np.stack([n_plus[lo:lo + _JUMP_BLOCK], n_minus[lo:lo + _JUMP_BLOCK]], axis=1)
             times = g.uniform(0.0, u_max, counts.sum())
             starts = (np.cumsum(counts) - counts.ravel()).reshape(counts.shape)
-            plus = _jump_groups(times, starts[:, 0], counts[:, 0])
-            minus = _jump_groups(times, starts[:, 1], counts[:, 1])
-            block = counts.shape[0]
-            out[lo:lo + block] = fn(plus, minus, log_ratio, drift, u_max, block)
-        return out
+            paths = (_jump_groups(times, starts[:, 0], counts[:, 0]),
+                     _jump_groups(times, starts[:, 1], counts[:, 1]),
+                     log_ratio, drift, u_max, counts.shape[0])
+            emit(slice(lo, lo + _JUMP_BLOCK), mle=lambda: _jump_mle(*paths),
+                 bayes=lambda: _jump_bayes(*paths))
 
-    if regime == "cusp":
+    elif regime == "cusp":
         hurst, gamma_sq = p["hurst"], p["gamma_sq"]
         gamma = math.sqrt(gamma_sq)
         u = np.linspace(-p["grid_halfwidth"], p["grid_halfwidth"], p["grid_points"])
         pen = np.abs(u) ** (2.0 * hurst) * gamma_sq / 2.0
-        out = np.empty(size)
         chunk = 2048
         for lo in range(0, size, chunk):
-            m = min(chunk, size - lo)
-            w = _fbm_batch(hurst, u, g, m)
-            log_z = gamma * w - pen[None, :]
-            if which == "mle":
-                out[lo:lo + m] = u[np.argmax(log_z, axis=1)]
-            else:
-                out[lo:lo + m] = _grid_posterior_mean(u, log_z)
-        return out
+            log_z = _fbm_batch(hurst, u, g, min(chunk, size - lo))
+            log_z *= gamma
+            log_z -= pen
+            emit(slice(lo, lo + chunk), mle=lambda: u[np.argmax(log_z, axis=1)],
+                 bayes=lambda: _grid_posterior_mean(u, log_z))
 
-    # nonidentifiable
-    roots = np.asarray(p["roots"], dtype=float)
-    infos = np.asarray(p["informations"], dtype=float)
-    rho = np.asarray(p["rho"], dtype=float)
-    weights = np.asarray(p.get("prior_weights", np.ones(roots.size)), dtype=float)
-    jitter = 1e-12 * np.eye(roots.size)
-    try:
-        chol = np.linalg.cholesky(rho + jitter)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("root-correlation matrix failed Cholesky") from exc
-    zeta = g.standard_normal((size, roots.size)) @ chol.T
-    if which == "mle":
-        pick = np.argmax(np.abs(zeta), axis=1)
-        return roots[pick]
-    q = weights * infos ** -0.5 * np.exp(zeta ** 2 / 2.0)
-    q /= q.sum(axis=1, keepdims=True)
-    return q @ roots
+    else:  # nonidentifiable
+        roots = np.asarray(p["roots"], dtype=float)
+        infos = np.asarray(p["informations"], dtype=float)
+        rho = np.asarray(p["rho"], dtype=float)
+        weights = np.asarray(p.get("prior_weights", np.ones(roots.size)), dtype=float)
+        jitter = 1e-12 * np.eye(roots.size)
+        try:
+            chol = np.linalg.cholesky(rho + jitter)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError("root-correlation matrix failed Cholesky") from exc
+        zeta = g.standard_normal((size, roots.size)) @ chol.T
+        emit(whole, mle=lambda: roots[np.argmax(np.abs(zeta), axis=1)],
+             bayes=lambda: _nonident_bayes(zeta, roots, infos, weights))
+
+    return out if isinstance(which, (list, tuple)) else out[0]
 
 
 def sample_limit(limit: RegimeLimit, rng: RngStream, which: str) -> float:

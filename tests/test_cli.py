@@ -80,6 +80,10 @@ ALL_FAIL = {"model": "SUFFWIN_LINEAR", "theta0": 0.5, "window": {"mode": "suffic
       "long_record": True}, [], cli.EXIT_CONFIG),
     ({"model": "WINDOW_SINE", "theta0": 0.3, "n": [50], "replicates": 2, "seed": 1,
       "long_record": True}, [], cli.EXIT_CONFIG),
+    # the estimator list names the rows of the one limit-draw job
+    (dict(TINY, estimator={"estimators": ["mle", "mle"]}), [], cli.EXIT_CONFIG),
+    (dict(TINY, estimator={"estimators": ["median"]}), [], cli.EXIT_CONFIG),
+    (dict(TINY, estimator={"estimators": []}), [], cli.EXIT_CONFIG),
 ])
 def test_experiment_exit_codes(tmp_path, capsys, doc, extra, code):
     scenario = write_scenario(tmp_path, doc)

@@ -1,10 +1,12 @@
 import csv
 
+import numpy as np
 import pytest
 
+from poislim import limits
 from poislim.errors import ConfigurationError
-from poislim.experiments import Scenario, _estimate_row, run_scenario
-from poislim.simulate import STREAM_STRIDE
+from poislim.experiments import Scenario, _estimate_row, ks_two_sample, run_scenario
+from poislim.simulate import STREAM_STRIDE, RngStream
 
 TINY = {"model": "REGULAR_EXP", "theta0": 0.3, "regime": "regular",
         "n": [20, 40], "replicates": 3, "seed": 1, "limit_draws": 200}
@@ -75,3 +77,33 @@ def test_long_record_freq_mod_mle_near_theta0():
     (row,) = run_scenario(Scenario.from_dict(doc)).rows
     assert row["status"] == "ok"
     assert abs(row["mle"] - 1.0137) < 1e-4
+
+
+@pytest.mark.parametrize("doc", [
+    {"model": "JUMP_SHIFT", "theta0": 0.5, "regime": "jump", "n": [20, 40],
+     "replicates": 2, "seed": 7, "limit_draws": 200},
+    {"model": "CUSP", "theta0": 0.5, "regime": "cusp", "n": [40], "replicates": 2,
+     "seed": 7, "limit_draws": 100, "estimator": {"zoom_rounds": 3}},
+], ids=["jump", "cusp"])
+def test_limit_draws_share_one_stream(doc, tmp_path):
+    scenario = Scenario.from_dict(doc)
+    reports = [run_scenario(scenario, workers=w) for w in (1, 2)]
+    model = scenario.build_model()
+    settings = scenario.build_settings()
+    limit = limits.limit_params(scenario.regime, model, scenario.theta0)
+    # every estimator's draws are one row of one call on stream 2^52
+    rows = limits.sample_limit_batch(limit, RngStream(scenario.seed, 2 ** 52),
+                                     settings.estimators, scenario.limit_draws)
+    report = reports[0]
+    for which, draws in zip(settings.estimators, rows):
+        for n in scenario.n:
+            norm = [row[f"norm_err_{which}"] for row in report.rows
+                    if row["n"] == n and np.isfinite(row[which])]
+            entry = report.summary["estimates"][which]["by_n"][str(n)]
+            assert entry["ks_statistic"] == ks_two_sample(norm, draws)
+    outputs = []
+    for w, rep in zip((1, 2), reports):
+        rep.write_table_csv(tmp_path / f"{w}.csv")
+        rep.write_summary_json(tmp_path / f"{w}.json")
+        outputs.append((tmp_path / f"{w}.csv").read_bytes() + (tmp_path / f"{w}.json").read_bytes())
+    assert outputs[0] == outputs[1]

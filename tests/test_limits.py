@@ -5,9 +5,11 @@ import pytest
 from scipy import special, stats
 
 import poislim as pl
+from poislim import limits
 from poislim.errors import CapabilityError, ConfigurationError, PreconditionError
 from poislim.limits import (
     _JUMP_BLOCK,
+    CuspParams,
     RegimeLimit,
     _jump_bayes,
     _jump_mle,
@@ -294,6 +296,51 @@ def test_fbm_covariance_properties():
     assert abs(np.corrcoef(inc1, inc2)[0, 1]) < 0.02
 
 
+def _fbm_cholesky_reference(hurst, grid):
+    """The covariance as one expression, jittered by a full identity matrix."""
+    u = grid[grid != 0.0]
+    h2 = 2.0 * hurst
+    au = np.abs(u)
+    cov = 0.5 * (au[:, None] ** h2 + au[None, :] ** h2 - np.abs(u[:, None] - u[None, :]) ** h2)
+    scale = float(np.max(np.diag(cov)))
+    jitter = 0.0
+    for _ in range(6):
+        try:
+            return np.linalg.cholesky(cov + jitter * np.eye(cov.shape[0]))
+        except np.linalg.LinAlgError:
+            jitter = max(jitter * 10.0, 1e-12 * scale)
+    raise AssertionError("reference Cholesky failed")
+
+
+_CHOLESKY = np.linalg.cholesky
+
+
+def _cholesky_failing_first(fails):
+    """np.linalg.cholesky that raises on its first ``fails`` calls."""
+    def cholesky(a):
+        nonlocal fails
+        if fails:
+            fails -= 1
+            raise np.linalg.LinAlgError("forced")
+        return _CHOLESKY(a)
+    return cholesky
+
+
+@pytest.mark.parametrize("hurst", [0.6, 0.75, 0.9])
+def test_fbm_cholesky_matches_one_line_formula(hurst, monkeypatch):
+    # the cusp default grid, and a grid with two repeated nodes: its covariance
+    # is singular, so the factor comes from the jittered retry; two forced
+    # failures on top of that reach the third jitter level
+    default = np.linspace(-20.0, 20.0, CuspParams(0.25, 0.75, 1.0).grid_points)
+    repeated = np.concatenate([np.linspace(-3.0, 3.0, 61), [1.0, 2.0]])
+    for grid, fails in ((default, 0), (repeated, 0), (repeated, 2)):
+        monkeypatch.setattr(limits, "_FBM_CACHE", {})
+        monkeypatch.setattr(np.linalg, "cholesky", _cholesky_failing_first(fails))
+        got = limits._fbm_cholesky(hurst, grid)
+        monkeypatch.setattr(np.linalg, "cholesky", _cholesky_failing_first(fails))
+        assert np.array_equal(got, _fbm_cholesky_reference(hurst, grid)), fails
+
+
 def test_fbm_guards():
     with pytest.raises(Exception):
         simulate_fbm(1.5, np.linspace(-1, 1, 11), RngStream(1, 0))
@@ -338,3 +385,36 @@ def test_unsupported_which():
     lim = RegimeLimit("regular", 0.5, {"fisher_information": 1.0})
     with pytest.raises(CapabilityError):
         sample_limit(lim, RngStream(1, 0), "median")
+    for which in ((), ("mle", "mle"), ["mle", "median"], ("bayes", "bayes", "mle")):
+        with pytest.raises(CapabilityError):
+            sample_limit_batch(lim, RngStream(1, 0), which, 5)
+
+
+def _all_regime_limits():
+    return {
+        "regular": RegimeLimit("regular", 0.5, {"fisher_information": 2.0}),
+        "misspecified": RegimeLimit("misspecified", 0.5, {"d_big_sq": 0.7}),
+        "null-fisher": RegimeLimit("null-fisher", 1.0 / 6.0, {"i3": 0.3}),
+        "disc-fisher": RegimeLimit("disc-fisher", 0.5, {"info_left": 1.5, "info_right": 0.7,
+                                                        "corr": 0.3}),
+        "boundary": RegimeLimit("boundary", 0.5, {"fisher_information": 2.0,
+                                                  "orientation": -1.0}),
+        # a coarser grid than the default keeps the test fast; chunks count draws
+        "cusp": CuspParams(kappa=0.25, hurst=0.75, gamma_sq=0.256, grid_points=401).limit(),
+        "jump": RegimeLimit("jump", 1.0, {"lam_left": 2.5, "lam_right": 4.5,
+                                          "u_halfwidth": 60.0}),
+        "nonidentifiable": limit_params("nonidentifiable", pl.make_model("NONIDENT_FIXED"), 1.0),
+    }
+
+
+@pytest.mark.parametrize("regime", limits.REGIMES)
+def test_limit_batch_rows_match_single_calls(regime):
+    lim = _all_regime_limits()[regime]
+    # 2,047 and 2,049 draws straddle one cusp chunk, 1,025 one jump block
+    for size in (1, 2047, 2049, _JUMP_BLOCK + 1):
+        for which in (("mle", "bayes"), ("bayes", "mle"), ["bayes"]):
+            rows = sample_limit_batch(lim, RngStream(3, size), which, size)
+            assert rows.shape == (len(which), size)
+            for name, row in zip(which, rows):
+                single = sample_limit_batch(lim, RngStream(3, size), name, size)
+                assert np.array_equal(row, single), (size, which, name)
