@@ -308,7 +308,7 @@ def kl_objective_grid(true_intensity: TrueIntensity, model: IntensityModel,
 
 
 def theta_star(true_intensity: TrueIntensity, model: IntensityModel,
-               grid_size: int | None = None, refine: bool | None = None) -> float:
+               grid_size: int | None = None) -> float:
     """Pseudo-true value: grid argmin of the KL objective, refined when smooth.
 
     Smooth families use a 2001-point grid plus golden-section on the
@@ -318,15 +318,13 @@ def theta_star(true_intensity: TrueIntensity, model: IntensityModel,
     smooth = model.is_theta_smooth
     if grid_size is None:
         grid_size = 2001 if smooth else 20001
-    if refine is None:
-        refine = smooth
     iv = model.theta_interval
     grid = iv.grid(grid_size)
     vals = kl_objective_grid(true_intensity, model, grid)
     if not np.any(np.isfinite(vals)):
         raise SingularityError("KL objective is infinite over the whole parameter grid")
     i = int(np.nanargmin(np.where(np.isfinite(vals), vals, np.inf)))
-    if not refine or not smooth:
+    if not smooth:
         return float(grid[i])
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, grid_size - 1)]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -94,6 +95,8 @@ def _parse_kv(pairs):
             out[key] = float(val)
         except ValueError:
             raise ConfigurationError(f"{key}={val!r} is not a number") from None
+        if not math.isfinite(out[key]):
+            raise ConfigurationError(f"{key} must be finite, got {val}")
         if key in _POSITIVE_KEYS and not out[key] > 0:
             raise ConfigurationError(f"{key} must be positive, got {val}")
     return out

@@ -22,7 +22,7 @@ from .errors import (
     PreconditionError,
 )
 from .intensity import IntensityModel, SuffWinLinearModel
-from .likelihood import LikelihoodEvaluator, curve_grid, split_breaks
+from .likelihood import LikelihoodEvaluator, curve_grid
 from .simulate import Sample
 
 __all__ = ["EstimatorSettings", "Estimate", "mle", "bayes", "moments_preliminary", "two_stage"]
@@ -37,17 +37,15 @@ class EstimatorSettings:
     """Knobs shared by the grid-based estimators.
 
     ``prior`` is "uniform" or a (theta_grid, density) pair interpolated
-    linearly; densities must be positive on Theta.  ``localize`` enables the
-    two-pass search for models with many sample-dependent breakpoints (None =
-    automatic), ``zoom_rounds`` iterated grid refinement for continuous but
-    non-smooth likelihoods (cusp type).
+    linearly; densities must be positive on Theta.  ``zoom_rounds`` sets the
+    iterated grid refinement of continuous but non-smooth likelihoods (cusp
+    type).  Every other choice of search path is read off the model and the
+    sample (see ``mle``).
     """
 
     grid_size: int = 4001
-    refine: bool = True
     prior: object = "uniform"
     bayes_panels: int = 4096
-    localize: bool | None = None
     zoom_rounds: int = 0
     estimators: tuple = ("mle", "bayes")
 
@@ -56,19 +54,29 @@ class EstimatorSettings:
             raise ConfigurationError(f"grid_size must be >= 3, got {self.grid_size}")
         if self.bayes_panels < 16 or self.bayes_panels % 2:
             raise ConfigurationError("bayes_panels must be even and >= 16")
-        names = tuple(self.estimators)
-        if not names or len(set(names)) < len(names) or not set(names) <= {"mle", "bayes"}:
+        if self.zoom_rounds < 0:
+            raise ConfigurationError(f"zoom_rounds must be >= 0, got {self.zoom_rounds}")
+        names = tuple(self.estimators) if isinstance(self.estimators, (list, tuple)) else ()
+        if (not names or any(x not in ("mle", "bayes") for x in names)
+                or len(set(names)) < len(names)):
             raise ConfigurationError("estimators must list distinct names out of 'mle' and "
                                      f"'bayes', got {self.estimators!r}")
+        object.__setattr__(self, "estimators", names)
         if isinstance(self.prior, str):
             if self.prior != "uniform":
                 raise ConfigurationError(f"unknown prior {self.prior!r}")
-        else:
-            grid, dens = self.prior
-            if np.any(np.asarray(dens, dtype=float) <= 0):
-                raise ConfigurationError("prior density must be positive on Theta")
-            object.__setattr__(self, "prior", (np.asarray(grid, dtype=float),
-                                               np.asarray(dens, dtype=float)))
+            return
+        try:
+            grid, dens = (np.asarray(a, dtype=float) for a in self.prior)
+        except (TypeError, ValueError):
+            grid = dens = np.empty(0)
+        if (grid.ndim != 1 or grid.size < 2 or grid.shape != dens.shape
+                or not np.all(np.diff(grid) > 0)):
+            raise ConfigurationError("prior must be 'uniform' or a (theta_grid, density) pair of "
+                                     f"equal length, theta_grid increasing; got {self.prior!r}")
+        if not np.all((dens > 0) & np.isfinite(dens)):
+            raise ConfigurationError("prior density must be positive on Theta")
+        object.__setattr__(self, "prior", (grid, dens))
 
 
 DEFAULT_SETTINGS = EstimatorSettings()
@@ -95,20 +103,24 @@ def _candidate_argmax(thetas, sides, values):
     return float(thetas[order][i]), int(sides[order][i]), float(vals[i])
 
 
-def _eval_candidates(ev, sample, events, grid, jump_breaks, kink_breaks):
-    """Assemble (theta, side, value) candidate arrays for one search pass."""
+def _eval_candidates(ev, grid):
+    """(theta, side, value) candidate arrays of one search pass over ``grid``.
+
+    The candidates are the grid and the sample's breakpoints strictly inside it.
+    """
+    jump_breaks, kink_breaks = (b[(b > grid[0]) & (b < grid[-1])] for b in ev.breaks)
     thetas = [grid]
     sides = [np.zeros(grid.size, dtype=int)]
-    values = [ev.values(grid, sample, events)]
+    values = [ev.values(grid)]
     if kink_breaks.size:
         thetas.append(kink_breaks)
         sides.append(np.zeros(kink_breaks.size, dtype=int))
-        values.append(ev.values(kink_breaks, sample, events))
+        values.append(ev.values(kink_breaks))
     if jump_breaks.size:
         for side in (-1, 1):
             thetas.append(jump_breaks)
             sides.append(side * np.ones(jump_breaks.size, dtype=int))
-            values.append(ev.values(jump_breaks, sample, events, theta_side=side))
+            values.append(ev.values(jump_breaks, theta_side=side))
     return np.concatenate(thetas), np.concatenate(sides), np.concatenate(values)
 
 
@@ -117,7 +129,9 @@ def mle(model: IntensityModel, sample: Sample, settings: EstimatorSettings | Non
     """Maximum-likelihood estimate over Theta's closure.
 
     Ties break toward the smaller theta; at sample-dependent discontinuities
-    both one-sided limits compete for the sup.
+    both one-sided limits compete for the sup.  Golden-section and score
+    refinement run where the family is theta-smooth; a sample with more than
+    ``_LOCALIZE_BREAK_COUNT`` theta-breakpoints is searched in two passes.
     """
     if sample.n < 1:
         raise PreconditionError("sample must contain at least one trajectory")
@@ -126,44 +140,36 @@ def mle(model: IntensityModel, sample: Sample, settings: EstimatorSettings | Non
     if iv.width < _DEGENERATE_WIDTH:
         return Estimate(iv.midpoint, float("nan"), "mle")
 
-    ev = LikelihoodEvaluator(model, window)
-    events = ev.prepare_events(sample)
+    ev = LikelihoodEvaluator(model, sample, window)
     grid = curve_grid(model, settings.grid_size)
-    breaks = split_breaks(model, events, iv.alpha, iv.beta)
-    n_breaks = breaks[0].size + breaks[1].size
     cell = grid[1] - grid[0]
 
-    localize = settings.localize
-    if localize is None:
-        localize = n_breaks > _LOCALIZE_BREAK_COUNT
-
-    if localize and n_breaks:
-        coarse_vals = ev.values(grid, sample, events)
+    if sum(b.size for b in ev.breaks) > _LOCALIZE_BREAK_COUNT:
+        coarse_vals = ev.values(grid)
         if not np.any(coarse_vals > -np.inf):
             raise EstimationError("log-likelihood is -inf over the whole grid")
         i = int(np.argmax(coarse_vals))
-        th, sd, vals, _ = _local_candidates(ev, sample, events, breaks, grid[i],
-                                            coarse_vals[i], _LOCALIZE_MARGIN_CELLS * cell)
+        th, sd, vals, _ = _local_candidates(ev, grid[i], coarse_vals[i],
+                                            _LOCALIZE_MARGIN_CELLS * cell)
     else:
-        th, sd, vals = _eval_candidates(ev, sample, events, grid, *breaks)
+        th, sd, vals = _eval_candidates(ev, grid)
 
     best_theta, best_side, best_val = _candidate_argmax(th, sd, vals)
 
     if settings.zoom_rounds and not model.is_theta_smooth:
-        best_theta, best_val = _zoom_refine(ev, sample, events, breaks, best_theta, best_val,
-                                            4.0 * cell, settings.zoom_rounds)
-    elif settings.refine and model.smoothness_order >= 1:
-        best_theta, best_val = _golden_refine(
-            ev, sample, events, model, th, sd, vals, best_theta, best_val)
+        best_theta, best_val = _zoom_refine(ev, best_theta, best_val, 4.0 * cell,
+                                            settings.zoom_rounds)
+    elif model.smoothness_order >= 1:
+        best_theta, best_val = _golden_refine(ev, th, sd, vals, best_theta, best_val)
 
     return Estimate(_clamp(best_theta, iv), best_val, "mle")
 
 
-def _local_candidates(ev, sample, events, breaks, center, center_val, width):
+def _local_candidates(ev, center, center_val, width):
     """Candidates of one local pass and their grid step, or None if the window is empty.
 
-    129 points over center +- width clipped to Theta, the (jump, kink) ``breaks``
-    inside, and the incumbent (center, center_val).
+    129 points over center +- width clipped to Theta, the sample's (jump, kink)
+    breakpoints inside, and the incumbent (center, center_val).
     """
     iv = ev.model.theta_interval
     lo = max(iv.alpha, center - width)
@@ -171,12 +177,11 @@ def _local_candidates(ev, sample, events, breaks, center, center_val, width):
     if hi <= lo:
         return None
     fine = np.linspace(lo, hi, 129)
-    jb, kb = (b[(b > lo) & (b < hi)] for b in breaks)
-    th, sd, vals = _eval_candidates(ev, sample, events, fine, jb, kb)
+    th, sd, vals = _eval_candidates(ev, fine)
     return np.append(th, center), np.append(sd, 0), np.append(vals, center_val), fine[1] - fine[0]
 
 
-def _golden_refine(ev, sample, events, model, thetas, sides, values, best_theta, best_val):
+def _golden_refine(ev, thetas, sides, values, best_theta, best_val):
     """Golden-section inside the bracketing cell, never across a declared kink."""
     plain = sides == 0
     grid = np.unique(thetas[plain])
@@ -186,24 +191,21 @@ def _golden_refine(ev, sample, events, model, thetas, sides, values, best_theta,
         return best_theta, best_val
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, grid.size - 1)]
-    kinks = [k for k in model.theta_kinks if lo < k < hi]
+    kinks = [k for k in ev.model.theta_kinks if lo < k < hi]
     segments = []
     edges = [lo, *sorted(kinks), hi]
     for a, b in zip(edges[:-1], edges[1:]):
         if b > a:
             segments.append((a, b))
 
-    def f(th):
-        return ev.value(th, sample, events)
-
-    iv = model.theta_interval
+    iv = ev.model.theta_interval
     best = (best_theta, best_val)
     for a, b in segments:
-        x, v = golden_section_max(f, a, b, tol=1e-8)
-        if model.is_theta_smooth:
-            x = _score_bisect(f, x, iv.alpha, iv.beta)
+        x, v = golden_section_max(ev.value, a, b, tol=1e-8)
+        if ev.model.is_theta_smooth:
+            x = _score_bisect(ev.value, x, iv.alpha, iv.beta)
             x = min(max(x, a), b)
-            v = f(x)
+            v = ev.value(x)
         if v > best[1]:
             best = (x, v)
     return best
@@ -242,10 +244,10 @@ def _score_bisect(f, x, lo, hi, iters=64):
     return 0.5 * (a + b)
 
 
-def _zoom_refine(ev, sample, events, breaks, theta, val, width, rounds):
+def _zoom_refine(ev, theta, val, width, rounds):
     """Iterated grid refinement for continuous non-smooth likelihoods."""
     for _ in range(rounds):
-        found = _local_candidates(ev, sample, events, breaks, theta, val, width)
+        found = _local_candidates(ev, theta, val, width)
         if found is None:
             break
         *candidates, step = found
@@ -285,9 +287,8 @@ def bayes(model: IntensityModel, sample: Sample, settings: EstimatorSettings | N
     if iv.width < _DEGENERATE_WIDTH:
         return Estimate(iv.midpoint, float("nan"), "bayes")
 
-    ev = LikelihoodEvaluator(model, window)
-    events = ev.prepare_events(sample)
-    jump_breaks, kink_breaks = split_breaks(model, events, iv.alpha, iv.beta)
+    ev = LikelihoodEvaluator(model, sample, window)
+    jump_breaks, kink_breaks = ev.breaks
     cuts = np.unique(np.concatenate([
         jump_breaks, kink_breaks,
         np.array([k for k in model.theta_kinks if iv.alpha < k < iv.beta]),
@@ -302,13 +303,13 @@ def bayes(model: IntensityModel, sample: Sample, settings: EstimatorSettings | N
     ends = np.cumsum(shares + 1)
     starts = ends - (shares + 1)
 
-    vals = ev.values(nodes, sample, events)
+    vals = ev.values(nodes)
     if jump_breaks.size:
         # a segment starts right of a jump and ends left of one
         first = starts[np.isin(edges[:-1], jump_breaks)]
         last = ends[np.isin(edges[1:], jump_breaks)] - 1
-        vals[first] = ev.values(nodes[first], sample, events, theta_side=+1)
-        vals[last] = ev.values(nodes[last], sample, events, theta_side=-1)
+        vals[first] = ev.values(nodes[first], theta_side=+1)
+        vals[last] = ev.values(nodes[last], theta_side=-1)
     max_ll = float(np.max(vals, where=np.isfinite(vals), initial=-np.inf))
     if not np.isfinite(max_ll):
         raise EstimationError("log-likelihood is -inf over the whole parameter grid")

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -40,15 +40,6 @@ _LIMIT_STREAM_BASE = 1 << 52
 # scenario description
 # ---------------------------------------------------------------------------
 
-_SCENARIO_KEYS = {
-    "model", "params", "theta0", "theta_interval", "horizon", "true_intensity",
-    "regime", "n", "replicates", "seed", "estimator", "window", "atom_epsilon",
-    "limit_draws", "long_record",
-}
-_ESTIMATOR_KEYS = {
-    "grid_size", "refine", "prior", "bayes_panels", "localize", "zoom_rounds",
-    "estimators",
-}
 _WINDOW_KEYS = {"mode", "mu_star"}
 _TRUE_KEYS = {"kind", "h", "h1", "h2"}
 
@@ -63,6 +54,16 @@ def _integer(value, what: str) -> int:
     if not exact:
         raise ConfigurationError(f"{what} must be an integer, got {value!r}")
     return out
+
+
+def _check_number(value, what: str) -> None:
+    """Fail unless ``value`` is a finite number; a numeric string fails too."""
+    try:
+        finite = not isinstance(value, str) and math.isfinite(float(value))
+    except (TypeError, ValueError):
+        finite = False
+    if not finite:
+        raise ConfigurationError(f"{what} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -93,8 +94,17 @@ class Scenario:
         object.__setattr__(self, "n", ns)
         object.__setattr__(self, "replicates", _integer(self.replicates, "replicates"))
         object.__setattr__(self, "seed", _integer(self.seed, "seed"))
+        object.__setattr__(self, "limit_draws", _integer(self.limit_draws, "limit_draws"))
+        _check_number(self.atom_epsilon, "atom_epsilon")
+        if self.horizon is not None:
+            _check_number(self.horizon, "horizon")
+        if not (isinstance(self.estimator, dict) and isinstance(self.window, dict)
+                and isinstance(self.true_intensity, (dict, type(None)))):
+            raise ConfigurationError("estimator, window and true_intensity must be JSON objects")
         if self.replicates < 1:
             raise ConfigurationError("replicates must be >= 1")
+        if self.limit_draws < 1:
+            raise ConfigurationError("limit_draws must be >= 1")
         # each (n, replicate) block holds STREAM_STRIDE streams below the limit-draw streams
         if not self.long_record and max(ns) > STREAM_STRIDE:
             raise ConfigurationError(f"n must be at most {STREAM_STRIDE} "
@@ -104,24 +114,29 @@ class Scenario:
                                      f"{_LIMIT_STREAM_BASE // STREAM_STRIDE}")
         if self.regime is not None and self.regime not in limits.REGIMES:
             raise ConfigurationError(f"unknown regime {self.regime!r}")
-        unknown = set(self.estimator) - _ESTIMATOR_KEYS
+        unknown = set(self.estimator) - {f.name for f in fields(estimators.EstimatorSettings)}
         if unknown:
             raise ConfigurationError(f"unknown estimator keys: {sorted(unknown)}")
+        self.build_settings()
         unknown = set(self.window) - _WINDOW_KEYS
         if unknown:
             raise ConfigurationError(f"unknown window keys: {sorted(unknown)}")
         if self.window.get("mode", "none") not in ("none", "optimal", "sufficient"):
             raise ConfigurationError(f"unknown window mode {self.window.get('mode')!r}")
-        if self.window.get("mode") == "optimal" and self.window.get("mu_star") is None:
+        if self.window.get("mu_star") is not None:
+            _check_number(self.window["mu_star"], "window.mu_star")
+        elif self.window.get("mode") == "optimal":
             raise ConfigurationError("window mode 'optimal' needs mu_star")
         if self.true_intensity is not None:
             unknown = set(self.true_intensity) - _TRUE_KEYS
             if unknown:
                 raise ConfigurationError(f"unknown true_intensity keys: {sorted(unknown)}")
+            for key in sorted(set(self.true_intensity) - {"kind"}):
+                _check_number(self.true_intensity[key], f"true_intensity.{key}")
 
     @staticmethod
     def from_dict(doc: dict) -> "Scenario":
-        unknown = set(doc) - _SCENARIO_KEYS
+        unknown = set(doc) - {f.name for f in fields(Scenario)}
         if unknown:
             raise ConfigurationError(f"unknown scenario keys: {sorted(unknown)}")
         missing = {"model", "theta0", "n", "replicates", "seed"} - set(doc)
@@ -170,11 +185,9 @@ class Scenario:
 
     def build_settings(self) -> estimators.EstimatorSettings:
         cfg = dict(self.estimator)
-        if "estimators" in cfg:
-            cfg["estimators"] = tuple(cfg["estimators"])
-        if isinstance(cfg.get("prior"), (list, tuple)) and len(cfg["prior"]) == 2:
-            cfg["prior"] = (np.asarray(cfg["prior"][0], dtype=float),
-                            np.asarray(cfg["prior"][1], dtype=float))
+        for key in ("grid_size", "bayes_panels", "zoom_rounds"):
+            if key in cfg:
+                cfg[key] = _integer(cfg[key], f"estimator.{key}")
         return estimators.EstimatorSettings(**cfg)
 
 
@@ -509,7 +522,7 @@ def region_scan(x_grid, h1_grid, h2_grid, theta0: float = 0.5, g1: float = 1.0,
             for i2, h2 in enumerate(h2_grid):
                 true_int = TrueIntensity.changepoint(g1, x * g1, h1 * g1, h2 * g1,
                                                      theta0, horizon)
-                ts = analysis.theta_star(true_int, model, grid_size=grid_size, refine=False)
+                ts = analysis.theta_star(true_int, model, grid_size=grid_size)
                 kl_ok[ix, i1, i2] = abs(ts - theta0) <= tol
                 predicted[ix, i1, i2] = (h1 < h1_max) and (h2 > h2_min)
     return RegionScanResult(x_grid=x_grid, h1_grid=h1_grid, h2_grid=h2_grid,

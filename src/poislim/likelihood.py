@@ -13,6 +13,7 @@ exponentiated only at the API boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,55 +31,47 @@ __all__ = [
 ]
 
 
-def _window_measure(intervals):
-    return sum(hi - lo for lo, hi in intervals)
-
-
-def _events_in(events, intervals):
-    if not intervals:
-        return events[:0]
-    mask = np.zeros(events.shape, dtype=bool)
-    for lo, hi in intervals:
-        mask |= (events >= lo) & (events <= hi)
-    return events[mask]
-
-
 class LikelihoodEvaluator:
-    """Shared evaluation context for one (model, window)."""
+    """log L(theta, X^n) of one sample, over ``window`` (None = [0, horizon]).
 
-    def __init__(self, model: IntensityModel, window=None):
+    The windowed pooled events and ``sample.n`` are stored once; every
+    estimator search and curve evaluates this one object.
+    """
+
+    def __init__(self, model: IntensityModel, sample: Sample, window=None):
         self.model = model
+        self.n = sample.n
         self.intervals = analysis._window_intervals(window, model.horizon)
-        self.measure = _window_measure(self.intervals)
-
-    # -- integral term ------------------------------------------------------
-
-    def intensity_integral(self, thetas) -> np.ndarray:
-        """integral_W lambda(theta, t) dt for each theta (vectorized)."""
-        thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-        total = np.zeros(thetas.shape)
+        self.measure = sum(hi - lo for lo, hi in self.intervals)
+        events = sample.pooled_events()
+        inside = np.zeros(events.shape, dtype=bool)
         for lo, hi in self.intervals:
-            total += self.model.integral_hint(thetas, lo, hi)
-        return total
+            inside |= (events >= lo) & (events <= hi)
+        self.events = events[inside]
 
-    # -- event term ---------------------------------------------------------
+    @cached_property
+    def breaks(self):
+        """The events' theta-breakpoints inside Theta, split as (jumps, kinks).
 
-    def prepare_events(self, sample: Sample) -> np.ndarray:
-        return _events_in(sample.pooled_events(), self.intervals)
+        Whether the curve jumps or kinks there is a property of the family, so
+        one of the two is always empty.
+        """
+        iv = self.model.theta_interval
+        br = np.unique(self.model.event_theta_breakpoints(self.events))
+        br = br[(br > iv.alpha) & (br < iv.beta)]
+        if self.model.event_breakpoints_are_jumps:
+            return br, np.empty(0)
+        return np.empty(0), br
 
-    # -- full log-likelihood --------------------------------------------------
-
-    def values(self, thetas, sample: Sample, events=None, theta_side=0) -> np.ndarray:
+    def values(self, thetas, theta_side=0) -> np.ndarray:
         thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-        if events is None:
-            events = self.prepare_events(sample)
-        term = self.model.event_log_sums(thetas, events, theta_side=theta_side)
-        integ = self.intensity_integral(thetas)
-        vals = term - sample.n * (integ - self.measure)
+        term = self.model.event_log_sums(thetas, self.events, theta_side=theta_side)
+        integ = sum(self.model.integral_hint(thetas, lo, hi) for lo, hi in self.intervals)
+        vals = term - self.n * (integ - self.measure)
         return np.where(np.isnan(vals), -np.inf, vals)
 
-    def value(self, theta, sample: Sample, events=None, theta_side=0) -> float:
-        return float(self.values(np.array([float(theta)]), sample, events, theta_side)[0])
+    def value(self, theta, theta_side=0) -> float:
+        return float(self.values(np.array([float(theta)]), theta_side)[0])
 
 
 def log_likelihood(model: IntensityModel, theta: float, sample: Sample,
@@ -88,7 +81,7 @@ def log_likelihood(model: IntensityModel, theta: float, sample: Sample,
     iv = model.theta_interval
     if not iv.contains(theta):
         raise DomainError(f"theta={theta} outside [{iv.alpha}, {iv.beta}]")
-    return LikelihoodEvaluator(model, window).value(theta, sample, theta_side=theta_side)
+    return LikelihoodEvaluator(model, sample, window).value(theta, theta_side)
 
 
 def normalized_lr(model: IntensityModel, theta0: float, u: float, rate_exponent: float,
@@ -104,9 +97,8 @@ def normalized_lr(model: IntensityModel, theta0: float, u: float, rate_exponent:
         raise DomainError(
             f"u={u} leaves the local parameter set U_n = [{lo:.6g}, {hi:.6g}]"
         )
-    ev = LikelihoodEvaluator(model, window)
-    events = ev.prepare_events(sample)
-    diff = ev.value(shifted, sample, events) - ev.value(float(theta0), sample, events)
+    ev = LikelihoodEvaluator(model, sample, window)
+    diff = ev.value(shifted) - ev.value(float(theta0))
     return diff if log else float(np.exp(diff))
 
 
@@ -131,33 +123,19 @@ def curve_grid(model: IntensityModel, grid_size: int) -> np.ndarray:
     return grid
 
 
-def split_breaks(model: IntensityModel, events, lo: float, hi: float):
-    """Sample-dependent breakpoints in (lo, hi), split by whether the curve jumps there.
-
-    Returns (jumps, kinks); one of the two is always empty.
-    """
-    br = np.unique(model.event_theta_breakpoints(events))
-    br = br[(br > lo) & (br < hi)]
-    if model.event_breakpoints_are_jumps:
-        return br, np.empty(0)
-    return np.empty(0), br
-
-
 def likelihood_curve(model: IntensityModel, sample: Sample, grid_size: int,
                      window=None) -> LogLikelihoodCurve:
     """log L over a uniform grid with kinks inserted and one-sided jump values."""
     if grid_size < 3:
         raise DomainError(f"grid_size must be >= 3, got {grid_size}")
-    ev = LikelihoodEvaluator(model, window)
-    events = ev.prepare_events(sample)
+    ev = LikelihoodEvaluator(model, sample, window)
     grid = curve_grid(model, grid_size)
-    iv = model.theta_interval
-    breaks = np.union1d(*split_breaks(model, events, iv.alpha, iv.beta))
+    breaks = np.union1d(*ev.breaks)
     full = np.unique(np.concatenate([grid, breaks])) if breaks.size else grid
-    values = ev.values(full, sample, events)
+    values = ev.values(full)
     if breaks.size:
-        left = ev.values(breaks, sample, events, theta_side=-1)
-        right = ev.values(breaks, sample, events, theta_side=+1)
+        left = ev.values(breaks, theta_side=-1)
+        right = ev.values(breaks, theta_side=+1)
     else:
         left = right = np.empty(0)
     return LogLikelihoodCurve(thetas=full, values=values,

@@ -54,7 +54,7 @@ class CuspParams:
             raise ConfigurationError(f"kappa must lie in (0, 1/2), got {self.kappa}")
         if abs(self.hurst - (self.kappa + 0.5)) > 1e-12:
             raise ConfigurationError("hurst must equal kappa + 1/2")
-        if self.gamma_sq <= 0:
+        if not self.gamma_sq > 0:
             raise ConfigurationError("gamma_sq must be positive")
         if self.grid_points > 4001 or self.grid_points < 3 or self.grid_points % 2 == 0:
             raise ConfigurationError("grid_points must be odd and in [3, 4001]")

@@ -84,6 +84,25 @@ ALL_FAIL = {"model": "SUFFWIN_LINEAR", "theta0": 0.5, "window": {"mode": "suffic
     (dict(TINY, estimator={"estimators": ["mle", "mle"]}), [], cli.EXIT_CONFIG),
     (dict(TINY, estimator={"estimators": ["median"]}), [], cli.EXIT_CONFIG),
     (dict(TINY, estimator={"estimators": []}), [], cli.EXIT_CONFIG),
+    # wrong-typed values fail when the scenario is read, before any job runs
+    (dict(TINY, estimator={"prior": [1, 2, 3]}), [], cli.EXIT_CONFIG),
+    (dict(TINY, estimator={"prior": 5}), [], cli.EXIT_CONFIG),
+    (dict(TINY, estimator={"grid_size": "abc"}), [], cli.EXIT_CONFIG),
+    (dict(TINY, estimator={"grid_size": 25.5}), [], cli.EXIT_CONFIG),
+    (dict(TINY, estimator={"zoom_rounds": 2.5}), [], cli.EXIT_CONFIG),
+    (dict(TINY, estimator={"zoom_rounds": -1}), [], cli.EXIT_CONFIG),
+    (dict(TINY, estimator={"estimators": 5}), [], cli.EXIT_CONFIG),
+    (dict(TINY, limit_draws=2.5), [], cli.EXIT_CONFIG),
+    (dict(TINY, limit_draws=0), [], cli.EXIT_CONFIG),
+    (dict(TINY, atom_epsilon="x"), [], cli.EXIT_CONFIG),
+    (dict(TINY, horizon="x"), [], cli.EXIT_CONFIG),
+    (dict(TINY, window={"mode": "optimal", "mu_star": "x"}), [], cli.EXIT_CONFIG),
+    (dict(TINY, true_intensity={"kind": "constant_shift", "h": "x"}), [], cli.EXIT_CONFIG),
+    # the search path is read off the model and the sample, not set
+    (dict(TINY, estimator={"refine": False}), [], cli.EXIT_CONFIG),
+    (dict(TINY, estimator={"localize": True}), [], cli.EXIT_CONFIG),
+    (dict(TINY, estimator=5), [], cli.EXIT_CONFIG),
+    (dict(TINY, window=5), [], cli.EXIT_CONFIG),
 ])
 def test_experiment_exit_codes(tmp_path, capsys, doc, extra, code):
     scenario = write_scenario(tmp_path, doc)
@@ -124,6 +143,11 @@ def test_experiment_rejects_optimal_window_without_mu_star(tmp_path):
     ("boundary", ["I=1", "orientation=0"], cli.EXIT_CONFIG),
     ("cusp", ["kappa=0.25", "gamma_sq=1.5", "grid_points=2001.7"], cli.EXIT_CONFIG),
     ("boundary", ["I=1", "orientation=-1"], cli.EXIT_OK),
+    ("cusp", ["kappa=0.25", "gamma_sq=nan"], cli.EXIT_CONFIG),
+    ("cusp", ["kappa=0.25", "gamma_sq=inf"], cli.EXIT_CONFIG),
+    ("cusp", ["kappa=0.25", "gamma_sq=1.5", "halfwidth=inf"], cli.EXIT_CONFIG),
+    ("jump", ["lam_left=1", "lam_right=2", "halfwidth=inf"], cli.EXIT_CONFIG),
+    ("regular", ["I=inf"], cli.EXIT_CONFIG),
 ])
 def test_limits_set_exit_codes(tmp_path, regime, pairs, code):
     out = tmp_path / "draws.csv"

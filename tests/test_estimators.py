@@ -6,9 +6,10 @@ from scipy import stats
 
 import poislim as pl
 from poislim.errors import CapabilityError, ConfigurationError, PreconditionError
+from poislim import estimators
 from poislim.estimators import EstimatorSettings, bayes, mle, moments_preliminary, two_stage
 from poislim.intensity import ParameterInterval
-from poislim.likelihood import likelihood_curve
+from poislim.likelihood import LikelihoodEvaluator, likelihood_curve
 from poislim.simulate import RngStream, Sample, simulate_sample
 
 
@@ -150,7 +151,7 @@ def test_two_stage_needs_nine():
 def test_two_stage_sufficient_window_improves_on_preliminary():
     sw = pl.make_model("SUFFWIN_LINEAR")  # a=1, b=2
     theta0, n, reps = 0.5, 2500, 500
-    settings = EstimatorSettings(grid_size=1001, localize=True, estimators=("mle",))
+    settings = EstimatorSettings(grid_size=1001, estimators=("mle",))
     better = 0
     n1 = math.isqrt(n)
     for r in range(reps):
@@ -158,6 +159,9 @@ def test_two_stage_sufficient_window_improves_on_preliminary():
         prelim = moments_preliminary(sw, s[:n1])
         final = two_stage(sw, s, settings, stage="sufficient-window")
         win = pl.sufficient_window(prelim.value, n, sw.horizon)
+        # so the final MLE takes the two-pass (localized) search
+        breaks = LikelihoodEvaluator(sw, s[n1:], win).breaks
+        assert sum(b.size for b in breaks) > estimators._LOCALIZE_BREAK_COUNT, r
         assert win.intervals[0][0] <= final.value <= win.intervals[0][1]
         if abs(final.value - theta0) <= abs(prelim.value - theta0):
             better += 1
@@ -189,24 +193,29 @@ def test_disc_fisher_kink_can_return_exact_kink():
     assert hits > 0
 
 
-def test_jump_shift_mle_localized_matches_full():
+def test_jump_shift_mle_localized_matches_full(monkeypatch):
     js = pl.make_model("JUMP_SHIFT")
-    for seed in range(5):
-        s = simulate_sample((js, 0.5), 60, RngStream(20 + seed, 0))
-        full = mle(js, s, EstimatorSettings(grid_size=401, localize=False))
-        local = mle(js, s, EstimatorSettings(grid_size=401, localize=True))
-        assert local.value == pytest.approx(full.value, abs=1e-12), seed
+    settings = EstimatorSettings(grid_size=401)
+    samples = [simulate_sample((js, 0.5), 60, RngStream(20 + seed, 0)) for seed in range(5)]
+    full = []
+    for s in samples:
+        # few enough breakpoints that the default is the one-pass (full) search
+        breaks = LikelihoodEvaluator(js, s).breaks
+        assert sum(b.size for b in breaks) <= estimators._LOCALIZE_BREAK_COUNT
+        full.append(mle(js, s, settings))
+    monkeypatch.setattr(estimators, "_LOCALIZE_BREAK_COUNT", 0)
+    for seed, (s, f) in enumerate(zip(samples, full)):
+        local = mle(js, s, settings)
+        assert local.value == pytest.approx(f.value, abs=1e-12), seed
 
 
 def test_cusp_zoom_refines():
     cusp = pl.make_model("CUSP")
     s = simulate_sample((cusp, 0.5), 400, RngStream(30, 0))
-    coarse = mle(cusp, s, EstimatorSettings(grid_size=257, zoom_rounds=0, refine=False))
-    fine = mle(cusp, s, EstimatorSettings(grid_size=257, zoom_rounds=6, refine=False))
+    coarse = mle(cusp, s, EstimatorSettings(grid_size=257, zoom_rounds=0))
+    fine = mle(cusp, s, EstimatorSettings(grid_size=257, zoom_rounds=6))
     assert fine.objective_at_value >= coarse.objective_at_value - 1e-12
     # the zoomed argmax genuinely dominates a dense-grid scan
-    from poislim.likelihood import LikelihoodEvaluator
-    ev = LikelihoodEvaluator(cusp)
-    events = ev.prepare_events(s)
+    ev = LikelihoodEvaluator(cusp, s)
     dense = np.linspace(cusp.theta_interval.alpha, cusp.theta_interval.beta, 20001)
-    assert fine.objective_at_value >= ev.values(dense, s, events).max() - 1e-6
+    assert fine.objective_at_value >= ev.values(dense).max() - 1e-6

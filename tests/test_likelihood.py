@@ -95,12 +95,10 @@ def _lr_moment_check(model, theta0, u, rate, n, reps, seed):
     phi = float(n) ** (-rate)
     target_sqrt = math.exp(-0.5 * n * pl.hellinger_sq(model, theta0, theta0 + phi * u))
     zs = np.empty(reps)
-    ev = LikelihoodEvaluator(model)
     true_int = pl.TrueIntensity.from_model(model, theta0)
     for r in range(reps):
-        s = simulate_sample(true_int, n, RngStream(seed, r * 1024))
-        events = ev.prepare_events(s)
-        diff = ev.value(theta0 + phi * u, s, events) - ev.value(theta0, s, events)
+        ev = LikelihoodEvaluator(model, simulate_sample(true_int, n, RngStream(seed, r * 1024)))
+        diff = ev.value(theta0 + phi * u) - ev.value(theta0)
         zs[r] = math.exp(diff)
     for vals, target in ((zs, 1.0), (np.sqrt(zs), target_sqrt)):
         se = vals.std(ddof=1) / math.sqrt(reps)

@@ -75,6 +75,8 @@ def test_regime_limit_validation():
         RegimeLimit("regular", 1.5)
     with pytest.raises(Exception):
         RegimeLimit("not-a-regime", 0.5)
+    with pytest.raises(ConfigurationError, match="gamma_sq"):
+        CuspParams(kappa=0.25, hurst=0.75, gamma_sq=float("nan"))
 
 
 def test_regular_sampler_variance():
