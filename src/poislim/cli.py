@@ -72,19 +72,6 @@ def _cmd_experiment(args) -> int:
     return EXIT_OK
 
 
-# required and optional ``limits --set`` keys of each regime with a direct form
-_LIMIT_KEYS = {
-    "regular": ({"I"}, set()),
-    "misspecified": ({"D2"}, set()),
-    "null-fisher": ({"I3"}, set()),
-    "disc-fisher": ({"I_left", "I_right", "corr"}, set()),
-    "boundary": ({"I"}, {"orientation"}),
-    "cusp": ({"kappa", "gamma_sq"}, {"halfwidth", "grid_points"}),
-    "jump": ({"lam_left", "lam_right"}, {"halfwidth"}),
-}
-_POSITIVE_KEYS = {"I", "I3", "I_left", "I_right", "D2", "lam_left", "lam_right", "halfwidth"}
-
-
 def _parse_kv(pairs):
     out = {}
     for pair in pairs or ():
@@ -97,15 +84,12 @@ def _parse_kv(pairs):
             raise ConfigurationError(f"{key}={val!r} is not a number") from None
         if not math.isfinite(out[key]):
             raise ConfigurationError(f"{key} must be finite, got {val}")
-        if key in _POSITIVE_KEYS and not out[key] > 0:
-            raise ConfigurationError(f"{key} must be positive, got {val}")
     return out
 
 
 def _cmd_limits(args) -> int:
     if args.samples < 1:
         raise ConfigurationError(f"--samples must be >= 1, got {args.samples}")
-    params = _parse_kv(args.set)
     if args.scenario:
         scenario = _load_scenario(args.scenario, args)
         model = scenario.build_model()
@@ -114,7 +98,7 @@ def _cmd_limits(args) -> int:
                                     true_intensity=true_int)
         seed = scenario.seed
     else:
-        limit = _limit_from_params(args.regime, params)
+        limit = limits.REGIMES[args.regime].from_set(_parse_kv(args.set))
         seed = args.seed if args.seed is not None else 0
     draws = limits.sample_limit_batch(limit, RngStream(seed, 0), args.which, args.samples)
     with open(args.out, "w", newline="") as fh:
@@ -125,57 +109,14 @@ def _cmd_limits(args) -> int:
     return EXIT_OK
 
 
-def _limit_from_params(regime: str, params: dict) -> limits.RegimeLimit:
-    """Build a RegimeLimit from explicit key=value parameters."""
-    if regime not in _LIMIT_KEYS:
-        raise ConfigurationError(
-            f"regime {regime!r} needs a scenario file (no direct parameter form)")
-    required, optional = _LIMIT_KEYS[regime]
-    missing = sorted(required - set(params))
-    unknown = sorted(set(params) - required - optional)
-    if missing or unknown:
-        raise ConfigurationError(
-            f"regime {regime!r} takes {sorted(required)} and optionally {sorted(optional)}; "
-            f"missing {missing}, unknown {unknown}")
-    if regime == "regular":
-        return limits.RegimeLimit(regime, 0.5, {"fisher_information": params["I"]})
-    if regime == "misspecified":
-        return limits.RegimeLimit(regime, 0.5, {"d_big_sq": params["D2"]})
-    if regime == "null-fisher":
-        return limits.RegimeLimit(regime, 1.0 / 6.0, {"i3": params["I3"]})
-    if regime == "disc-fisher":
-        if not -1.0 <= params["corr"] <= 1.0:
-            raise ConfigurationError(f"corr must lie in [-1, 1], got {params['corr']}")
-        return limits.RegimeLimit(regime, 0.5, {
-            "info_left": params["I_left"], "info_right": params["I_right"],
-            "corr": params["corr"]})
-    if regime == "boundary":
-        orientation = params.get("orientation", 1.0)
-        if orientation not in (1.0, -1.0):
-            raise ConfigurationError(f"orientation must be 1 or -1, got {orientation:g}")
-        return limits.RegimeLimit(regime, 0.5, {
-            "fisher_information": params["I"], "orientation": orientation})
-    if regime == "cusp":
-        kappa = params["kappa"]
-        grid_points = params.get("grid_points", 2001.0)
-        if not grid_points.is_integer():
-            raise ConfigurationError(f"grid_points must be an integer, got {grid_points:g}")
-        return limits.CuspParams(
-            kappa=kappa, hurst=kappa + 0.5, gamma_sq=params["gamma_sq"],
-            grid_halfwidth=params.get("halfwidth", 20.0),
-            grid_points=int(grid_points)).limit()
-    # jump
-    return limits.RegimeLimit(regime, 1.0, {
-        "lam_left": params["lam_left"], "lam_right": params["lam_right"],
-        "u_halfwidth": params.get("halfwidth", 60.0)})
-
-
 def _cmd_windows(args) -> int:
     try:
         params = json.loads(args.params) if args.params else {}
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"--params: invalid JSON ({exc})") from None
     model = make_model(args.model, params=params)
+    if not 0.0 < args.mu_star < model.horizon:
+        raise ConfigurationError(f"--mu-star {args.mu_star} outside (0, {model.horizon:g})")
     win = windows.optimal_window(model, args.theta, args.mu_star)
     doc = {
         "model": args.model, "theta": args.theta, "mu_star": args.mu_star,

@@ -95,7 +95,10 @@ class Scenario:
         object.__setattr__(self, "replicates", _integer(self.replicates, "replicates"))
         object.__setattr__(self, "seed", _integer(self.seed, "seed"))
         object.__setattr__(self, "limit_draws", _integer(self.limit_draws, "limit_draws"))
+        _check_number(self.theta0, "theta0")
         _check_number(self.atom_epsilon, "atom_epsilon")
+        if not self.atom_epsilon > 0:
+            raise ConfigurationError(f"atom_epsilon must be positive, got {self.atom_epsilon!r}")
         if self.horizon is not None:
             _check_number(self.horizon, "horizon")
         if not (isinstance(self.estimator, dict) and isinstance(self.window, dict)
@@ -395,6 +398,9 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> ExperimentReport:
     model = scenario.build_model()
     true_int = scenario.build_true_intensity(model)
     settings = scenario.build_settings()
+    mu_star = scenario.window.get("mu_star")
+    if scenario.window.get("mode") == "optimal" and not 0.0 < mu_star < model.horizon:
+        raise ConfigurationError(f"window.mu_star {mu_star} outside (0, {model.horizon:g})")
     if scenario.long_record:
         for n in scenario.n:
             _long_record(scenario, model, true_int, n)
@@ -404,8 +410,7 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> ExperimentReport:
     if scenario.regime is not None:
         limit = limits.limit_params(scenario.regime, model, scenario.theta0,
                                     true_intensity=true_int)
-        if scenario.regime == "misspecified":
-            target = limit.params["theta_star"]
+        target = limit.target(target)
 
     draw_jobs = ["limits"] if limit is not None else []
     by_size = sorted(range(len(scenario.n)), key=lambda k: -scenario.n[k])
@@ -422,7 +427,6 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> ExperimentReport:
 
     all_rows = []
     rate_exp = limit.rate_exponent if limit is not None else 0.5
-    raw_compare = scenario.regime == "nonidentifiable"
     for k, n in enumerate(scenario.n):
         for r in range(scenario.replicates):
             row = results[(k, r)]
@@ -440,7 +444,7 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> ExperimentReport:
     }
     if limit is not None:
         summary["limit"] = {"regime": limit.regime,
-                            "rate_exponent": limit.rate_exponent, **limit.params}
+                            "rate_exponent": limit.rate_exponent, **asdict(limit)}
     est_summary = {}
     for which in settings.estimators:
         per_n = {}
@@ -464,7 +468,7 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> ExperimentReport:
                 "atom_frequency": float(np.mean(np.abs(norm) < scenario.atom_epsilon)),
             }
             if limit is not None:
-                compare = vals if raw_compare else norm
+                compare = vals if limit.estimate_law else norm
                 entry["ks_statistic"] = ks_two_sample(compare, draws[which])
             per_n[str(n)] = entry
             mses.append(entry["mse"])

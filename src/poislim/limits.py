@@ -1,83 +1,338 @@
 """Limit-law parameters and samplers for each estimation regime.
 
-Each regime's sampler draws from the weak limit of the normalized estimation
-error; the experiments harness compares them against Monte Carlo errors.
-Samplers are pure functions of an RngStream and vectorize over the draw
-count.
+Each regime has one shape (Ibragimov-Khasminskii): a rate n^rate_exponent, a limit
+likelihood-ratio process Z(u), and two functionals of it, argmax Z (the MLE) and
+integral u Z / integral Z (the Bayes estimator).  ``REGIMES`` maps each regime name
+to one frozen ``RegimeLimit`` class whose fields are the sampler parameters: it
+computes them at theta0 (``from_model``) or reads them from ``limits --set`` values
+(``set_keys``; the keys of fields without defaults are required), validates them,
+and ``draw(g, size)`` draws Z once per chunk of draws and yields both functionals.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, dataclass, field
+from typing import ClassVar
 
 import numpy as np
 from scipy import special
 
 from . import analysis
-from .errors import (
-    CapabilityError,
-    ConfigurationError,
-    DomainError,
-    NumericalError,
-    PreconditionError,
-)
-from .intensity import CuspModel, IntensityModel, JumpShiftModel
+from .errors import (CapabilityError, ConfigurationError, DomainError, NumericalError,
+                     PreconditionError)
+from .intensity import CuspModel, JumpShiftModel
 from .simulate import RngStream
 
-__all__ = [
-    "REGIMES",
-    "RegimeLimit",
-    "CuspParams",
-    "limit_params",
-    "sample_limit",
-    "sample_limit_batch",
-    "simulate_fbm",
-]
-
-REGIMES = (
-    "regular", "misspecified", "nonidentifiable", "null-fisher",
-    "disc-fisher", "boundary", "cusp", "jump",
-)
+__all__ = ["REGIMES", "RegimeLimit", "CuspParams", "limit_params", "sample_limit",
+           "sample_limit_batch", "simulate_fbm"]
 
 
 @dataclass(frozen=True)
-class CuspParams:
+class RegimeLimit:
+    """One regime's limit law; subclasses hold its parameters as fields."""
+
+    regime: ClassVar[str]
+    rate_exponent: ClassVar[float]
+    set_keys: ClassVar[dict] = {}  # limits --set key -> field; empty: no direct form
+    signed: ClassVar[tuple] = ()  # the set_keys fields that need not be positive
+    estimate_law: ClassVar[bool] = False  # a law of the estimate, not of the normalized error
+
+    def __post_init__(self):
+        for key, name in self.set_keys.items():
+            if name not in self.signed and not getattr(self, name) > 0:
+                raise ConfigurationError(f"{key} must be positive, got {getattr(self, name):g}")
+
+    def target(self, theta0: float) -> float:  # the value the estimators converge to
+        return theta0
+
+    @classmethod
+    def from_set(cls, values: dict) -> "RegimeLimit":
+        """The limit from ``limits --set`` values keyed as in ``set_keys``."""
+        if not cls.set_keys:
+            raise ConfigurationError(
+                f"regime {cls.regime!r} needs a scenario file (no direct parameter form)")
+        required = {key for key, name in cls.set_keys.items()
+                    if cls.__dataclass_fields__[name].default is MISSING}
+        missing = sorted(required - set(values))
+        unknown = sorted(set(values) - set(cls.set_keys))
+        if missing or unknown:
+            raise ConfigurationError(
+                f"regime {cls.regime!r} takes {sorted(required)} and optionally "
+                f"{sorted(set(cls.set_keys) - required)}; missing {missing}, unknown {unknown}")
+        return cls(**{cls.set_keys[key]: value for key, value in values.items()})
+
+
+@dataclass(frozen=True)
+class RegularParams(RegimeLimit):
+    """Z(u) = exp(u zeta - u^2 I / 2), zeta ~ N(0, I): both limits are N(0, 1/I)."""
+
+    regime, rate_exponent = "regular", 0.5
+    set_keys = {"I": "fisher_information"}
+    fisher_information: float
+
+    @classmethod
+    def from_model(cls, model, theta0, true_intensity, prior_weights):
+        info = analysis.fisher_information(model, theta0)
+        if not info > 0:
+            raise PreconditionError("regular regime needs positive Fisher information")
+        return cls(info)
+
+    def draw(self, g, size):
+        x = g.normal(0.0, math.sqrt(1.0 / self.fisher_information), size)
+        yield slice(None), {"mle": lambda: x, "bayes": lambda: x}
+
+
+@dataclass(frozen=True)
+class MisspecifiedParams(RegimeLimit):
+    """The regular shape around the KL minimizer theta*: both limits are N(0, D^2)."""
+
+    regime, rate_exponent = "misspecified", 0.5
+    set_keys = {"D2": "d_big_sq"}
+    d_big_sq: float
+    theta_star: float | None = None
+    d_star_sq: float | None = None
+    i_star: float | None = None
+
+    @classmethod
+    def from_model(cls, model, theta0, true_intensity, prior_weights):
+        if true_intensity is None:
+            raise PreconditionError("misspecified regime needs the true intensity")
+        ma = analysis.misspec_asymptotics(true_intensity, model)
+        return cls(ma.d_big_sq, ma.theta_star, ma.d_star_sq, ma.i_star)
+
+    def target(self, theta0: float) -> float:
+        return self.theta_star
+
+    def draw(self, g, size):
+        x = g.normal(0.0, math.sqrt(self.d_big_sq), size)
+        yield slice(None), {"mle": lambda: x, "bayes": lambda: x}
+
+
+@dataclass(frozen=True)
+class NonidentParams(RegimeLimit):
+    """Z peaks at each root theta_k, zeta ~ N(0, rho): the MLE is the root of largest |zeta_k|,
+    Bayes the mean of the roots weighted by w_k exp(zeta_k^2 / 2) / sqrt(I_k)."""
+
+    regime, rate_exponent = "nonidentifiable", 0.5
+    estimate_law = True
+    roots: list
+    informations: list
+    rho: list
+    prior_weights: list
+
+    @classmethod
+    def from_model(cls, model, theta0, true_intensity, prior_weights):
+        roots_fn = getattr(model, "nonident_roots", None)
+        if roots_fn is None:
+            raise CapabilityError(f"{model.catalog_id} does not declare coinciding roots")
+        cov = analysis.nonident_covariance(model, roots_fn())
+        weights = np.ones(len(cov.roots)) if prior_weights is None else np.asarray(
+            prior_weights, dtype=float)
+        if weights.shape != (len(cov.roots),) or np.any(weights <= 0):
+            raise ConfigurationError("prior_weights must be positive, one per root")
+        return cls(list(cov.roots), list(cov.informations), cov.rho.tolist(), weights.tolist())
+
+    def draw(self, g, size):
+        roots = np.asarray(self.roots, dtype=float)
+        try:
+            chol = np.linalg.cholesky(np.asarray(self.rho) + 1e-12 * np.eye(roots.size))
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError("root-correlation matrix failed Cholesky") from exc
+        zeta = g.standard_normal((size, roots.size)) @ chol.T
+        yield slice(None), {"mle": lambda: roots[np.argmax(np.abs(zeta), axis=1)],
+                            "bayes": lambda: _nonident_bayes(zeta, roots, self.informations,
+                                                             self.prior_weights)}
+
+
+@dataclass(frozen=True)
+class NullFisherParams(RegimeLimit):
+    """Z(u) = exp(u^3 zeta - u^6 I3 / 2), zeta ~ N(0, I3): the MLE is (zeta / I3)^(1/3)."""
+
+    regime, rate_exponent = "null-fisher", 1.0 / 6.0
+    set_keys = {"I3": "i3"}
+    i3: float
+
+    @classmethod
+    def from_model(cls, model, theta0, true_intensity, prior_weights):
+        i3 = analysis.higher_order_information(model, theta0)
+        if not i3 > 0:
+            raise PreconditionError("null-Fisher regime needs positive third-order information")
+        return cls(i3)
+
+    def draw(self, g, size):
+        i3 = self.i3
+        zeta = g.normal(0.0, math.sqrt(i3), size)
+        yield slice(None), {"mle": lambda: np.cbrt(zeta / i3),
+                            "bayes": lambda: _null_fisher_bayes(zeta, i3)}
+
+
+@dataclass(frozen=True)
+class DiscFisherParams(RegimeLimit):
+    """Z(u) = exp(u z_l sqrt(I_l) - u^2 I_l / 2) for u <= 0, the same with z_r, I_r for u > 0;
+    (z_l, z_r) are standard normals with correlation corr."""
+
+    regime, rate_exponent = "disc-fisher", 0.5
+    set_keys = {"I_left": "info_left", "I_right": "info_right", "corr": "corr"}
+    signed = ("corr",)
+    info_left: float
+    info_right: float
+    corr: float
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not -1.0 <= self.corr <= 1.0:
+            raise ConfigurationError(f"corr must lie in [-1, 1], got {self.corr}")
+
+    @classmethod
+    def from_model(cls, model, theta0, true_intensity, prior_weights):
+        info_l = analysis.fisher_information(model, theta0, side="left")
+        info_r = analysis.fisher_information(model, theta0, side="right")
+        if not (info_l > 0 and info_r > 0):
+            raise PreconditionError("disc-fisher regime needs positive one-sided informations")
+        cross = analysis.integrate(
+            lambda t: (model.dtheta(theta0, t, 1, side="left")
+                       * model.dtheta(theta0, t, 1, side="right") / model.value(theta0, t)),
+            0.0, model.horizon, breakpoints=model.t_breakpoints(theta0))
+        # Cauchy-Schwarz bounds |corr| by 1; the clip only absorbs rounding
+        return cls(info_l, info_r, min(1.0, max(-1.0, cross / math.sqrt(info_l * info_r))))
+
+    def draw(self, g, size):
+        il, ir = self.info_left, self.info_right
+        zl = g.standard_normal(size)
+        zr = self.corr * zl + math.sqrt(max(0.0, 1.0 - self.corr ** 2)) * g.standard_normal(size)
+        yield slice(None), {"mle": lambda: _disc_fisher_mle(zl, zr, il, ir),
+                            "bayes": lambda: _split_gaussian_mean(zl, zr, il, ir)}
+
+
+@dataclass(frozen=True)
+class BoundaryParams(RegimeLimit):
+    """The regular Z(u) on the side of Theta: u >= 0 (orientation 1) or u <= 0 (-1)."""
+
+    regime, rate_exponent = "boundary", 0.5
+    set_keys = {"I": "fisher_information", "orientation": "orientation"}
+    signed = ("orientation",)
+    fisher_information: float
+    orientation: float = 1.0
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.orientation not in (1.0, -1.0):
+            raise ConfigurationError(f"orientation must be 1 or -1, got {self.orientation:g}")
+
+    @classmethod
+    def from_model(cls, model, theta0, true_intensity, prior_weights):
+        iv = model.theta_interval
+        tol = 1e-9 * max(1.0, iv.width)
+        ends = [o for o, end in ((1.0, iv.alpha), (-1.0, iv.beta)) if abs(theta0 - end) <= tol]
+        if not ends:
+            raise PreconditionError(
+                f"boundary regime needs theta0 at an endpoint of ({iv.alpha}, {iv.beta})")
+        info = analysis.fisher_information(model, theta0)
+        if not info > 0:
+            raise PreconditionError("boundary regime needs positive Fisher information")
+        return cls(info, ends[0])
+
+    def draw(self, g, size):
+        info, orient = self.fisher_information, self.orientation
+        zs = g.standard_normal(size)
+        # sqrt(info) * zs is bit-identical to g.normal(0, sqrt(info), size); Bayes
+        # is the mean of N(zs, 1) on v >= 0, zs + phi(zs) / Phi(zs), over sqrt(info)
+        zeta = math.sqrt(info) * zs
+        yield slice(None), {"mle": lambda: orient * np.where(zeta >= 0.0, zeta / info, 0.0),
+                            "bayes": lambda: orient * (zs + _mills(zs)) / math.sqrt(info)}
+
+
+@dataclass(frozen=True)
+class CuspParams(RegimeLimit):
+    """Z(u) = exp(Gamma W(u) - Gamma^2 |u|^2H / 2) on a grid, W two-sided fBm, H = kappa + 1/2."""
+
+    regime = "cusp"
+    set_keys = {"kappa": "kappa", "gamma_sq": "gamma_sq", "halfwidth": "grid_halfwidth",
+                "grid_points": "grid_points"}
     kappa: float
-    hurst: float
+    hurst: float | None = field(default=None, kw_only=True)  # None: kappa + 1/2
     gamma_sq: float
     grid_halfwidth: float = 20.0
     grid_points: int = 2001
 
     def __post_init__(self):
+        if self.hurst is None:
+            object.__setattr__(self, "hurst", self.kappa + 0.5)
+        if not float(self.grid_points).is_integer():
+            raise ConfigurationError(f"grid_points must be an integer, got {self.grid_points:g}")
+        object.__setattr__(self, "grid_points", int(self.grid_points))
         if not (0.0 < self.kappa < 0.5):
             raise ConfigurationError(f"kappa must lie in (0, 1/2), got {self.kappa}")
         if abs(self.hurst - (self.kappa + 0.5)) > 1e-12:
             raise ConfigurationError("hurst must equal kappa + 1/2")
-        if not self.gamma_sq > 0:
-            raise ConfigurationError("gamma_sq must be positive")
         if self.grid_points > 4001 or self.grid_points < 3 or self.grid_points % 2 == 0:
             raise ConfigurationError("grid_points must be odd and in [3, 4001]")
+        super().__post_init__()  # after the range checks, whose messages are more specific
 
-    def limit(self) -> "RegimeLimit":
-        return RegimeLimit("cusp", 1.0 / (2.0 * self.hurst), asdict(self))
+    @property
+    def rate_exponent(self) -> float:
+        return 1.0 / (2.0 * self.hurst)
+
+    @classmethod
+    def from_model(cls, model, theta0, true_intensity, prior_weights):
+        if not isinstance(model, CuspModel):
+            raise CapabilityError("cusp regime is defined for the CUSP family")
+        gamma_sq = cusp_gamma_sq(model.a, model.lam0, model.kappa)
+        return cls(kappa=model.kappa, hurst=model.hurst, gamma_sq=gamma_sq)
+
+    def draw(self, g, size):
+        hurst, gamma_sq = self.hurst, self.gamma_sq
+        u = np.linspace(-self.grid_halfwidth, self.grid_halfwidth, self.grid_points)
+        pen = np.abs(u) ** (2.0 * hurst) * gamma_sq / 2.0
+        chunk = 2048
+        for lo in range(0, size, chunk):
+            log_z = _fbm_batch(hurst, u, g, min(chunk, size - lo))
+            log_z *= math.sqrt(gamma_sq)
+            log_z -= pen
+            yield slice(lo, lo + chunk), {"mle": lambda: u[np.argmax(log_z, axis=1)],
+                                          "bayes": lambda: _grid_posterior_mean(u, log_z)}
 
 
 @dataclass(frozen=True)
-class RegimeLimit:
-    """Regime tag, error-normalization exponent, and sampler parameters."""
+class JumpParams(RegimeLimit):
+    """log Z(u) = log(lam_right / lam_left) N(u) - (lam_right - lam_left) u on |u| <= u_halfwidth,
+    N(u) the signed count of events from 0 to u, at rate lam_left for u > 0, lam_right for u < 0."""
 
-    regime: str
-    rate_exponent: float
-    params: dict = field(default_factory=dict)
+    regime, rate_exponent = "jump", 1.0
+    set_keys = {"lam_left": "lam_left", "lam_right": "lam_right", "halfwidth": "u_halfwidth"}
+    lam_left: float
+    lam_right: float
+    u_halfwidth: float = 60.0
 
-    def __post_init__(self):
-        if self.regime not in REGIMES:
-            raise DomainError(f"unknown regime {self.regime!r}; known: {REGIMES}")
-        if not (0.0 < self.rate_exponent <= 1.0):
-            raise ConfigurationError(
-                f"rate_exponent must lie in (0, 1], got {self.rate_exponent}"
-            )
+    @classmethod
+    def from_model(cls, model, theta0, true_intensity, prior_weights):
+        if not isinstance(model, JumpShiftModel):
+            raise CapabilityError("jump regime is defined for the JUMP_SHIFT family")
+        return cls(*model.jump_values())
+
+    def draw(self, g, size):
+        u_max = self.u_halfwidth
+        log_ratio = math.log(self.lam_right / self.lam_left)
+        drift = self.lam_right - self.lam_left
+        n_plus = g.poisson(self.lam_left * u_max, size)
+        n_minus = g.poisson(self.lam_right * u_max, size)
+        for lo in range(0, size, _JUMP_BLOCK):
+            # one uniform call per block, counts in the order p0, m0, p1, m1, ...: the
+            # same doubles as one call per draw and side, whatever the block size
+            counts = np.stack([n_plus[lo:lo + _JUMP_BLOCK], n_minus[lo:lo + _JUMP_BLOCK]], axis=1)
+            times = g.uniform(0.0, u_max, counts.sum())
+            starts = (np.cumsum(counts) - counts.ravel()).reshape(counts.shape)
+            paths = (_jump_groups(times, starts[:, 0], counts[:, 0]),
+                     _jump_groups(times, starts[:, 1], counts[:, 1]),
+                     log_ratio, drift, u_max, counts.shape[0])
+            yield slice(lo, lo + _JUMP_BLOCK), {"mle": lambda: _jump_mle(*paths),
+                                                "bayes": lambda: _jump_bayes(*paths)}
+
+
+REGIMES = {cls.regime: cls for cls in (
+    RegularParams, MisspecifiedParams, NonidentParams, NullFisherParams,
+    DiscFisherParams, BoundaryParams, CuspParams, JumpParams)}
 
 
 def cusp_gamma_sq(a: float, lam0: float, kappa: float) -> float:
@@ -87,97 +342,11 @@ def cusp_gamma_sq(a: float, lam0: float, kappa: float) -> float:
             / (lam0 * math.cos(math.pi * kappa)))
 
 
-def limit_params(regime: str, model: IntensityModel, theta0: float,
-                 true_intensity=None, prior_weights=None) -> RegimeLimit:
+def limit_params(regime: str, model, theta0: float, true_intensity=None, prior_weights=None):
     """Compute the limit-law parameters of the given regime at theta0."""
     if regime not in REGIMES:
-        raise DomainError(f"unknown regime {regime!r}; known: {REGIMES}")
-    theta0 = float(theta0)
-
-    if regime == "regular":
-        info = analysis.fisher_information(model, theta0)
-        if info <= 0:
-            raise PreconditionError("regular regime needs positive Fisher information")
-        return RegimeLimit(regime, 0.5, {"fisher_information": info})
-
-    if regime == "misspecified":
-        if true_intensity is None:
-            raise PreconditionError("misspecified regime needs the true intensity")
-        ma = analysis.misspec_asymptotics(true_intensity, model)
-        return RegimeLimit(regime, 0.5, {
-            "theta_star": ma.theta_star, "d_star_sq": ma.d_star_sq,
-            "i_star": ma.i_star, "d_big_sq": ma.d_big_sq,
-        })
-
-    if regime == "nonidentifiable":
-        roots_fn = getattr(model, "nonident_roots", None)
-        if roots_fn is None:
-            raise CapabilityError(f"{model.catalog_id} does not declare coinciding roots")
-        cov = analysis.nonident_covariance(model, roots_fn())
-        k = len(cov.roots)
-        weights = np.ones(k) if prior_weights is None else np.asarray(prior_weights, dtype=float)
-        if weights.shape != (k,) or np.any(weights <= 0):
-            raise ConfigurationError("prior_weights must be positive, one per root")
-        return RegimeLimit(regime, 0.5, {
-            "roots": list(cov.roots),
-            "informations": list(cov.informations),
-            "rho": cov.rho.tolist(),
-            "prior_weights": weights.tolist(),
-        })
-
-    if regime == "null-fisher":
-        i3 = analysis.higher_order_information(model, theta0)
-        if i3 <= 0:
-            raise PreconditionError("null-Fisher regime needs positive third-order information")
-        return RegimeLimit(regime, 1.0 / 6.0, {"i3": i3})
-
-    if regime == "disc-fisher":
-        info_l = analysis.fisher_information(model, theta0, side="left")
-        info_r = analysis.fisher_information(model, theta0, side="right")
-
-        def integrand(t):
-            lam = model.value(theta0, t)
-            return (model.dtheta(theta0, t, 1, side="left")
-                    * model.dtheta(theta0, t, 1, side="right") / lam)
-
-        cross = analysis.integrate(integrand, 0.0, model.horizon,
-                                   breakpoints=model.t_breakpoints(theta0))
-        corr = cross / math.sqrt(info_l * info_r)
-        return RegimeLimit(regime, 0.5, {
-            "info_left": info_l, "info_right": info_r, "corr": corr,
-        })
-
-    if regime == "boundary":
-        iv = model.theta_interval
-        tol = 1e-9 * max(1.0, iv.width)
-        if abs(theta0 - iv.alpha) <= tol:
-            orientation = 1.0
-        elif abs(theta0 - iv.beta) <= tol:
-            orientation = -1.0
-        else:
-            raise PreconditionError(
-                f"boundary regime needs theta0 at an endpoint of ({iv.alpha}, {iv.beta})"
-            )
-        info = analysis.fisher_information(model, theta0)
-        if info <= 0:
-            raise PreconditionError("boundary regime needs positive Fisher information")
-        return RegimeLimit(regime, 0.5, {
-            "fisher_information": info, "orientation": orientation,
-        })
-
-    if regime == "cusp":
-        if not isinstance(model, CuspModel):
-            raise CapabilityError("cusp regime is defined for the CUSP family")
-        gamma_sq = cusp_gamma_sq(model.a, model.lam0, model.kappa)
-        return CuspParams(kappa=model.kappa, hurst=model.hurst, gamma_sq=gamma_sq).limit()
-
-    # jump
-    if not isinstance(model, JumpShiftModel):
-        raise CapabilityError("jump regime is defined for the JUMP_SHIFT family")
-    lam_left, lam_right = model.jump_values()
-    return RegimeLimit(regime, 1.0, {
-        "lam_left": lam_left, "lam_right": lam_right, "u_halfwidth": 60.0,
-    })
+        raise DomainError(f"unknown regime {regime!r}; known: {tuple(REGIMES)}")
+    return REGIMES[regime].from_model(model, float(theta0), true_intensity, prior_weights)
 
 
 # ---------------------------------------------------------------------------
@@ -245,12 +414,6 @@ def simulate_fbm(hurst: float, grid, rng: RngStream) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _bivariate_normal(g, corr, size):
-    z1 = g.standard_normal(size)
-    z2 = corr * z1 + math.sqrt(max(0.0, 1.0 - corr ** 2)) * g.standard_normal(size)
-    return z1, z2
-
-
 def _grid_posterior_mean(u, log_z):
     """Numeric integral u Z / integral Z on a uniform grid (batched rows)."""
     m = np.max(log_z, axis=-1, keepdims=True)
@@ -309,70 +472,53 @@ def _jump_mle(plus, minus, log_ratio, drift, u_max, size):
 
 def _segment_integrals(edges, levels, r, m):
     """Per-row sums of the exact integrals of exp(level - m - r*s) and s * same
-    over the segments between consecutive ``edges``."""
+    over the segments between consecutive ``edges``.  Each exponent is taken whole:
+    with m the peak none overflows, as exp(level - m) or exp(-r*s) alone could."""
     a, b = edges[:, :-1], edges[:, 1:]
-    amp = np.exp(levels - m)
     if abs(r) < 1e-14:
+        amp = np.exp(levels - m)
         i0 = amp * (b - a)
         i1 = amp * 0.5 * (b * b - a * a)
     else:
-        ea, eb = np.exp(-r * a), np.exp(-r * b)
-        i0 = amp * (ea - eb) / r
-        i1 = amp * ((a / r + 1.0 / r ** 2) * ea - (b / r + 1.0 / r ** 2) * eb)
+        ea, eb = np.exp(levels - m - r * a), np.exp(levels - m - r * b)
+        i0 = (ea - eb) / r
+        i1 = (a / r + 1.0 / r ** 2) * ea - (b / r + 1.0 / r ** 2) * eb
     return i0.sum(axis=1), i1.sum(axis=1)
 
 
 def _jump_bayes(plus, minus, log_ratio, drift, u_max, size):
-    """integral u Z / integral Z with piecewise-exact segments between jumps.
-
-    Arguments as for ``_jump_mle``.  Each row sum runs over exactly one
-    draw's segments, so it rounds as a 1-D sum over that draw would.
-    """
+    """integral u Z / integral Z with piecewise-exact segments between jumps.  Arguments as
+    for ``_jump_mle``; each row sum runs over one draw's segments, as a 1-D sum would."""
     peak = np.full(size, -np.inf)
     sides = []
     for sign, groups in ((1.0, plus), (-1.0, minus)):
         # positive side: Z(u) = exp(level - drift*u); negative side with
         # s = -u: Z = exp(level + drift*s), and the u-weight flips sign
+        r = sign * drift
         segs = []
         for idx, times in groups:
-            edges = np.empty((idx.size, times.shape[1] + 2))
-            edges[:, 0] = 0.0
-            edges[:, 1:-1] = times
-            edges[:, -1] = u_max
+            ends = np.zeros((idx.size, 1)), np.full((idx.size, 1), u_max)
+            edges = np.concatenate([ends[0], times, ends[1]], axis=1)
             levels = sign * log_ratio * np.arange(times.shape[1] + 1)
-            near = np.minimum if sign > 0 else np.maximum
-            top = np.max(levels - sign * drift * near(edges[:, :-1], edges[:, 1:]), axis=1)
-            peak[idx] = np.maximum(peak[idx], top)
+            # exp(level - r*s) peaks at a segment's left end for r >= 0, else its right end
+            near = edges[:, :-1] if r >= 0 else edges[:, 1:]
+            peak[idx] = np.maximum(peak[idx], np.max(levels - r * near, axis=1))
             segs.append((idx, edges, levels))
-        sides.append((sign * drift, segs))
-    den, num = [], []
-    for r, segs in sides:
-        side_den, side_num = np.empty(size), np.empty(size)
+        sides.append((r, segs))
+    sums = np.empty((2, 2, size))  # (side, mass or first moment, draw)
+    for (r, segs), side in zip(sides, sums):
         for idx, edges, levels in segs:
-            side_den[idx], side_num[idx] = _segment_integrals(edges, levels, r, peak[idx, None])
-        den.append(side_den)
-        num.append(side_num)
-    den = den[0] + den[1]
-    num = num[0] - num[1]
+            side[:, idx] = _segment_integrals(edges, levels, r, peak[idx, None])
+    den = sums[0, 0] + sums[1, 0]
+    num = sums[0, 1] - sums[1, 1]
     if np.any((den <= 0.0) | ~np.isfinite(den)):
         raise NumericalError("jump-limit posterior mass degenerate")
     return num / den
 
 
-def _boundary_inner_integral(zs: np.ndarray) -> np.ndarray:
-    """integral_{-z}^{inf} exp(-(u^2 - z^2)/2) du, by quadrature, chunked."""
-    width = 40.0
-    panels = 2048
-    frac = np.linspace(0.0, 1.0, panels + 1)
-    coeff = analysis._simpson_weights(panels) * ((width / panels) / 3.0)
-    out = np.empty(zs.shape)
-    chunk = 2048
-    for lo in range(0, zs.size, chunk):
-        z = zs[lo:lo + chunk]
-        nodes = (-z)[:, None] + width * frac[None, :]
-        vals = np.exp(0.5 * (z[:, None] ** 2 - nodes ** 2))
-        out[lo:lo + chunk] = vals @ coeff
-    return out
+def _mills(z):
+    """phi(z) / Phi(z), in log space so that it stays finite for every z."""
+    return np.exp(-0.5 * z * z - 0.5 * math.log(2.0 * math.pi) - special.log_ndtr(z))
 
 
 def _null_fisher_bayes(zeta, i3):
@@ -390,40 +536,25 @@ def _null_fisher_bayes(zeta, i3):
 
 
 def _disc_fisher_mle(zl, zr, il, ir):
-    left = zl / math.sqrt(il)
-    right = zr / math.sqrt(ir)
-    return np.where(
-        (zl < 0) & (zr < 0), left,
-        np.where(
-            (zl > 0) & (zr > 0), right,
-            np.where(
-                (zl > 0) & (zr < 0), 0.0,
-                np.where(np.abs(zl) > np.abs(zr), left, right),
-            ),
-        ),
-    )
+    left, right = zl / math.sqrt(il), zr / math.sqrt(ir)
+    return np.select([(zl < 0) & (zr < 0), (zl > 0) & (zr > 0), (zl > 0) & (zr < 0)],
+                     [left, right, 0.0], np.where(np.abs(zl) > np.abs(zr), left, right))
 
 
-def _disc_fisher_bayes(zl, zr, il, ir):
-    hw = 20.0 / math.sqrt(min(il, ir))
-    u = np.linspace(-hw, hw, 2001)
-    neg = u <= 0
-    out = np.empty(zl.size)
-    chunk = 2048
-    for lo in range(0, zl.size, chunk):
-        a = zl[lo:lo + chunk, None]
-        b = zr[lo:lo + chunk, None]
-        log_z = np.where(
-            neg[None, :],
-            u[None, :] * a * math.sqrt(il) - u[None, :] ** 2 * il / 2.0,
-            u[None, :] * b * math.sqrt(ir) - u[None, :] ** 2 * ir / 2.0,
-        )
-        out[lo:lo + chunk] = _grid_posterior_mean(u, log_z)
-    return out
+def _split_gaussian_mean(zl, zr, il, ir):
+    """integral u Z / integral Z for the disc-fisher Z.  With v = u sqrt(I) it is two
+    truncated Gaussians: N(zl, 1) on v <= 0, of mass exp(zl^2/2) Phi(-zl) / sqrt(il) and
+    mean zl - phi(zl)/Phi(-zl), and N(zr, 1) on v > 0, of mass exp(zr^2/2) Phi(zr) / sqrt(ir)
+    and mean zr + phi(zr)/Phi(zr) (a common factor sqrt(2 pi) dropped)."""
+    mean_l = (zl - _mills(-zl)) / math.sqrt(il)
+    mean_r = (zr + _mills(zr)) / math.sqrt(ir)
+    log_ratio = (0.5 * (zl * zl - zr * zr) + special.log_ndtr(-zl) - special.log_ndtr(zr)
+                 + 0.5 * math.log(ir / il))
+    return special.expit(log_ratio) * mean_l + special.expit(-log_ratio) * mean_r
 
 
 def _nonident_bayes(zeta, roots, infos, weights):
-    q = weights * infos ** -0.5 * np.exp(zeta ** 2 / 2.0)
+    q = np.asarray(weights) * np.asarray(infos) ** -0.5 * np.exp(zeta ** 2 / 2.0)
     q /= q.sum(axis=1, keepdims=True)
     return q @ roots
 
@@ -432,12 +563,10 @@ def sample_limit_batch(limit: RegimeLimit, rng: RngStream, which: str | tuple | 
                        size: int) -> np.ndarray:
     """size i.i.d. draws from the limit law of one or more estimators.
 
-    ``which`` is "mle", "bayes" or a list or tuple of distinct names.  A name
-    gives a 1-D array; a sequence gives one row per name.  The MLE and Bayes
-    limits are two functionals (argmax, posterior mean) of one limit
-    likelihood-ratio process, so a sequence draws that process once and
-    applies each functional to it.  Both estimators consume the same variates
-    of the stream, so row k is bit-identical to the call with ``which[k]``.
+    ``which`` is "mle", "bayes" or a list or tuple of distinct names.  A name gives a
+    1-D array; a sequence gives one row per name.  ``limit.draw`` draws the limit
+    process once per chunk and only the requested functionals run on it, so row k is
+    bit-identical to the call with ``which[k]``.
     """
     names = tuple(which) if isinstance(which, (list, tuple)) else (which,)
     if not names or len(set(names)) < len(names) or not set(names) <= {"mle", "bayes"}:
@@ -445,90 +574,10 @@ def sample_limit_batch(limit: RegimeLimit, rng: RngStream, which: str | tuple | 
                               f"ones, got {which!r}")
     if size < 1:
         raise DomainError("size must be >= 1")
-    g = rng.generator()
-    p = limit.params
-    regime = limit.regime
     out = np.empty((len(names), size))
-    whole = slice(None)
-
-    def emit(draws, **functionals):
-        # runs the requested functionals on variates already drawn
+    for draws, functionals in limit.draw(rng.generator(), size):
         for row, name in zip(out, names):
             row[draws] = functionals[name]()
-
-    if regime in ("regular", "misspecified"):
-        var = 1.0 / p["fisher_information"] if regime == "regular" else p["d_big_sq"]
-        x = g.normal(0.0, math.sqrt(var), size)
-        emit(whole, mle=lambda: x, bayes=lambda: x)
-
-    elif regime == "null-fisher":
-        i3 = p["i3"]
-        zeta = g.normal(0.0, math.sqrt(i3), size)
-        emit(whole, mle=lambda: np.cbrt(zeta / i3), bayes=lambda: _null_fisher_bayes(zeta, i3))
-
-    elif regime == "disc-fisher":
-        il, ir = p["info_left"], p["info_right"]
-        zl, zr = _bivariate_normal(g, p["corr"], size)
-        emit(whole, mle=lambda: _disc_fisher_mle(zl, zr, il, ir),
-             bayes=lambda: _disc_fisher_bayes(zl, zr, il, ir))
-
-    elif regime == "boundary":
-        info = p["fisher_information"]
-        orient = p.get("orientation", 1.0)
-        zs = g.standard_normal(size)
-        # sqrt(info) * zs is bit-identical to g.normal(0, sqrt(info), size)
-        zeta = math.sqrt(info) * zs
-        emit(whole, mle=lambda: orient * np.where(zeta >= 0.0, zeta / info, 0.0),
-             bayes=lambda: orient * (zs + 1.0 / _boundary_inner_integral(zs)) / math.sqrt(info))
-
-    elif regime == "jump":
-        lam_left, lam_right = p["lam_left"], p["lam_right"]
-        u_max = p.get("u_halfwidth", 60.0)
-        log_ratio = math.log(lam_right / lam_left)
-        drift = lam_right - lam_left
-        n_plus = g.poisson(lam_left * u_max, size)
-        n_minus = g.poisson(lam_right * u_max, size)
-        for lo in range(0, size, _JUMP_BLOCK):
-            # one uniform call per block with the counts in the order
-            # p0, m0, p1, m1, ...: a Generator yields the same doubles as one
-            # call per draw and side, so the draws do not depend on the block
-            # size and are bit-identical to drawing one limit value at a time
-            counts = np.stack([n_plus[lo:lo + _JUMP_BLOCK], n_minus[lo:lo + _JUMP_BLOCK]], axis=1)
-            times = g.uniform(0.0, u_max, counts.sum())
-            starts = (np.cumsum(counts) - counts.ravel()).reshape(counts.shape)
-            paths = (_jump_groups(times, starts[:, 0], counts[:, 0]),
-                     _jump_groups(times, starts[:, 1], counts[:, 1]),
-                     log_ratio, drift, u_max, counts.shape[0])
-            emit(slice(lo, lo + _JUMP_BLOCK), mle=lambda: _jump_mle(*paths),
-                 bayes=lambda: _jump_bayes(*paths))
-
-    elif regime == "cusp":
-        hurst, gamma_sq = p["hurst"], p["gamma_sq"]
-        gamma = math.sqrt(gamma_sq)
-        u = np.linspace(-p["grid_halfwidth"], p["grid_halfwidth"], p["grid_points"])
-        pen = np.abs(u) ** (2.0 * hurst) * gamma_sq / 2.0
-        chunk = 2048
-        for lo in range(0, size, chunk):
-            log_z = _fbm_batch(hurst, u, g, min(chunk, size - lo))
-            log_z *= gamma
-            log_z -= pen
-            emit(slice(lo, lo + chunk), mle=lambda: u[np.argmax(log_z, axis=1)],
-                 bayes=lambda: _grid_posterior_mean(u, log_z))
-
-    else:  # nonidentifiable
-        roots = np.asarray(p["roots"], dtype=float)
-        infos = np.asarray(p["informations"], dtype=float)
-        rho = np.asarray(p["rho"], dtype=float)
-        weights = np.asarray(p.get("prior_weights", np.ones(roots.size)), dtype=float)
-        jitter = 1e-12 * np.eye(roots.size)
-        try:
-            chol = np.linalg.cholesky(rho + jitter)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError("root-correlation matrix failed Cholesky") from exc
-        zeta = g.standard_normal((size, roots.size)) @ chol.T
-        emit(whole, mle=lambda: roots[np.argmax(np.abs(zeta), axis=1)],
-             bayes=lambda: _nonident_bayes(zeta, roots, infos, weights))
-
     return out if isinstance(which, (list, tuple)) else out[0]
 
 

@@ -103,6 +103,14 @@ ALL_FAIL = {"model": "SUFFWIN_LINEAR", "theta0": 0.5, "window": {"mode": "suffic
     (dict(TINY, estimator={"localize": True}), [], cli.EXIT_CONFIG),
     (dict(TINY, estimator=5), [], cli.EXIT_CONFIG),
     (dict(TINY, window=5), [], cli.EXIT_CONFIG),
+    # values that every replicate would fail on, or that no error can meet, fail at load
+    (dict(TINY, theta0=float("nan")), [], cli.EXIT_CONFIG),
+    (dict(TINY, atom_epsilon=-1), [], cli.EXIT_CONFIG),
+    (dict(TINY, atom_epsilon=0), [], cli.EXIT_CONFIG),
+    ({"model": "WINDOW_SINE", "theta0": 0.3, "window": {"mode": "optimal", "mu_star": 5},
+      "n": [16], "replicates": 2, "seed": 1}, [], cli.EXIT_CONFIG),
+    ({"model": "WINDOW_SINE", "theta0": 0.3, "window": {"mode": "optimal", "mu_star": 0},
+      "n": [16], "replicates": 2, "seed": 1}, [], cli.EXIT_CONFIG),
 ])
 def test_experiment_exit_codes(tmp_path, capsys, doc, extra, code):
     scenario = write_scenario(tmp_path, doc)
@@ -183,15 +191,19 @@ def test_simulate_exit_codes(tmp_path, doc, code):
         assert {int(line.split(",")[0]) for line in lines[1:]} <= set(range(5))
 
 
-@pytest.mark.parametrize("params, code", [
-    (None, cli.EXIT_OK),
-    ("{bad", cli.EXIT_CONFIG),
-    ('{"zz": 1}', cli.EXIT_CONFIG),
-    ("[1]", cli.EXIT_CONFIG),
+@pytest.mark.parametrize("params, mu_star, code", [
+    pytest.param(None, "0.3", cli.EXIT_OK, id="None-0"),
+    pytest.param("{bad", "0.3", cli.EXIT_CONFIG, id="{bad-2"),
+    pytest.param('{"zz": 1}', "0.3", cli.EXIT_CONFIG, id='{"zz": 1}-2'),
+    pytest.param("[1]", "0.3", cli.EXIT_CONFIG, id="[1]-2"),
+    # mu_star must lie in (0, tau); WINDOW_SINE has tau = 1
+    pytest.param(None, "nan", cli.EXIT_CONFIG, id="mu_star=nan-2"),
+    pytest.param(None, "0", cli.EXIT_CONFIG, id="mu_star=0-2"),
+    pytest.param(None, "1", cli.EXIT_CONFIG, id="mu_star=1-2"),
 ])
-def test_windows_exit_codes(tmp_path, params, code):
+def test_windows_exit_codes(tmp_path, params, mu_star, code):
     out = tmp_path / "window.json"
-    argv = ["windows", "--model", "WINDOW_SINE", "--theta", "0.5", "--mu-star", "0.3",
+    argv = ["windows", "--model", "WINDOW_SINE", "--theta", "0.5", "--mu-star", mu_star,
             "--out", str(out)]
     if params is not None:
         argv += ["--params", params]

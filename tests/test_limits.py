@@ -2,15 +2,20 @@ import math
 
 import numpy as np
 import pytest
-from scipy import special, stats
+from scipy import integrate, special
 
 import poislim as pl
 from poislim import limits
-from poislim.errors import CapabilityError, ConfigurationError, PreconditionError
+from poislim.errors import CapabilityError, ConfigurationError, DomainError, PreconditionError
 from poislim.limits import (
     _JUMP_BLOCK,
+    BoundaryParams,
     CuspParams,
-    RegimeLimit,
+    DiscFisherParams,
+    JumpParams,
+    MisspecifiedParams,
+    NullFisherParams,
+    RegularParams,
     _jump_bayes,
     _jump_mle,
     cusp_gamma_sq,
@@ -25,16 +30,16 @@ from poislim.simulate import RngStream
 def test_limit_params_disc_fisher():
     disc = pl.make_model("DISCFI_KINK")
     lim = limit_params("disc-fisher", disc, 1.0)
-    assert lim.params["info_left"] == pytest.approx(0.2, abs=1e-8)
-    assert lim.params["info_right"] == pytest.approx(1.0 / 3.0, abs=1e-8)
-    assert lim.params["corr"] == pytest.approx(math.sqrt(15.0) / 4.0, abs=1e-10)
+    assert lim.info_left == pytest.approx(0.2, abs=1e-8)
+    assert lim.info_right == pytest.approx(1.0 / 3.0, abs=1e-8)
+    assert lim.corr == pytest.approx(math.sqrt(15.0) / 4.0, abs=1e-10)
     assert lim.rate_exponent == 0.5
 
 
 def test_limit_params_null_fisher():
     null = pl.make_model("NULLFI_SINE")
     lim = limit_params("null-fisher", null, 0.0)
-    assert lim.params["i3"] == pytest.approx(0.1, abs=1e-8)
+    assert lim.i3 == pytest.approx(0.1, abs=1e-8)
     assert lim.rate_exponent == pytest.approx(1.0 / 6.0)
 
 
@@ -51,9 +56,9 @@ def test_limit_params_cusp_gamma_vanishes_as_kappa_to_zero():
 def test_limit_params_boundary_requires_endpoint():
     reg = pl.make_model("REGULAR_EXP", theta_interval=(0.5, 1.0))
     lim = limit_params("boundary", reg, 0.5)
-    assert lim.params["orientation"] == 1.0
+    assert lim.orientation == 1.0
     lim2 = limit_params("boundary", reg, 1.0)
-    assert lim2.params["orientation"] == -1.0
+    assert lim2.orientation == -1.0
     with pytest.raises(PreconditionError):
         limit_params("boundary", reg, 0.7)
 
@@ -61,8 +66,8 @@ def test_limit_params_boundary_requires_endpoint():
 def test_limit_params_jump_and_capability():
     js = pl.make_model("JUMP_SHIFT")
     lim = limit_params("jump", js, 0.5)
-    assert lim.params["lam_left"] == pytest.approx(2.5)
-    assert lim.params["lam_right"] == pytest.approx(4.5)
+    assert lim.lam_left == pytest.approx(2.5)
+    assert lim.lam_right == pytest.approx(4.5)
     assert lim.rate_exponent == 1.0
     with pytest.raises(CapabilityError):
         limit_params("jump", pl.make_model("REGULAR_EXP"), 0.5)
@@ -70,24 +75,37 @@ def test_limit_params_jump_and_capability():
         limit_params("nonidentifiable", pl.make_model("REGULAR_EXP"), 0.5)
 
 
+@pytest.mark.parametrize("model, regime, theta0", [
+    ("NULLFI_SINE", "disc-fisher", 0.0),  # both one-sided informations vanish
+    ("REGULAR_EXP", "regular", float("nan")),
+    ("REGULAR_EXP", "null-fisher", float("nan")),
+    ("REGULAR_EXP", "disc-fisher", float("nan")),
+])
+def test_limit_params_rejects_vanishing_or_nan_information(model, regime, theta0):
+    with pytest.raises(PreconditionError):
+        limit_params(regime, pl.make_model(model), theta0)
+
+
 def test_regime_limit_validation():
-    with pytest.raises(ConfigurationError):
-        RegimeLimit("regular", 1.5)
-    with pytest.raises(Exception):
-        RegimeLimit("not-a-regime", 0.5)
+    # the rate exponent is a class constant (cusp: 1/(2H)); each lies in (0, 1]
+    assert all(0.0 < lim.rate_exponent <= 1.0 for lim in _all_regime_limits().values())
+    with pytest.raises(ConfigurationError, match="I must be positive"):
+        RegularParams(fisher_information=-1.0)
+    with pytest.raises(DomainError):
+        limit_params("not-a-regime", pl.make_model("REGULAR_EXP"), 0.5)
     with pytest.raises(ConfigurationError, match="gamma_sq"):
         CuspParams(kappa=0.25, hurst=0.75, gamma_sq=float("nan"))
 
 
 def test_regular_sampler_variance():
-    lim = RegimeLimit("regular", 0.5, {"fisher_information": 4.0})
+    lim = RegularParams(fisher_information=4.0)
     d = sample_limit_batch(lim, RngStream(1, 0), "mle", 100_000)
     assert d.var() == pytest.approx(0.25, abs=0.005)
     assert sample_limit(lim, RngStream(1, 0), "mle") == d[0]
 
 
 def test_boundary_sampler_atom_and_half_normal():
-    lim = RegimeLimit("boundary", 0.5, {"fisher_information": 1.0, "orientation": 1.0})
+    lim = BoundaryParams(fisher_information=1.0, orientation=1.0)
     d = sample_limit_batch(lim, RngStream(2, 0), "mle", 100_000)
     assert np.mean(d == 0.0) == pytest.approx(0.5, abs=0.005)
     nz = d[d > 0]
@@ -96,7 +114,7 @@ def test_boundary_sampler_atom_and_half_normal():
 
 
 def test_boundary_bayes_vs_erfcx_oracle():
-    lim = RegimeLimit("boundary", 0.5, {"fisher_information": 2.0, "orientation": 1.0})
+    lim = BoundaryParams(fisher_information=2.0, orientation=1.0)
     d = sample_limit_batch(lim, RngStream(4, 0), "bayes", 20_000)
     zs = RngStream(4, 0).generator().standard_normal(20_000)
     oracle = (zs + np.sqrt(2.0 / np.pi) / special.erfcx(-zs / np.sqrt(2.0))) / math.sqrt(2.0)
@@ -106,8 +124,7 @@ def test_boundary_bayes_vs_erfcx_oracle():
 
 def test_disc_fisher_sampler_branches():
     rho = math.sqrt(15.0) / 4.0
-    lim = RegimeLimit("disc-fisher", 0.5,
-                      {"info_left": 0.2, "info_right": 1.0 / 3.0, "corr": rho})
+    lim = DiscFisherParams(info_left=0.2, info_right=1.0 / 3.0, corr=rho)
     d = sample_limit_batch(lim, RngStream(5, 0), "mle", 200_000)
     p0 = 0.25 - math.asin(rho) / (2.0 * math.pi)
     # bivariate-normal orthant oracle
@@ -127,8 +144,63 @@ def test_disc_fisher_sampler_branches():
     assert np.all(np.abs(db) <= hw)
 
 
+class _FixedNormals:
+    """Stands in for a Generator: each standard_normal call returns the next given column."""
+
+    def __init__(self, *columns):
+        self.columns = [np.asarray(c, dtype=float) for c in columns]
+
+    def standard_normal(self, size):
+        return self.columns.pop(0)
+
+
+def _posterior_mean_oracle(pieces):
+    """integral u Z / integral Z by quad, Z = exp(log_z) on each (lo, hi, log_z, peak)
+    piece; exponents are shifted by their common maximum so that none overflows."""
+    top = max(log_z(peak) for _, _, log_z, peak in pieces)
+    mass = first = 0.0
+    for lo, hi, log_z, peak in pieces:
+        points = [peak] if lo < peak < hi else None
+        kw = dict(points=points, epsabs=0.0, epsrel=1e-13, limit=200)
+        mass += integrate.quad(lambda u: math.exp(log_z(u) - top), lo, hi, **kw)[0]
+        first += integrate.quad(lambda u: u * math.exp(log_z(u) - top), lo, hi, **kw)[0]
+    return first / mass
+
+
+@pytest.mark.parametrize("z", [-40.0, -35.0, -30.0, -2.0, 0.0, 1.5, 30.0, 35.0, 40.0])
+@pytest.mark.parametrize("info, orientation", [(0.5, 1.0), (2.0, -1.0), (10.0, 1.0)])
+def test_boundary_bayes_closed_form_against_quad(z, info, orientation):
+    # at |z| >= 30 the old 40-wide Simpson grid truncated the mass and exp(z^2/2) overflowed
+    lim = BoundaryParams(fisher_information=info, orientation=orientation)
+    _, functionals = next(lim.draw(_FixedNormals([z]), 1))
+    got = float(functionals["bayes"]()[0])
+    scale = math.sqrt(info)
+    peak = max(z, 0.0) / scale
+    oracle = _posterior_mean_oracle([
+        (0.0, peak + 60.0 / scale, lambda u: u * z * scale - u * u * info / 2.0, peak)])
+    assert math.isfinite(got)
+    assert got == pytest.approx(orientation * oracle, rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("zl, zr", [(0.3, -0.4), (-2.0, 1.5), (1.2, 2.5), (-35.0, -30.0),
+                                    (35.0, -35.0), (-40.0, 40.0), (30.0, 38.0), (-0.5, -40.0)])
+@pytest.mark.parametrize("il, ir", [(0.2, 1.0 / 3.0), (10.0, 0.5)])
+def test_disc_fisher_bayes_closed_form_against_quad(zl, zr, il, ir):
+    # corr = 0 makes the second standard normal z_r exactly
+    lim = DiscFisherParams(info_left=il, info_right=ir, corr=0.0)
+    _, functionals = next(lim.draw(_FixedNormals([zl], [zr]), 1))
+    got = float(functionals["bayes"]()[0])
+    sl, sr = math.sqrt(il), math.sqrt(ir)
+    peak_l, peak_r = min(zl, 0.0) / sl, max(zr, 0.0) / sr
+    oracle = _posterior_mean_oracle([
+        (peak_l - 60.0 / sl, 0.0, lambda u: u * zl * sl - u * u * il / 2.0, peak_l),
+        (0.0, peak_r + 60.0 / sr, lambda u: u * zr * sr - u * u * ir / 2.0, peak_r)])
+    assert math.isfinite(got)
+    assert got == pytest.approx(oracle, rel=1e-9, abs=1e-12)
+
+
 def test_null_fisher_sampler_moments():
-    lim = RegimeLimit("null-fisher", 1.0 / 6.0, {"i3": 0.1})
+    lim = NullFisherParams(i3=0.1)
     d = sample_limit_batch(lim, RngStream(7, 0), "mle", 200_000)
     # E[((zeta/I3)^(1/3))^2] with zeta ~ N(0, I3): closed Gamma-moment form
     i3 = 0.1
@@ -167,15 +239,20 @@ def _jump_mle_one(tp, tm, log_ratio, drift, u_max):
 
 def _jump_seg_sums(edges, levels, r, m):
     a, b = edges[:-1], edges[1:]
-    amp = np.exp(levels - m)
     if abs(r) < 1e-14:
+        amp = np.exp(levels - m)
         i0 = amp * (b - a)
         i1 = amp * 0.5 * (b * b - a * a)
     else:
-        ea, eb = np.exp(-r * a), np.exp(-r * b)
-        i0 = amp * (ea - eb) / r
-        i1 = amp * ((a / r + 1.0 / r ** 2) * ea - (b / r + 1.0 / r ** 2) * eb)
+        ea, eb = np.exp(levels - m - r * a), np.exp(levels - m - r * b)
+        i0 = (ea - eb) / r
+        i1 = (a / r + 1.0 / r ** 2) * ea - (b / r + 1.0 / r ** 2) * eb
     return float(i0.sum()), float(i1.sum())
+
+
+def _jump_seg_peak(edges, levels, r):
+    # exp(level - r*s) is largest at a segment's left end for r >= 0, else its right end
+    return float(np.max(levels - r * (edges[:-1] if r >= 0 else edges[1:])))
 
 
 def _jump_bayes_one(tp, tm, log_ratio, drift, u_max):
@@ -183,21 +260,19 @@ def _jump_bayes_one(tp, tm, log_ratio, drift, u_max):
     levels_p = log_ratio * np.arange(tp.size + 1)
     edges_m = np.concatenate([[0.0], tm, [u_max]])
     levels_m = -log_ratio * np.arange(tm.size + 1)
-    m = max(float(np.max(levels_p - drift * np.minimum(edges_p[:-1], edges_p[1:]))),
-            float(np.max(levels_m + drift * np.maximum(edges_m[:-1], edges_m[1:]))))
+    m = max(_jump_seg_peak(edges_p, levels_p, drift), _jump_seg_peak(edges_m, levels_m, -drift))
     den_p, num_p = _jump_seg_sums(edges_p, levels_p, drift, m)
     den_m, num_m = _jump_seg_sums(edges_m, levels_m, -drift, m)
     return (num_p - num_m) / (den_p + den_m)
 
 
 def _jump_reference(limit, rng, which, size):
-    p = limit.params
     g = rng.generator()
-    u_max = p["u_halfwidth"]
-    log_ratio = math.log(p["lam_right"] / p["lam_left"])
-    drift = p["lam_right"] - p["lam_left"]
-    n_plus = g.poisson(p["lam_left"] * u_max, size)
-    n_minus = g.poisson(p["lam_right"] * u_max, size)
+    u_max = limit.u_halfwidth
+    log_ratio = math.log(limit.lam_right / limit.lam_left)
+    drift = limit.lam_right - limit.lam_left
+    n_plus = g.poisson(limit.lam_left * u_max, size)
+    n_minus = g.poisson(limit.lam_right * u_max, size)
     fn = _jump_mle_one if which == "mle" else _jump_bayes_one
     out = np.empty(size)
     for i in range(size):
@@ -217,7 +292,7 @@ def _jump_one(kernel, tp, tm, log_ratio, drift, u_max):
 @pytest.mark.parametrize("which", ["mle", "bayes"])
 @pytest.mark.parametrize("seed", [1, 7919])
 def test_jump_sampler_matches_per_draw_loop(which, seed):
-    lim = RegimeLimit("jump", 1.0, {"lam_left": 2.5, "lam_right": 4.5, "u_halfwidth": 60.0})
+    lim = JumpParams(lam_left=2.5, lam_right=4.5, u_halfwidth=60.0)
     for size in (1, 5, _JUMP_BLOCK - 1, _JUMP_BLOCK + 1, 8000):
         got = sample_limit_batch(lim, RngStream(seed, size), which, size)
         assert np.array_equal(got, _jump_reference(lim, RngStream(seed, size), which, size)), size
@@ -227,12 +302,20 @@ def test_jump_sampler_matches_per_draw_loop(which, seed):
 def test_jump_sampler_matches_per_draw_loop_few_events(rates):
     # a half-width of 0.4 leaves many sides with no event (count-0 groups);
     # equal rates take the zero-drift branch of the segment integrals
-    lim = RegimeLimit("jump", 1.0, {"lam_left": rates[0], "lam_right": rates[1],
-                                    "u_halfwidth": 0.4})
+    lim = JumpParams(lam_left=rates[0], lam_right=rates[1], u_halfwidth=0.4)
     for which in ("mle", "bayes"):
         got = sample_limit_batch(lim, RngStream(2, 0), which, _JUMP_BLOCK + 1)
         ref = _jump_reference(lim, RngStream(2, 0), which, _JUMP_BLOCK + 1)
         assert np.array_equal(got, ref), which
+
+
+@pytest.mark.parametrize("rates", [(1.0, 2.0), (2.0, 1.0)])
+def test_jump_bayes_finite_at_large_halfwidth(rates):
+    # exp(level - m) and exp(-r*s) taken apart overflowed here, and exit 3 followed
+    lim = JumpParams(lam_left=rates[0], lam_right=rates[1], u_halfwidth=750.0)
+    got = sample_limit_batch(lim, RngStream(4, 0), "bayes", 40)
+    assert np.all(np.isfinite(got))
+    assert np.array_equal(got, _jump_reference(lim, RngStream(4, 0), "bayes", 40))
 
 
 def test_jump_sampler_against_dense_oracle():
@@ -267,8 +350,8 @@ def test_jump_sampler_against_dense_oracle():
 
 def test_jump_sampler_halfwidth_stability():
     base = {"lam_left": 2.5, "lam_right": 4.5}
-    lim1 = RegimeLimit("jump", 1.0, {**base, "u_halfwidth": 60.0})
-    lim2 = RegimeLimit("jump", 1.0, {**base, "u_halfwidth": 120.0})
+    lim1 = JumpParams(**base, u_halfwidth=60.0)
+    lim2 = JumpParams(**base, u_halfwidth=120.0)
     d1 = sample_limit_batch(lim1, RngStream(10, 0), "bayes", 30_000)
     d2 = sample_limit_batch(lim2, RngStream(11, 0), "bayes", 30_000)
     se = math.sqrt(d1.var() / d1.size + d2.var() / d2.size)
@@ -333,7 +416,7 @@ def test_fbm_cholesky_matches_one_line_formula(hurst, monkeypatch):
     # the cusp default grid, and a grid with two repeated nodes: its covariance
     # is singular, so the factor comes from the jittered retry; two forced
     # failures on top of that reach the third jitter level
-    default = np.linspace(-20.0, 20.0, CuspParams(0.25, 0.75, 1.0).grid_points)
+    default = np.linspace(-20.0, 20.0, CuspParams(kappa=0.25, hurst=0.75, gamma_sq=1.0).grid_points)
     repeated = np.concatenate([np.linspace(-3.0, 3.0, 61), [1.0, 2.0]])
     for grid, fails in ((default, 0), (repeated, 0), (repeated, 2)):
         monkeypatch.setattr(limits, "_FBM_CACHE", {})
@@ -352,19 +435,19 @@ def test_fbm_guards():
 
 def test_cusp_sampler_argmax_consistency():
     lim = limit_params("cusp", pl.make_model("CUSP"), 0.5)
-    u = np.linspace(-lim.params["grid_halfwidth"], lim.params["grid_halfwidth"],
-                    lim.params["grid_points"])
-    gamma = math.sqrt(lim.params["gamma_sq"])
-    pen = np.abs(u) ** (2 * lim.params["hurst"]) * lim.params["gamma_sq"] / 2.0
+    u = np.linspace(-lim.grid_halfwidth, lim.grid_halfwidth,
+                    lim.grid_points)
+    gamma = math.sqrt(lim.gamma_sq)
+    pen = np.abs(u) ** (2 * lim.hurst) * lim.gamma_sq / 2.0
     from poislim.limits import _fbm_batch
     g = RngStream(15, 0).generator()
-    w = _fbm_batch(lim.params["hurst"], u, g, 64)
+    w = _fbm_batch(lim.hurst, u, g, 64)
     log_z = gamma * w - pen[None, :]
     # the sampler reproduces exactly this construction given the same stream
     d = sample_limit_batch(lim, RngStream(15, 0), "mle", 64)
     assert np.allclose(d, u[np.argmax(log_z, axis=1)])
     db = sample_limit_batch(lim, RngStream(15, 0), "bayes", 16)
-    assert np.all(np.abs(db) <= lim.params["grid_halfwidth"])
+    assert np.all(np.abs(db) <= lim.grid_halfwidth)
 
 
 def test_nonidentifiable_sampler():
@@ -373,7 +456,7 @@ def test_nonidentifiable_sampler():
     d = sample_limit_batch(lim, RngStream(16, 0), "mle", 50_000)
     assert set(np.unique(d)) <= {1.0, 2.0}
     # frequency of picking root 1 vs |zeta_1| > |zeta_2| oracle
-    rho = np.asarray(lim.params["rho"])
+    rho = np.asarray(lim.rho)
     g = RngStream(55, 0).generator()
     chol = np.linalg.cholesky(rho + 1e-12 * np.eye(2))
     z = g.standard_normal((200_000, 2)) @ chol.T
@@ -384,7 +467,7 @@ def test_nonidentifiable_sampler():
 
 
 def test_unsupported_which():
-    lim = RegimeLimit("regular", 0.5, {"fisher_information": 1.0})
+    lim = RegularParams(fisher_information=1.0)
     with pytest.raises(CapabilityError):
         sample_limit(lim, RngStream(1, 0), "median")
     for which in ((), ("mle", "mle"), ["mle", "median"], ("bayes", "bayes", "mle")):
@@ -394,17 +477,14 @@ def test_unsupported_which():
 
 def _all_regime_limits():
     return {
-        "regular": RegimeLimit("regular", 0.5, {"fisher_information": 2.0}),
-        "misspecified": RegimeLimit("misspecified", 0.5, {"d_big_sq": 0.7}),
-        "null-fisher": RegimeLimit("null-fisher", 1.0 / 6.0, {"i3": 0.3}),
-        "disc-fisher": RegimeLimit("disc-fisher", 0.5, {"info_left": 1.5, "info_right": 0.7,
-                                                        "corr": 0.3}),
-        "boundary": RegimeLimit("boundary", 0.5, {"fisher_information": 2.0,
-                                                  "orientation": -1.0}),
+        "regular": RegularParams(fisher_information=2.0),
+        "misspecified": MisspecifiedParams(d_big_sq=0.7),
+        "null-fisher": NullFisherParams(i3=0.3),
+        "disc-fisher": DiscFisherParams(info_left=1.5, info_right=0.7, corr=0.3),
+        "boundary": BoundaryParams(fisher_information=2.0, orientation=-1.0),
         # a coarser grid than the default keeps the test fast; chunks count draws
-        "cusp": CuspParams(kappa=0.25, hurst=0.75, gamma_sq=0.256, grid_points=401).limit(),
-        "jump": RegimeLimit("jump", 1.0, {"lam_left": 2.5, "lam_right": 4.5,
-                                          "u_halfwidth": 60.0}),
+        "cusp": CuspParams(kappa=0.25, hurst=0.75, gamma_sq=0.256, grid_points=401),
+        "jump": JumpParams(lam_left=2.5, lam_right=4.5, u_halfwidth=60.0),
         "nonidentifiable": limit_params("nonidentifiable", pl.make_model("NONIDENT_FIXED"), 1.0),
     }
 
