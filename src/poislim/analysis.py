@@ -249,10 +249,14 @@ _KL_GRID_PANELS = 16
 
 
 def _simpson_weights(panels):
-    """Unscaled Simpson pattern 1, 4, 2, ..., 4, 1; callers scale by h/3 their own way."""
-    w = np.ones(panels + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
+    """Unscaled Simpson pattern 1, 4, 2, ..., 4, 1 of an even panel count, or the
+    patterns of an array of counts end to end; callers scale by h/3 their own way."""
+    counts = np.atleast_1d(panels)
+    ends = np.cumsum(counts + 1)
+    starts = ends - (counts + 1)
+    i = np.arange(ends[-1]) - np.repeat(starts, counts + 1)
+    w = 2.0 + 2.0 * (i & 1)
+    w[starts] = w[ends - 1] = 1.0
     return w
 
 

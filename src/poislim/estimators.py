@@ -271,14 +271,30 @@ def _prior_weights(settings, nodes):
     return p / np.max(p)
 
 
+def _segment_sums(arrays, starts, lengths):
+    """np.sum(x[s:s + n]) of each 1-D array x over each segment (s, n), as the row
+    sums of one (segments, n) gather per length n: a row sum along the contiguous
+    axis rounds as np.sum of that row."""
+    out = np.empty((len(arrays), starts.size))
+    for n in np.unique(lengths):
+        k = np.flatnonzero(lengths == n)
+        idx = starts[k, None] + np.arange(n)
+        for row, x in zip(out, arrays):
+            row[k] = x[idx].sum(axis=1)
+    return out
+
+
 def bayes(model: IntensityModel, sample: Sample, settings: EstimatorSettings | None = None,
           window=None) -> Estimate:
     """Posterior-mean estimate under the quadratic loss.
 
     Composite Simpson over Theta, split at declared kinks and at the
-    sample-dependent jump and kink breakpoints; the nodes of all segments are
-    evaluated as one array (one-sided values at jumps take one call per side).
-    Log-likelihood values are max-subtracted before exponentiation.
+    sample-dependent jump and kink breakpoints.  The nodes and weights of all
+    segments are built at once, and each distinct (theta, side) is evaluated
+    once: a cut node shared by two segments on side 0 at a kink, on each side
+    (one call per side) at a jump.  Log-likelihood values are max-subtracted
+    before exponentiation; each segment is summed as np.sum sums it, and the
+    segment sums are added in order.
     """
     if sample.n < 1:
         raise PreconditionError("sample must contain at least one trajectory")
@@ -296,31 +312,41 @@ def bayes(model: IntensityModel, sample: Sample, settings: EstimatorSettings | N
     edges = np.concatenate([[iv.alpha], cuts, [iv.beta]])
     shares = np.maximum(4, (settings.bayes_panels * np.diff(edges) / iv.width).astype(int))
     shares += shares % 2
-    # one node array: segment k holds nodes[starts[k]:ends[k]], cut nodes appear twice
-    segments = list(zip(edges[:-1], edges[1:], shares))
-    nodes = np.concatenate([np.linspace(a, b, p + 1) for a, b, p in segments])
-    coeff = np.concatenate([_simpson_weights(p) / 3.0 * ((b - a) / p) for a, b, p in segments])
+    # segment k holds nodes[starts[k]:ends[k]], i * step + a for i = 0..p with the
+    # last node b, as np.linspace(a, b, p + 1) makes them; a cut node is the last
+    # node of one segment and the first of the next
     ends = np.cumsum(shares + 1)
     starts = ends - (shares + 1)
+    step = np.repeat(np.diff(edges) / shares, shares + 1)
+    nodes = (np.arange(ends[-1]) - np.repeat(starts, shares + 1)) * step
+    nodes += np.repeat(edges[:-1], shares + 1)
+    nodes[ends - 1] = edges[1:]
+    coeff = _simpson_weights(shares) / 3.0 * step
 
-    vals = ev.values(nodes)
+    # each distinct (theta, side) once.  Cut c is node left[c], the last of the
+    # segment before it, and node right[c], the first after it: one side-0 value
+    # at a kink, the left and the right limit at a jump
+    left, right = ends[:-1] - 1, starts[1:]
+    at_jump = np.zeros(cuts.size, dtype=bool)
+    at_jump[np.searchsorted(cuts, jump_breaks)] = True
+    own = np.ones(nodes.size, dtype=bool)
+    own[right] = own[left[at_jump]] = False
+    vals = np.empty(nodes.size)
+    vals[own] = ev.values(nodes[own])
+    vals[right] = vals[left]
     if jump_breaks.size:
-        # a segment starts right of a jump and ends left of one
-        first = starts[np.isin(edges[:-1], jump_breaks)]
-        last = ends[np.isin(edges[1:], jump_breaks)] - 1
-        vals[first] = ev.values(nodes[first], theta_side=+1)
-        vals[last] = ev.values(nodes[last], theta_side=-1)
+        vals[left[at_jump]] = ev.values(jump_breaks, theta_side=-1)
+        vals[right[at_jump]] = ev.values(jump_breaks, theta_side=+1)
     max_ll = float(np.max(vals, where=np.isfinite(vals), initial=-np.inf))
     if not np.isfinite(max_ll):
         raise EstimationError("log-likelihood is -inf over the whole parameter grid")
 
     w = np.exp(vals - max_ll) * _prior_weights(settings, nodes)
     mass, moment = w * coeff, w * nodes * coeff
-    # summed per segment, in segment order: np.add.reduceat rounds differently
-    num = den = 0.0
-    for lo, hi in zip(starts, ends):
-        den += float(np.sum(mass[lo:hi]))
-        num += float(np.sum(moment[lo:hi]))
+    # np.sum per segment, added up in segment order (np.add.reduceat rounds
+    # differently); + 0.0: a left fold from 0.0 never ends on -0.0
+    sums = _segment_sums((mass, moment), starts, shares + 1)
+    den, num = np.cumsum(sums, axis=1)[:, -1] + 0.0
 
     if den <= 0.0 or not np.isfinite(den):
         raise EstimationError(

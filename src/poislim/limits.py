@@ -286,12 +286,17 @@ class CuspParams(RegimeLimit):
         u = np.linspace(-self.grid_halfwidth, self.grid_halfwidth, self.grid_points)
         pen = np.abs(u) ** (2.0 * hurst) * gamma_sq / 2.0
         chunk = 2048
+        # two buffers serve every chunk: bufs[1] holds log Z, bufs[0] the normals,
+        # which are spent once _fbm_batch returns, so it is then the posterior's scratch
+        bufs = np.empty(min(chunk, size) * u.size), np.empty(min(chunk, size) * u.size)
         for lo in range(0, size, chunk):
-            log_z = _fbm_batch(hurst, u, g, min(chunk, size - lo))
+            log_z = _fbm_batch(hurst, u, g, min(chunk, size - lo), bufs)
             log_z *= math.sqrt(gamma_sq)
             log_z -= pen
-            yield slice(lo, lo + chunk), {"mle": lambda: u[np.argmax(log_z, axis=1)],
-                                          "bayes": lambda: _grid_posterior_mean(u, log_z)}
+            scratch = bufs[0][:log_z.size].reshape(log_z.shape)
+            yield slice(lo, lo + chunk), {
+                "mle": lambda: u[np.argmax(log_z, axis=1)],
+                "bayes": lambda: _grid_posterior_mean(u, log_z, scratch)}
 
 
 @dataclass(frozen=True)
@@ -387,12 +392,28 @@ def _fbm_cholesky(hurst: float, grid: np.ndarray) -> np.ndarray:
     return chol
 
 
-def _fbm_batch(hurst: float, grid: np.ndarray, g: np.random.Generator, size: int) -> np.ndarray:
-    """size paths of two-sided fBm on the grid; W(0)=0 exactly."""
+def _fbm_batch(hurst: float, grid: np.ndarray, g: np.random.Generator, size: int,
+               bufs=None) -> np.ndarray:
+    """size paths of two-sided fBm on the grid, one per row; W(0)=0 exactly.
+
+    The paths are L z for the lower Cholesky factor L, taken as one in-place
+    triangular product (BLAS trmm: half the multiply-adds of a dense one) in
+    the normals' own buffer.  ``bufs``, two flat float arrays of at least
+    size * grid.size elements, hold the normals and the paths, so that a caller
+    drawing chunk after chunk maps and faults its arrays in only once;
+    the paths are then a view of ``bufs[1]``.
+    """
+    # imported here: scipy.linalg at module level adds about 5.5 MiB to every process
+    from scipy.linalg.blas import dtrmm
+
     chol = _fbm_cholesky(hurst, grid)
-    z = g.standard_normal((chol.shape[0], size))
-    w = (chol @ z).T  # (size, nonzero nodes)
-    out = np.empty((size, grid.size))
+    m = chol.shape[0]
+    if bufs is None:
+        bufs = np.empty(m * size), np.empty(grid.size * size)
+    z = g.standard_normal((m, size), out=bufs[0][:m * size].reshape(m, size))
+    # z.T L^T = (L z)^T, written over z.T
+    w = dtrmm(1.0, chol.T, z.T, side=1, lower=0, overwrite_b=1)
+    out = bufs[1][:grid.size * size].reshape(size, grid.size)
     nz = grid != 0.0
     out[:, nz] = w
     out[:, ~nz] = 0.0
@@ -414,10 +435,12 @@ def simulate_fbm(hurst: float, grid, rng: RngStream) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _grid_posterior_mean(u, log_z):
-    """Numeric integral u Z / integral Z on a uniform grid (batched rows)."""
+def _grid_posterior_mean(u, log_z, scratch=None):
+    """Numeric integral u Z / integral Z on a uniform grid (batched rows).  Z / max Z
+    is formed in ``scratch`` (an array shaped like log_z; None: a new one)."""
     m = np.max(log_z, axis=-1, keepdims=True)
-    w = np.exp(log_z - m)
+    w = np.subtract(log_z, m, out=scratch)
+    np.exp(w, out=w)
     coeff = analysis._simpson_weights(u.size - 1) * ((u[1] - u[0]) / 3.0)
     den = w @ coeff
     num = w @ (coeff * u)

@@ -100,6 +100,95 @@ def test_bayes_nonuniform_prior_against_dense_oracle(family):
     assert est.value == pytest.approx(oracle, abs=1e-4)
 
 
+def _bayes_reference(model, sample, settings, window=None):
+    """The posterior mean segment by segment: one np.linspace, Simpson pattern and
+    values call per segment, the nodes at a jump cut evaluated again one-sided."""
+    iv = model.theta_interval
+    ev = LikelihoodEvaluator(model, sample, window)
+    jump_breaks, kink_breaks = ev.breaks
+    cuts = np.unique(np.concatenate([
+        jump_breaks, kink_breaks,
+        np.array([k for k in model.theta_kinks if iv.alpha < k < iv.beta]),
+    ]))
+    edges = np.concatenate([[iv.alpha], cuts, [iv.beta]])
+    shares = np.maximum(4, (settings.bayes_panels * np.diff(edges) / iv.width).astype(int))
+    shares += shares % 2
+    segments = []
+    for a, b, p in zip(edges[:-1], edges[1:], shares):
+        nodes = np.linspace(a, b, p + 1)
+        vals = ev.values(nodes)
+        if a in jump_breaks:
+            vals[0] = ev.value(a, theta_side=+1)
+        if b in jump_breaks:
+            vals[-1] = ev.value(b, theta_side=-1)
+        pattern = np.ones(p + 1)
+        pattern[1:-1:2], pattern[2:-1:2] = 4.0, 2.0
+        coeff = pattern / 3.0 * ((b - a) / p)
+        segments.append((nodes, vals, coeff))
+    max_ll = max(float(np.max(v)) for _, v, _ in segments)
+    # the prior is normalized by its maximum over all nodes
+    prior = np.split(estimators._prior_weights(settings, np.concatenate(
+        [nodes for nodes, _, _ in segments])), np.cumsum(shares + 1)[:-1])
+    num = den = 0.0
+    for (nodes, vals, coeff), p in zip(segments, prior):
+        w = np.exp(vals - max_ll) * p
+        mass, moment = w * coeff, w * nodes * coeff
+        den += float(np.sum(mass))
+        num += float(np.sum(moment))
+    return estimators._clamp(num / den, iv)
+
+
+DEFAULT = EstimatorSettings()
+
+
+def _bayes_oracle_cases():
+    cusp = pl.make_model("CUSP")
+    iv = cusp.theta_interval
+    grid = np.linspace(iv.alpha, iv.beta, 5)
+    tilted = EstimatorSettings(prior=(grid, np.exp(8.0 * (grid - iv.alpha) / iv.width)))
+    jump = pl.make_model("JUMP_SHIFT")
+    return [
+        ("CUSP", cusp, 40, DEFAULT, None),
+        ("CUSP prior", cusp, 40, tilted, None),
+        ("JUMP_SHIFT", jump, 60, DEFAULT, None),
+        ("JUMP_SHIFT window", jump, 60, DEFAULT,
+         [(0.0, 0.3 * jump.horizon), (0.45 * jump.horizon, 0.8 * jump.horizon)]),
+        ("CHANGEPOINT", pl.make_model("CHANGEPOINT"), 40, DEFAULT, None),
+        ("DISCFI_KINK", pl.make_model("DISCFI_KINK"), 40, DEFAULT, None),
+        ("FREQ_MOD_DISC", pl.make_model("FREQ_MOD_DISC"), 3, DEFAULT, None),
+        ("PHASE_MOD_DISC", pl.make_model("PHASE_MOD_DISC"), 20, DEFAULT, None),
+    ]
+
+
+@pytest.mark.parametrize("case", range(len(_bayes_oracle_cases())))
+def test_bayes_matches_per_segment_reference(case, monkeypatch):
+    # the one-pass node layout, its single evaluation of each (theta, side) and its
+    # grouped segment sums reproduce the per-segment loop bit for bit
+    name, model, n, settings, window = _bayes_oracle_cases()[case]
+    iv = model.theta_interval
+    s = simulate_sample((model, iv.alpha + 0.4 * iv.width), n, RngStream(21, case))
+    expected = _bayes_reference(model, s, settings, window)
+    seen = {-1: [], 0: [], 1: []}
+    values = LikelihoodEvaluator.values
+
+    def counted(self, thetas, theta_side=0):
+        seen[theta_side].append(np.atleast_1d(thetas))
+        return values(self, thetas, theta_side)
+
+    monkeypatch.setattr(LikelihoodEvaluator, "values", counted)
+    est = bayes(model, s, settings, window)
+    assert est.value == expected, name
+    # every case cuts Theta: at sample breakpoints, or at DISCFI_KINK's declared kink
+    jumps, kinks = LikelihoodEvaluator(model, s, window).breaks
+    assert jumps.size or kinks.size or model.theta_kinks
+    thetas = {side: np.concatenate(calls or [np.empty(0)]) for side, calls in seen.items()}
+    for side, th in thetas.items():
+        assert np.unique(th).size == th.size, (name, side)
+    # one-sided values at the jump cuts only, and none on side 0 there
+    assert np.array_equal(thetas[-1], jumps) and np.array_equal(thetas[1], jumps), name
+    assert not np.isin(jumps, thetas[0]).any(), name
+
+
 def test_bayes_prior_must_be_positive():
     grid = np.linspace(0.1, 10.0, 8)
     dens = np.ones(8)

@@ -426,6 +426,77 @@ def test_fbm_cholesky_matches_one_line_formula(hurst, monkeypatch):
         assert np.array_equal(got, _fbm_cholesky_reference(hurst, grid)), fails
 
 
+def _fbm_dense(hurst, grid, g, size):
+    """fBm paths as the dense product (L z)^T, scattered around the zero node."""
+    chol = limits._fbm_cholesky(hurst, grid)
+    z = g.standard_normal((chol.shape[0], size))
+    out = np.zeros((size, grid.size))
+    out[:, grid != 0.0] = (chol @ z).T
+    return out
+
+
+def _grid_posterior_mean_reference(u, log_z):
+    m = np.max(log_z, axis=-1, keepdims=True)
+    w = np.exp(log_z - m)
+    coeff = limits.analysis._simpson_weights(u.size - 1) * ((u[1] - u[0]) / 3.0)
+    return (w @ (coeff * u)) / (w @ coeff)
+
+
+@pytest.mark.parametrize("grid", [
+    np.linspace(-3.0, 3.0, 61),                      # zero in the middle
+    np.linspace(0.0, 3.0, 31),                       # zero at the left end
+    np.linspace(-3.0, 0.0, 31),                      # zero at the right end
+    np.linspace(0.1, 3.0, 30),                       # no zero node
+    np.array([-2.0, -0.5, 0.0, 0.25, 1.0, 2.5]),     # not uniform
+], ids=["middle", "left", "right", "absent", "uneven"])
+def test_fbm_triangular_product_matches_dense(grid):
+    zero = grid == 0.0
+    for hurst in (0.55, 0.9):
+        for size in (1, 300):
+            want = _fbm_dense(hurst, grid, RngStream(31, size).generator(), size)
+            got = limits._fbm_batch(hurst, grid, RngStream(31, size).generator(), size)
+            assert got.shape == want.shape == (size, grid.size)
+            assert np.all(got[:, zero] == 0.0)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        # reused buffers, larger than the chunk, across two chunks of one stream
+        g, g_ref = RngStream(32, 0).generator(), RngStream(32, 0).generator()
+        bufs = np.full(500 * grid.size, np.nan), np.full(500 * grid.size, np.nan)
+        for size in (400, 123):
+            got = limits._fbm_batch(hurst, grid, g, size, bufs)
+            assert np.shares_memory(got, bufs[1])
+            np.testing.assert_allclose(got, _fbm_dense(hurst, grid, g_ref, size), rtol=0,
+                                       atol=1e-12)
+
+
+def test_cusp_draws_match_dense_product():
+    lim = limit_params("cusp", pl.make_model("CUSP"), 0.5)
+    u = np.linspace(-lim.grid_halfwidth, lim.grid_halfwidth, lim.grid_points)
+    pen = np.abs(u) ** (2.0 * lim.hurst) * lim.gamma_sq / 2.0
+    for size in (1, 2049):  # 2,049 draws cross the 2,048-draw chunk boundary
+        g = RngStream(33, size).generator()
+        mle, bayes = [], []
+        for lo in range(0, size, 2048):
+            log_z = _fbm_dense(lim.hurst, u, g, min(2048, size - lo)) * math.sqrt(lim.gamma_sq)
+            log_z -= pen
+            mle.append(u[np.argmax(log_z, axis=1)])
+            bayes.append(_grid_posterior_mean_reference(u, log_z))
+        got = sample_limit_batch(lim, RngStream(33, size), ("mle", "bayes"), size)
+        assert np.array_equal(got[0], np.concatenate(mle))
+        np.testing.assert_allclose(got[1], np.concatenate(bayes), rtol=0, atol=1e-12)
+
+
+def test_null_fisher_bayes_matches_fresh_temporaries():
+    # the posterior mean forms exp(log Z - max) in one scratch array: same bits
+    lim = NullFisherParams(i3=0.3)
+    zeta = RngStream(34, 0).generator().normal(0.0, math.sqrt(lim.i3), 5000)
+    v = np.linspace(-8.0, 8.0, 1601)
+    zs = zeta[:, None] / math.sqrt(lim.i3)
+    want = np.concatenate([
+        _grid_posterior_mean_reference(v, v ** 3 * zs[lo:lo + 4096] - v ** 6 / 2.0)
+        for lo in range(0, zeta.size, 4096)]) / lim.i3 ** (1.0 / 6.0)
+    assert np.array_equal(sample_limit_batch(lim, RngStream(34, 0), "bayes", 5000), want)
+
+
 def test_fbm_guards():
     with pytest.raises(Exception):
         simulate_fbm(1.5, np.linspace(-1, 1, 11), RngStream(1, 0))
