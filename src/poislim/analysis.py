@@ -6,6 +6,7 @@ never straddles a discontinuity; everything here is pure and reentrant.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -46,59 +47,90 @@ _MIN_PANELS = 4096
 _PANELS_PER_UNIT = 64
 
 
-def _segment_panels(lengths, total_panels):
-    """Spread a panel budget over segments, even count >= 16 each."""
-    lengths = np.asarray(lengths, dtype=float)
-    total = lengths.sum()
-    if total <= 0:
-        return [16] * len(lengths)
-    out = []
-    for ln in lengths:
-        p = int(round(total_panels * ln / total))
-        p = max(16, p + (p % 2))
-        out.append(p)
+def _simpson_weights(panels):
+    """Unscaled Simpson pattern 1, 4, 2, ..., 4, 1 of an even panel count, or the
+    patterns of an array of counts end to end; callers scale by h/3 their own way."""
+    counts = np.atleast_1d(panels)
+    ends = np.cumsum(counts + 1)
+    starts = ends - (counts + 1)
+    i = np.arange(ends[-1]) - np.repeat(starts, counts + 1)
+    w = 2.0 + 2.0 * (i & 1)
+    w[starts] = w[ends - 1] = 1.0
+    return w
+
+
+def _panel_counts(edges, budget, minimum):
+    """Even panel count of each segment between sorted ``edges``: its length's
+    share of ``budget``, floored, at least ``minimum`` (even), rounded up to even."""
+    shares = np.maximum(minimum, (budget * np.diff(edges) / (edges[-1] - edges[0])).astype(int))
+    shares += shares % 2
+    return shares
+
+
+def _simpson_layout(lo, hi, panels):
+    """Composite-Simpson nodes and weights of the segments [lo[k], hi[k]], end to end.
+
+    Segment k holds nodes[starts[k]:starts[k] + panels[k] + 1], i * step + lo[k]
+    for i = 0..panels[k] with the last node hi[k], as np.linspace makes them, so a
+    cut node is the last node of one segment and the first of the next.  coeff
+    holds the Simpson weights times step / 3.
+    """
+    counts = panels + 1
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    step = np.repeat((hi - lo) / panels, counts)
+    nodes = (np.arange(ends[-1]) - np.repeat(starts, counts)) * step
+    nodes += np.repeat(lo, counts)
+    nodes[ends - 1] = hi
+    return nodes, _simpson_weights(panels) / 3.0 * step, starts
+
+
+def segment_sums(arrays, starts, lengths):
+    """np.sum(x[s:s + n]) of each 1-D array x over each segment (s, n), as the row
+    sums of one (segments, n) gather per length n: a row sum along the contiguous
+    axis rounds as np.sum of that row."""
+    out = np.empty((len(arrays), starts.size))
+    for n in np.unique(lengths):
+        k = np.flatnonzero(lengths == n)
+        idx = starts[k, None] + np.arange(n)
+        for row, x in zip(out, arrays):
+            row[k] = x[idx].sum(axis=1)
     return out
 
 
 _EDGE_NUDGE = 1e-12
 
 
-def _edge_nudge(a, b):
-    """Inward shift of the endpoints of segments [a, b] (elementwise).
+def _nudge_ends(nodes, starts, panels, lo, hi):
+    """Shift the end nodes of the laid-out segments [lo, hi] inward, in place.
 
     Segments are split exactly at declared discontinuities; evaluating the
     endpoints a hair inside keeps every node on this segment's branch.  A few
     ulps floor the shift, which short segments would otherwise round away.
     """
-    floor = 4.0 * np.finfo(float).eps * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
-    return np.minimum(np.maximum(_EDGE_NUDGE * (b - a), floor), 0.25 * (b - a))
-
-
-def _simpson_segment(fn, a, b, panels):
-    x = np.linspace(a, b, panels + 1)
-    nudge = _edge_nudge(a, b)
-    x[0] += nudge
-    x[-1] -= nudge
-    y = np.asarray(fn(x), dtype=float)
-    h = (b - a) / panels
-    return (h / 3.0) * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum())
+    floor = 4.0 * np.finfo(float).eps * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
+    nudge = np.minimum(np.maximum(_EDGE_NUDGE * (hi - lo), floor), 0.25 * (hi - lo))
+    nodes[starts] += nudge
+    nodes[starts + panels] -= nudge
 
 
 def integrate(fn, a: float, b: float, breakpoints=()) -> float:
-    """Integral of ``fn`` over [a, b], split at interior breakpoints."""
+    """Integral of ``fn`` over [a, b], split at interior breakpoints.
+
+    ``fn`` is called once, on the nodes of every segment.
+    """
     a, b = float(a), float(b)
     if b < a:
         raise DomainError(f"integration bounds reversed: [{a}, {b}]")
     if b == a:
         return 0.0
-    cuts = sorted({float(c) for c in breakpoints if a < c < b})
-    edges = [a, *cuts, b]
-    lengths = np.diff(edges)
-    panels = max(_MIN_PANELS, _PANELS_PER_UNIT * math.ceil(b - a))
-    total = 0.0
-    for (lo, hi), p in zip(zip(edges[:-1], edges[1:]), _segment_panels(lengths, panels)):
-        total += _simpson_segment(fn, lo, hi, p)
-    return total
+    edges = np.array([a, *sorted({float(c) for c in breakpoints if a < c < b}), b])
+    budget = max(_MIN_PANELS, _PANELS_PER_UNIT * math.ceil(b - a))
+    lo, hi = edges[:-1], edges[1:]
+    panels = _panel_counts(edges, budget, 16)
+    nodes, coeff, starts = _simpson_layout(lo, hi, panels)
+    _nudge_ends(nodes, starts, panels, lo, hi)
+    return float(np.sum(np.asarray(fn(nodes), dtype=float) * coeff))
 
 
 def _window_intervals(window, horizon: float):
@@ -167,8 +199,8 @@ def _guard_positive(vals, what: str):
     return vals
 
 
-def fisher_information(model: IntensityModel, theta: float, window=None, side=None) -> float:
-    """integral of (d_theta lambda)^2 / lambda over the window (default [0, tau])."""
+def fisher_integrand(model: IntensityModel, theta: float, side=None):
+    """t -> (d_theta lambda)^2 / lambda at theta; SingularityError where lambda vanishes."""
     theta = float(theta)
 
     def integrand(t):
@@ -176,8 +208,13 @@ def fisher_information(model: IntensityModel, theta: float, window=None, side=No
         dot = model.dtheta(theta, t, 1, side=side)
         return dot * dot / lam
 
-    breaks = model.t_breakpoints(theta)
-    return integrate_window(integrand, window, model.horizon, breakpoints=breaks)
+    return integrand
+
+
+def fisher_information(model: IntensityModel, theta: float, window=None, side=None) -> float:
+    """integral of (d_theta lambda)^2 / lambda over the window (default [0, tau])."""
+    return integrate_window(fisher_integrand(model, theta, side), window, model.horizon,
+                            breakpoints=model.t_breakpoints(float(theta)))
 
 
 def higher_order_information(model: IntensityModel, theta: float, order: int = 3) -> float:
@@ -245,68 +282,49 @@ def kl_objective(true_intensity: TrueIntensity, model: IntensityModel, theta: fl
     return integrate(integrand, 0.0, model.horizon, breakpoints=breaks)
 
 
+# every segment of every theta gets 16 panels; a block holds the segments of
+# as many whole thetas as fit in _KL_BLOCK_NODES nodes, or of one theta
 _KL_GRID_PANELS = 16
-
-
-def _simpson_weights(panels):
-    """Unscaled Simpson pattern 1, 4, 2, ..., 4, 1 of an even panel count, or the
-    patterns of an array of counts end to end; callers scale by h/3 their own way."""
-    counts = np.atleast_1d(panels)
-    ends = np.cumsum(counts + 1)
-    starts = ends - (counts + 1)
-    i = np.arange(ends[-1]) - np.repeat(starts, counts + 1)
-    w = 2.0 + 2.0 * (i & 1)
-    w[starts] = w[ends - 1] = 1.0
-    return w
+_KL_BLOCK_NODES = 1 << 15
 
 
 def kl_objective_grid(true_intensity: TrueIntensity, model: IntensityModel,
                       thetas: np.ndarray) -> np.ndarray:
     """Vectorized KL objective over a theta grid (+inf where singular).
 
-    Builds per-theta piecewise-Simpson nodes so the integration always splits
-    at both the model's theta-dependent t-breakpoint structure and the true
-    intensity's fixed breakpoints.  Falls back to the scalar path when the
-    breakpoint count varies across the grid.
+    Each theta's integral splits at its own t-breakpoints and at the true
+    intensity's fixed ones, so thetas own varying numbers of segments; the
+    segments of a block of thetas are laid out end to end.
     """
     thetas = np.asarray(thetas, dtype=float)
     tau = model.horizon
-    fixed = sorted(b for b in true_intensity.breakpoints if 0.0 < b < tau)
-    per_theta = [model.t_breakpoints(th) for th in thetas]
-    counts = {len(b) for b in per_theta}
-    if len(counts) > 1:
-        out = np.empty(thetas.shape)
-        for i, th in enumerate(thetas):
-            try:
-                out[i] = kl_objective(true_intensity, model, th)
-            except SingularityError:
-                out[i] = np.inf
-        return out
-
-    k = counts.pop() if counts else 0
-    moving = np.array(per_theta, dtype=float).reshape(len(thetas), k)
-    edges = np.concatenate(
-        [np.zeros((len(thetas), 1)),
-         np.broadcast_to(np.array(fixed), (len(thetas), len(fixed))),
-         moving,
-         np.full((len(thetas), 1), tau)], axis=1)
-    edges = np.sort(np.clip(edges, 0.0, tau), axis=1)
-
+    shared = np.array([0.0, *(b for b in true_intensity.breakpoints if 0.0 < b < tau), tau])
+    moving = [model.t_breakpoints(th) for th in thetas]
+    n_moving = np.fromiter(map(len, moving), int, thetas.size)
     p = _KL_GRID_PANELS
-    w = _simpson_weights(p) / 3.0
-    frac = np.linspace(0.0, 1.0, p + 1)
-    lo = edges[:, :-1][:, :, None]
-    ln = (edges[:, 1:] - edges[:, :-1])[:, :, None]
-    nodes = lo + ln * frac[None, None, :]          # (G, S, p+1)
-    nudge = _edge_nudge(edges[:, :-1], edges[:, 1:])
-    nodes[:, :, 0] += nudge
-    nodes[:, :, -1] -= nudge
-    th3 = thetas[:, None, None]
-    vals = _kl_integrand(model.value(th3, nodes), true_intensity.value(nodes))
-    h = ln[:, :, 0] / p
-    seg = (vals * w[None, None, :]).sum(axis=2) * h
-    with np.errstate(invalid="ignore"):
-        out = seg.sum(axis=1)
+    rows = max(1, _KL_BLOCK_NODES // ((p + 1) * (int(n_moving.max(initial=0)) + shared.size - 1)))
+    out = np.empty(thetas.shape)
+    for t0 in range(0, thetas.size, rows):
+        block = slice(t0, t0 + rows)
+        # theta i owns the edges shared and moving[i], sorted, and the segments between
+        counts = n_moving[block]
+        index = np.arange(counts.size)
+        owner = np.concatenate([np.repeat(index, shared.size), np.repeat(index, counts)])
+        edges = np.concatenate([np.tile(shared, counts.size), np.fromiter(
+            itertools.chain.from_iterable(moving[block]), float, counts.sum())])
+        order = np.lexsort((edges, owner))
+        edges, owner = edges[order], owner[order]
+        inner = owner[1:] == owner[:-1]
+        lo, hi = edges[:-1][inner], edges[1:][inner]
+        panels = np.full(lo.size, p)
+        nodes, coeff, starts = _simpson_layout(lo, hi, panels)
+        _nudge_ends(nodes, starts, panels, lo, hi)
+        th = np.repeat(thetas[block][owner[1:][inner]], p + 1)
+        vals = _kl_integrand(model.value(th, nodes), true_intensity.value(nodes))
+        n_seg = counts + shared.size - 1
+        with np.errstate(invalid="ignore"):
+            seg_sums = segment_sums((vals * coeff,), starts, panels + 1)[0]
+            out[block] = segment_sums((seg_sums,), np.cumsum(n_seg) - n_seg, n_seg)[0]
     out[np.isnan(out)] = np.inf
     return out
 

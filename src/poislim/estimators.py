@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import _simpson_weights, golden_section_max
+from .analysis import _panel_counts, _simpson_layout, golden_section_max, segment_sums
 from .errors import (
     CapabilityError,
     ConfigurationError,
@@ -271,19 +271,6 @@ def _prior_weights(settings, nodes):
     return p / np.max(p)
 
 
-def _segment_sums(arrays, starts, lengths):
-    """np.sum(x[s:s + n]) of each 1-D array x over each segment (s, n), as the row
-    sums of one (segments, n) gather per length n: a row sum along the contiguous
-    axis rounds as np.sum of that row."""
-    out = np.empty((len(arrays), starts.size))
-    for n in np.unique(lengths):
-        k = np.flatnonzero(lengths == n)
-        idx = starts[k, None] + np.arange(n)
-        for row, x in zip(out, arrays):
-            row[k] = x[idx].sum(axis=1)
-    return out
-
-
 def bayes(model: IntensityModel, sample: Sample, settings: EstimatorSettings | None = None,
           window=None) -> Estimate:
     """Posterior-mean estimate under the quadratic loss.
@@ -310,23 +297,13 @@ def bayes(model: IntensityModel, sample: Sample, settings: EstimatorSettings | N
         np.array([k for k in model.theta_kinks if iv.alpha < k < iv.beta]),
     ]))
     edges = np.concatenate([[iv.alpha], cuts, [iv.beta]])
-    shares = np.maximum(4, (settings.bayes_panels * np.diff(edges) / iv.width).astype(int))
-    shares += shares % 2
-    # segment k holds nodes[starts[k]:ends[k]], i * step + a for i = 0..p with the
-    # last node b, as np.linspace(a, b, p + 1) makes them; a cut node is the last
-    # node of one segment and the first of the next
-    ends = np.cumsum(shares + 1)
-    starts = ends - (shares + 1)
-    step = np.repeat(np.diff(edges) / shares, shares + 1)
-    nodes = (np.arange(ends[-1]) - np.repeat(starts, shares + 1)) * step
-    nodes += np.repeat(edges[:-1], shares + 1)
-    nodes[ends - 1] = edges[1:]
-    coeff = _simpson_weights(shares) / 3.0 * step
+    shares = _panel_counts(edges, settings.bayes_panels, 4)
+    nodes, coeff, starts = _simpson_layout(edges[:-1], edges[1:], shares)
 
     # each distinct (theta, side) once.  Cut c is node left[c], the last of the
     # segment before it, and node right[c], the first after it: one side-0 value
     # at a kink, the left and the right limit at a jump
-    left, right = ends[:-1] - 1, starts[1:]
+    left, right = (starts + shares)[:-1], starts[1:]
     at_jump = np.zeros(cuts.size, dtype=bool)
     at_jump[np.searchsorted(cuts, jump_breaks)] = True
     own = np.ones(nodes.size, dtype=bool)
@@ -345,7 +322,7 @@ def bayes(model: IntensityModel, sample: Sample, settings: EstimatorSettings | N
     mass, moment = w * coeff, w * nodes * coeff
     # np.sum per segment, added up in segment order (np.add.reduceat rounds
     # differently); + 0.0: a left fold from 0.0 never ends on -0.0
-    sums = _segment_sums((mass, moment), starts, shares + 1)
+    sums = segment_sums((mass, moment), starts, shares + 1)
     den, num = np.cumsum(sums, axis=1)[:, -1] + 0.0
 
     if den <= 0.0 or not np.isfinite(den):

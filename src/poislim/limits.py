@@ -341,8 +341,9 @@ REGIMES = {cls.regime: cls for cls in (
 
 
 def cusp_gamma_sq(a: float, lam0: float, kappa: float) -> float:
-    """4 a^2 sin^2(2 pi kappa) B(1+kappa, 1+kappa) / (lam0 cos(pi kappa))."""
-    return (4.0 * a ** 2 * math.sin(2.0 * math.pi * kappa) ** 2
+    """(a^2 / lam0) integral of (|v - 1|^kappa - |v|^kappa)^2 dv over the real line,
+    in closed form 2 a^2 (1 - cos(pi kappa)) B(1+kappa, 1+kappa) / (lam0 cos(pi kappa))."""
+    return (2.0 * a ** 2 * (1.0 - math.cos(math.pi * kappa))
             * special.beta(1.0 + kappa, 1.0 + kappa)
             / (lam0 * math.cos(math.pi * kappa)))
 

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import fisher_integrand
 from .errors import DomainError, EstimationError, SingularityError
 from .intensity import IntensityModel, ParameterInterval
 
@@ -51,20 +52,6 @@ class Window:
         return Window(intervals=tuple((float(a), float(b)) for a, b in obj))
 
 
-def _fisher_integrand(model: IntensityModel, theta: float):
-    if model.smoothness_order < 1:
-        raise DomainError(f"{model.catalog_id} has no first theta-derivative")
-
-    def g(t):
-        lam = model.value(theta, t)
-        if np.any(lam <= 0):
-            raise SingularityError("intensity vanishes inside [0, horizon]")
-        dot = model.dtheta(theta, t, 1)
-        return dot * dot / lam
-
-    return g
-
-
 def _level_intervals(tgrid, gvals, r):
     """{t: g(t) >= r} as intervals, crossings linearly interpolated on the grid."""
     mask = gvals >= r
@@ -97,7 +84,9 @@ def level_threshold(model: IntensityModel, theta: float, mu_star: float) -> floa
     tau = model.horizon
     if not (0.0 < mu_star < tau):
         raise DomainError(f"mu_star must lie in (0, {tau}), got {mu_star}")
-    g = _fisher_integrand(model, float(theta))
+    if model.smoothness_order < 1:
+        raise DomainError(f"{model.catalog_id} has no first theta-derivative")
+    g = fisher_integrand(model, theta)
     tgrid = np.linspace(0.0, tau, _LEVEL_GRID)
     gvals = np.asarray(g(tgrid), dtype=float)
     gmax = float(np.max(gvals))
@@ -151,7 +140,7 @@ def optimal_window(model: IntensityModel, theta: float, mu_star: float) -> Windo
     """
     theta = float(theta)
     r = level_threshold(model, theta, mu_star)
-    g = _fisher_integrand(model, theta)
+    g = fisher_integrand(model, theta)
     tau = model.horizon
     tgrid = np.linspace(0.0, tau, _LEVEL_GRID)
     gvals = np.asarray(g(tgrid), dtype=float)

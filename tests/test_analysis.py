@@ -28,6 +28,27 @@ def test_integrate_against_riemann():
     assert integrate(fn, 0.0, 1.0, breakpoints=[0.3]) == pytest.approx(0.3 + 2.8, abs=1e-9)
 
 
+def test_simpson_layout_matches_linspace_per_segment():
+    edges = np.array([0.0, 0.3, 0.30001, 1.7, 2.0])
+    panels = analysis._panel_counts(edges, 64, 4)
+    assert panels.tolist() == [10, 4, 44, 10]  # floor(64 * share), at least 4, then even
+    nodes, coeff, starts = analysis._simpson_layout(edges[:-1], edges[1:], panels)
+    assert nodes.size == coeff.size == starts[-1] + panels[-1] + 1
+    for s, a, b, p in zip(starts, edges[:-1], edges[1:], panels):
+        assert np.array_equal(nodes[s:s + p + 1], np.linspace(a, b, p + 1))
+        assert np.sum(coeff[s:s + p + 1]) == pytest.approx(b - a, rel=1e-13)
+    # one call of the integrand covers every segment
+    calls = []
+
+    def fn(t):
+        calls.append(t.size)
+        return np.where(t < 0.3, 1.0, 4.0) * t
+
+    assert integrate(fn, 0.0, 1.0, breakpoints=[0.6, 0.3]) == pytest.approx(
+        0.045 + 2.0 * (1.0 - 0.09), rel=1e-12)
+    assert len(calls) == 1
+
+
 def test_golden_section():
     x, v = golden_section_max(lambda t: -(t - 0.7) ** 2, 0.0, 2.0)
     assert x == pytest.approx(0.7, abs=1e-9)
@@ -155,6 +176,20 @@ def test_kl_objective_grid_matches_scalar():
     grid_vals = kl_objective_grid(tcp, cp, thetas)
     for th, gv in zip(thetas, grid_vals):
         assert gv == pytest.approx(pl.kl_objective(tcp, cp, th), rel=1e-8, abs=1e-12)
+
+
+@pytest.mark.parametrize("cid, theta0, interval", [
+    ("PHASE_MOD_DISC", 0.37, None),
+    ("CHANGEPOINT", 0.5, (0.0, 1.0)),  # no t-breakpoint at theta = 0 and 1
+])
+def test_kl_objective_grid_matches_scalar_with_varying_breakpoints(cid, theta0, interval):
+    m = pl.make_model(cid, theta_interval=interval) if interval else pl.make_model(cid)
+    true = pl.TrueIntensity.from_model(m, theta0)
+    thetas = m.theta_interval.grid(41)
+    assert len({len(m.t_breakpoints(th)) for th in thetas}) > 1
+    grid_vals = kl_objective_grid(true, m, thetas)
+    for th, gv in zip(thetas, grid_vals):
+        assert gv == pytest.approx(pl.kl_objective(true, m, th), rel=1e-12, abs=1e-14)
 
 
 @pytest.mark.parametrize("d", [1e-5, 1e-6])

@@ -47,10 +47,25 @@ def test_limit_params_cusp_gamma_vanishes_as_kappa_to_zero():
     vals = [cusp_gamma_sq(1.0, 2.0, k) for k in (0.1, 0.08, 0.06, 0.04, 0.02, 0.01)]
     assert all(b < a for a, b in zip(vals[:-1], vals[1:]))
     assert vals[-1] < 0.02
-    # closed form cross-check at kappa = 1/4
-    k = 0.25
-    expect = 4 * math.sin(2 * math.pi * k) ** 2 * special.beta(1 + k, 1 + k) / (2 * math.cos(math.pi * k))
-    assert cusp_gamma_sq(1.0, 2.0, k) == pytest.approx(expect, rel=1e-12)
+
+
+@pytest.mark.parametrize("kappa", [0.1, 0.25, 0.4])
+def test_cusp_gamma_sq_against_quad(kappa):
+    # (a^2 / lam0) * integral of (|v - 1|^kappa - |v|^kappa)^2 over the real line; the
+    # integrand is symmetric about v = 1/2, so twice the integral over [1/2, inf).
+    # Past v = 2 it is taken in s = 1/v: s^(-2 kappa) ((1 - (1 - s)^kappa) / s)^2 on (0, 1/2]
+    def f(v):
+        return (abs(v - 1.0) ** kappa - abs(v) ** kappa) ** 2
+
+    kw = dict(epsabs=0.0, epsrel=1e-12, limit=200)
+    half = sum(integrate.quad(f, lo, hi, **kw)[0] for lo, hi in ((0.5, 1.0), (1.0, 2.0)))
+
+    def g(s):
+        return kappa ** 2 if s == 0.0 else ((1.0 - (1.0 - s) ** kappa) / s) ** 2
+
+    half += integrate.quad(g, 0.0, 0.5, weight="alg", wvar=(-2.0 * kappa, 0.0), **kw)[0]
+    a, lam0 = 1.5, 2.0
+    assert cusp_gamma_sq(a, lam0, kappa) == pytest.approx(a ** 2 / lam0 * 2.0 * half, rel=1e-12)
 
 
 def test_limit_params_boundary_requires_endpoint():

@@ -1,7 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import poislim as pl
 from poislim.errors import DomainError, EstimationError, SingularityError
@@ -17,6 +20,44 @@ def test_window_type_invariants():
         Window(intervals=((0.5, 0.1),))
     back = Window.from_json_obj(w.to_json_obj())
     assert back.intervals == w.intervals
+
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
+
+ends = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+@st.composite
+def disjoint_intervals(draw, min_size=0):
+    """Sorted, disjoint intervals (touching and zero-length ones allowed)."""
+    pts = sorted(draw(st.lists(ends, min_size=2 * min_size, max_size=12)))
+    pts = pts[:len(pts) - len(pts) % 2]
+    return tuple(zip(pts[0::2], pts[1::2]))
+
+
+@PROPERTY
+@given(disjoint_intervals())
+def test_window_measure_and_json_round_trip(ivs):
+    w = Window(intervals=ivs)
+    assert w.intervals == ivs
+    assert w.measure == sum(hi - lo for lo, hi in ivs)
+    assert w.measure == pytest.approx(math.fsum(hi - lo for lo, hi in ivs), rel=1e-12)
+    back = Window.from_json_obj(json.loads(json.dumps(w.to_json_obj())))
+    assert back.intervals == w.intervals
+    assert back.measure == w.measure
+
+
+@PROPERTY
+@given(disjoint_intervals(min_size=2), st.data())
+def test_window_rejects_overlapping_and_reversed_intervals(ivs, data):
+    i = data.draw(st.integers(1, len(ivs) - 1))
+    # interval i starts before interval i - 1 ends, but is not itself reversed
+    start = data.draw(st.floats(-2e6, ivs[i - 1][1], exclude_max=True))
+    with pytest.raises(DomainError):
+        Window(intervals=(*ivs[:i], (start, ivs[i][1]), *ivs[i + 1:]))
+    lo, hi = data.draw(st.tuples(ends, ends).filter(lambda p: p[0] != p[1]).map(sorted))
+    with pytest.raises(DomainError):
+        Window(intervals=(*ivs[:i], (hi, lo), *ivs[i:]))
 
 
 def test_level_threshold_window_sine_closed_form():
