@@ -288,30 +288,45 @@ _KL_GRID_PANELS = 16
 _KL_BLOCK_NODES = 1 << 15
 
 
+def _kl_blocks(model: IntensityModel, thetas: np.ndarray, n_shared: int):
+    """(first index, t-breakpoint tuples) of consecutive theta blocks, each
+    block's breakpoints built only when the block before it is done."""
+    budget = _KL_BLOCK_NODES // (_KL_GRID_PANELS + 1)
+    first, moving, segments = 0, [], 0
+    for i, th in enumerate(thetas):
+        breaks = model.t_breakpoints(th)
+        own = len(breaks) + n_shared - 1
+        if moving and segments + own > budget:
+            yield first, moving
+            first, moving, segments = i, [], 0
+        moving.append(breaks)
+        segments += own
+    if moving:
+        yield first, moving
+
+
 def kl_objective_grid(true_intensity: TrueIntensity, model: IntensityModel,
                       thetas: np.ndarray) -> np.ndarray:
     """Vectorized KL objective over a theta grid (+inf where singular).
 
     Each theta's integral splits at its own t-breakpoints and at the true
     intensity's fixed ones, so thetas own varying numbers of segments; the
-    segments of a block of thetas are laid out end to end.
+    segments of a block of thetas are laid out end to end.  Each theta's value
+    is the same whichever block it falls in.
     """
     thetas = np.asarray(thetas, dtype=float)
     tau = model.horizon
     shared = np.array([0.0, *(b for b in true_intensity.breakpoints if 0.0 < b < tau), tau])
-    moving = [model.t_breakpoints(th) for th in thetas]
-    n_moving = np.fromiter(map(len, moving), int, thetas.size)
     p = _KL_GRID_PANELS
-    rows = max(1, _KL_BLOCK_NODES // ((p + 1) * (int(n_moving.max(initial=0)) + shared.size - 1)))
     out = np.empty(thetas.shape)
-    for t0 in range(0, thetas.size, rows):
-        block = slice(t0, t0 + rows)
+    for t0, moving in _kl_blocks(model, thetas, shared.size):
+        block = slice(t0, t0 + len(moving))
         # theta i owns the edges shared and moving[i], sorted, and the segments between
-        counts = n_moving[block]
+        counts = np.fromiter(map(len, moving), int, len(moving))
         index = np.arange(counts.size)
         owner = np.concatenate([np.repeat(index, shared.size), np.repeat(index, counts)])
         edges = np.concatenate([np.tile(shared, counts.size), np.fromiter(
-            itertools.chain.from_iterable(moving[block]), float, counts.sum())])
+            itertools.chain.from_iterable(moving), float, counts.sum())])
         order = np.lexsort((edges, owner))
         edges, owner = edges[order], owner[order]
         inner = owner[1:] == owner[:-1]

@@ -95,7 +95,8 @@ def _cmd_limits(args) -> int:
         model = scenario.build_model()
         true_int = scenario.build_true_intensity(model)
         limit = limits.limit_params(args.regime, model, scenario.theta0,
-                                    true_intensity=true_int)
+                                    true_intensity=true_int,
+                                    prior=scenario.build_settings().prior)
         seed = scenario.seed
     else:
         limit = limits.REGIMES[args.regime].from_set(_parse_kv(args.set))

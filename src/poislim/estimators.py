@@ -30,6 +30,8 @@ __all__ = ["EstimatorSettings", "Estimate", "mle", "bayes", "moments_preliminary
 _DEGENERATE_WIDTH = 1e-11
 _LOCALIZE_BREAK_COUNT = 512
 _LOCALIZE_MARGIN_CELLS = 8
+# Simpson panels of ``bayes``, spread over the segments between breakpoints
+_BAYES_PANELS = 4096
 
 
 @dataclass(frozen=True)
@@ -45,15 +47,12 @@ class EstimatorSettings:
 
     grid_size: int = 4001
     prior: object = "uniform"
-    bayes_panels: int = 4096
     zoom_rounds: int = 0
     estimators: tuple = ("mle", "bayes")
 
     def __post_init__(self):
         if self.grid_size < 3:
             raise ConfigurationError(f"grid_size must be >= 3, got {self.grid_size}")
-        if self.bayes_panels < 16 or self.bayes_panels % 2:
-            raise ConfigurationError("bayes_panels must be even and >= 16")
         if self.zoom_rounds < 0:
             raise ConfigurationError(f"zoom_rounds must be >= 0, got {self.zoom_rounds}")
         names = tuple(self.estimators) if isinstance(self.estimators, (list, tuple)) else ()
@@ -256,15 +255,16 @@ def _zoom_refine(ev, theta, val, width, rounds):
     return theta, val
 
 
-def _prior_weights(settings, nodes):
-    """Prior density at nodes, normalized by its maximum over all of them.
+def _prior_weights(prior, nodes):
+    """Density of ``EstimatorSettings.prior`` at nodes, normalized by its maximum
+    over all of them.
 
     Max-normalization makes rescaling the density by a power of two a bitwise
     no-op, which is what the rescale-invariance contract tests.
     """
-    if isinstance(settings.prior, str):
+    if isinstance(prior, str):
         return np.ones(nodes.shape)
-    grid, dens = settings.prior
+    grid, dens = prior
     p = np.interp(nodes, grid, dens)
     if np.any(p <= 0):
         raise ConfigurationError("prior density must be positive on Theta")
@@ -297,7 +297,7 @@ def bayes(model: IntensityModel, sample: Sample, settings: EstimatorSettings | N
         np.array([k for k in model.theta_kinks if iv.alpha < k < iv.beta]),
     ]))
     edges = np.concatenate([[iv.alpha], cuts, [iv.beta]])
-    shares = _panel_counts(edges, settings.bayes_panels, 4)
+    shares = _panel_counts(edges, _BAYES_PANELS, 4)
     nodes, coeff, starts = _simpson_layout(edges[:-1], edges[1:], shares)
 
     # each distinct (theta, side) once.  Cut c is node left[c], the last of the
@@ -318,7 +318,7 @@ def bayes(model: IntensityModel, sample: Sample, settings: EstimatorSettings | N
     if not np.isfinite(max_ll):
         raise EstimationError("log-likelihood is -inf over the whole parameter grid")
 
-    w = np.exp(vals - max_ll) * _prior_weights(settings, nodes)
+    w = np.exp(vals - max_ll) * _prior_weights(settings.prior, nodes)
     mass, moment = w * coeff, w * nodes * coeff
     # np.sum per segment, added up in segment order (np.add.reduceat rounds
     # differently); + 0.0: a left fold from 0.0 never ends on -0.0

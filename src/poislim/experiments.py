@@ -3,10 +3,9 @@
 Replicates are the unit of parallelism.  ``run_scenario`` turns a scenario
 into one job list (one limit-draw job, then one job per (n-index, replicate)
 pair), lets a process pool work through it, and puts the results back in
-index order.  Each (n-index, replicate) pair owns a disjoint block of RNG
-stream indices and the limit draws of every estimator come from one shared
-stream, so the table and the summary are reproducible bit-for-bit for any
-worker count.
+index order.  Each (n-index, replicate) pair draws its sample from its own RNG
+stream and the limit draws of every estimator come from one shared stream, so
+the table and the summary are reproducible bit-for-bit for any worker count.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import numpy as np
 from . import analysis, estimators, limits
 from .errors import ConfigurationError, DomainError, PoislimError
 from .intensity import ChangePointModel, IntensityModel, TrueIntensity, make_model
-from .simulate import STREAM_STRIDE, RngStream, simulate_sample
+from .simulate import RngStream, simulate_sample
 
 __all__ = [
     "Scenario",
@@ -108,13 +107,9 @@ class Scenario:
             raise ConfigurationError("replicates must be >= 1")
         if self.limit_draws < 1:
             raise ConfigurationError("limit_draws must be >= 1")
-        # each (n, replicate) block holds STREAM_STRIDE streams below the limit-draw streams
-        if not self.long_record and max(ns) > STREAM_STRIDE:
-            raise ConfigurationError(f"n must be at most {STREAM_STRIDE} "
-                                     "(the streams of one replicate), unless long_record is set")
-        if len(ns) * self.replicates > _LIMIT_STREAM_BASE // STREAM_STRIDE:
-            raise ConfigurationError("len(n) * replicates must be at most "
-                                     f"{_LIMIT_STREAM_BASE // STREAM_STRIDE}")
+        # one stream per (n, replicate), all below the limit-draw stream
+        if len(ns) * self.replicates > _LIMIT_STREAM_BASE:
+            raise ConfigurationError(f"len(n) * replicates must be at most {_LIMIT_STREAM_BASE}")
         if self.regime is not None and self.regime not in limits.REGIMES:
             raise ConfigurationError(f"unknown regime {self.regime!r}")
         unknown = set(self.estimator) - {f.name for f in fields(estimators.EstimatorSettings)}
@@ -188,7 +183,7 @@ class Scenario:
 
     def build_settings(self) -> estimators.EstimatorSettings:
         cfg = dict(self.estimator)
-        for key in ("grid_size", "bayes_panels", "zoom_rounds"):
+        for key in ("grid_size", "zoom_rounds"):
             if key in cfg:
                 cfg[key] = _integer(cfg[key], f"estimator.{key}")
         return estimators.EstimatorSettings(**cfg)
@@ -237,7 +232,7 @@ def rate_regression(ns, mses) -> tuple[float, float]:
 
 
 def _replicate_stream_base(n_index: int, replicate: int, m: int) -> int:
-    return (n_index * m + replicate) * STREAM_STRIDE
+    return n_index * m + replicate
 
 
 def _long_record(scenario: Scenario, model: IntensityModel, true_int: TrueIntensity,
@@ -265,14 +260,14 @@ def _long_record(scenario: Scenario, model: IntensityModel, true_int: TrueIntens
 def _estimate_row(scenario: Scenario, model, true_int, settings, n, n_index, r):
     """The table row of replicate ``r`` at one n value.
 
-    A pure function of the scenario: replicate r only reads its own stream block.
+    A pure function of the scenario: replicate r only reads its own stream.
     """
     mode = scenario.window.get("mode", "none")
     mu_star = scenario.window.get("mu_star")
     base = RngStream(scenario.seed, _replicate_stream_base(n_index, r, scenario.replicates))
     est_model, size = model, n
     if scenario.long_record:
-        # one record on [0, n*tau]: trajectory 0 of the replicate's stream block
+        # one record on [0, n*tau], a size-1 sample of the replicate's stream
         true_int, est_model = _long_record(scenario, model, true_int, n)
         size = 1
     sample = simulate_sample(true_int, size, base)
@@ -390,8 +385,8 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> ExperimentReport:
     the list, each building the scenario context once; with one worker the
     jobs run in this process.  Results are put back by index, rows in
     (n_index, replicate) order and draws by estimator.  Every replicate owns
-    a disjoint stream block and the limit draws own one stream, so the report
-    is identical for every worker count.
+    one stream and the limit draws own another, so the report is identical
+    for every worker count.
     """
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
@@ -409,7 +404,7 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> ExperimentReport:
     target = float(scenario.theta0)
     if scenario.regime is not None:
         limit = limits.limit_params(scenario.regime, model, scenario.theta0,
-                                    true_intensity=true_int)
+                                    true_intensity=true_int, prior=settings.prior)
         target = limit.target(target)
 
     draw_jobs = ["limits"] if limit is not None else []

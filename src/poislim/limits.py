@@ -21,6 +21,7 @@ from scipy import special
 from . import analysis
 from .errors import (CapabilityError, ConfigurationError, DomainError, NumericalError,
                      PreconditionError)
+from .estimators import _prior_weights
 from .intensity import CuspModel, JumpShiftModel
 from .simulate import RngStream
 
@@ -72,7 +73,7 @@ class RegularParams(RegimeLimit):
     fisher_information: float
 
     @classmethod
-    def from_model(cls, model, theta0, true_intensity, prior_weights):
+    def from_model(cls, model, theta0, true_intensity, prior):
         info = analysis.fisher_information(model, theta0)
         if not info > 0:
             raise PreconditionError("regular regime needs positive Fisher information")
@@ -95,7 +96,7 @@ class MisspecifiedParams(RegimeLimit):
     i_star: float | None = None
 
     @classmethod
-    def from_model(cls, model, theta0, true_intensity, prior_weights):
+    def from_model(cls, model, theta0, true_intensity, prior):
         if true_intensity is None:
             raise PreconditionError("misspecified regime needs the true intensity")
         ma = analysis.misspec_asymptotics(true_intensity, model)
@@ -112,7 +113,8 @@ class MisspecifiedParams(RegimeLimit):
 @dataclass(frozen=True)
 class NonidentParams(RegimeLimit):
     """Z peaks at each root theta_k, zeta ~ N(0, rho): the MLE is the root of largest |zeta_k|,
-    Bayes the mean of the roots weighted by w_k exp(zeta_k^2 / 2) / sqrt(I_k)."""
+    Bayes the mean of the roots weighted by w_k exp(zeta_k^2 / 2) / sqrt(I_k), w_k the prior
+    density at theta_k."""
 
     regime, rate_exponent = "nonidentifiable", 0.5
     estimate_law = True
@@ -122,15 +124,12 @@ class NonidentParams(RegimeLimit):
     prior_weights: list
 
     @classmethod
-    def from_model(cls, model, theta0, true_intensity, prior_weights):
+    def from_model(cls, model, theta0, true_intensity, prior):
         roots_fn = getattr(model, "nonident_roots", None)
         if roots_fn is None:
             raise CapabilityError(f"{model.catalog_id} does not declare coinciding roots")
         cov = analysis.nonident_covariance(model, roots_fn())
-        weights = np.ones(len(cov.roots)) if prior_weights is None else np.asarray(
-            prior_weights, dtype=float)
-        if weights.shape != (len(cov.roots),) or np.any(weights <= 0):
-            raise ConfigurationError("prior_weights must be positive, one per root")
+        weights = _prior_weights(prior, np.asarray(cov.roots, dtype=float))
         return cls(list(cov.roots), list(cov.informations), cov.rho.tolist(), weights.tolist())
 
     def draw(self, g, size):
@@ -154,7 +153,7 @@ class NullFisherParams(RegimeLimit):
     i3: float
 
     @classmethod
-    def from_model(cls, model, theta0, true_intensity, prior_weights):
+    def from_model(cls, model, theta0, true_intensity, prior):
         i3 = analysis.higher_order_information(model, theta0)
         if not i3 > 0:
             raise PreconditionError("null-Fisher regime needs positive third-order information")
@@ -185,7 +184,7 @@ class DiscFisherParams(RegimeLimit):
             raise ConfigurationError(f"corr must lie in [-1, 1], got {self.corr}")
 
     @classmethod
-    def from_model(cls, model, theta0, true_intensity, prior_weights):
+    def from_model(cls, model, theta0, true_intensity, prior):
         info_l = analysis.fisher_information(model, theta0, side="left")
         info_r = analysis.fisher_information(model, theta0, side="right")
         if not (info_l > 0 and info_r > 0):
@@ -221,7 +220,7 @@ class BoundaryParams(RegimeLimit):
             raise ConfigurationError(f"orientation must be 1 or -1, got {self.orientation:g}")
 
     @classmethod
-    def from_model(cls, model, theta0, true_intensity, prior_weights):
+    def from_model(cls, model, theta0, true_intensity, prior):
         iv = model.theta_interval
         tol = 1e-9 * max(1.0, iv.width)
         ends = [o for o, end in ((1.0, iv.alpha), (-1.0, iv.beta)) if abs(theta0 - end) <= tol]
@@ -275,7 +274,7 @@ class CuspParams(RegimeLimit):
         return 1.0 / (2.0 * self.hurst)
 
     @classmethod
-    def from_model(cls, model, theta0, true_intensity, prior_weights):
+    def from_model(cls, model, theta0, true_intensity, prior):
         if not isinstance(model, CuspModel):
             raise CapabilityError("cusp regime is defined for the CUSP family")
         gamma_sq = cusp_gamma_sq(model.a, model.lam0, model.kappa)
@@ -311,7 +310,7 @@ class JumpParams(RegimeLimit):
     u_halfwidth: float = 60.0
 
     @classmethod
-    def from_model(cls, model, theta0, true_intensity, prior_weights):
+    def from_model(cls, model, theta0, true_intensity, prior):
         if not isinstance(model, JumpShiftModel):
             raise CapabilityError("jump regime is defined for the JUMP_SHIFT family")
         return cls(*model.jump_values())
@@ -348,11 +347,14 @@ def cusp_gamma_sq(a: float, lam0: float, kappa: float) -> float:
             / (lam0 * math.cos(math.pi * kappa)))
 
 
-def limit_params(regime: str, model, theta0: float, true_intensity=None, prior_weights=None):
-    """Compute the limit-law parameters of the given regime at theta0."""
+def limit_params(regime: str, model, theta0: float, true_intensity=None, prior="uniform"):
+    """Compute the limit-law parameters of the given regime at theta0.
+
+    ``prior`` is ``EstimatorSettings.prior``, the prior of the Bayes estimator.
+    """
     if regime not in REGIMES:
         raise DomainError(f"unknown regime {regime!r}; known: {tuple(REGIMES)}")
-    return REGIMES[regime].from_model(model, float(theta0), true_intensity, prior_weights)
+    return REGIMES[regime].from_model(model, float(theta0), true_intensity, prior)
 
 
 # ---------------------------------------------------------------------------

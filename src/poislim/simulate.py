@@ -1,14 +1,12 @@
 """Trajectory simulation by thinning and i.i.d. sample assembly.
 
 Randomness comes from counter-based Philox streams keyed by
-(master_seed, stream_index), so any trajectory can be regenerated
-bit-identically regardless of execution order or worker count.  The stream
-contract: trajectory j of ``simulate_sample(intensity, n, RngStream(s, b))``
-is drawn from the Philox stream with key (s, b + j), in the order candidate
-count, candidate positions, acceptance uniforms.  The experiments harness
-maps (replicate, trajectory) pairs onto flat stream indices as
-replicate_block * STREAM_STRIDE + trajectory, so a replicate holds at most
-``STREAM_STRIDE`` trajectories.
+(master_seed, stream_index), so any sample can be regenerated bit-identically
+regardless of execution order or worker count.  The stream contract:
+``simulate_sample(intensity, n, RngStream(s, k))`` draws the whole sample from
+the one Philox stream with key (s, k): the n candidate counts, then the
+candidate positions and the acceptance uniforms of all trajectories.  The
+experiments harness gives each (n-index, replicate) pair its own stream index.
 
 A ``Sample`` is stored column-wise: one sorted ``events`` array per
 trajectory, concatenated, and ``offsets`` such that trajectory j is
@@ -27,7 +25,6 @@ from .errors import ConfigurationError, DomainError
 from .intensity import IntensityModel, TrueIntensity
 
 __all__ = [
-    "STREAM_STRIDE",
     "RngStream",
     "Trajectory",
     "Sample",
@@ -37,9 +34,6 @@ __all__ = [
     "write_events_csv",
     "read_events_csv",
 ]
-
-# max trajectories per replicate block; keeps (replicate, trajectory) -> index injective
-STREAM_STRIDE = 1 << 21
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -170,14 +164,14 @@ def simulate_trajectory(intensity, rng: RngStream) -> Trajectory:
     return simulate_sample(intensity, 1, rng).trajectories[0]
 
 
-def simulate_sample(intensity, n: int, rng_base: RngStream) -> Sample:
-    """n independent trajectories by thinning; trajectory j uses stream_index base+j.
+def simulate_sample(intensity, n: int, rng: RngStream) -> Sample:
+    """n independent trajectories by thinning, all drawn from the stream ``rng``.
 
-    Each stream draws its candidate count at rate lambda_max, the candidate
-    positions and the acceptance uniforms, in that order, which is what makes
-    the output reproducible bit-for-bit.  One Philox generator is reset to
-    each stream's key (zero counter, empty buffer) instead of being built per
-    stream; the intensity is then evaluated once over all candidates.
+    The stream gives the n candidate counts at rate lambda_max, then one
+    (2, total) block of uniforms: row 0 the candidate positions (over the
+    horizon) of every trajectory in turn, row 1 their acceptance uniforms.  A
+    size-1 sample thus draws count, positions, uniforms, in that order.  The
+    intensity is evaluated once over all candidates.
     """
     if n <= 0:
         raise DomainError(f"sample size must be >= 1, got {n}")
@@ -187,22 +181,9 @@ def simulate_sample(intensity, n: int, rng_base: RngStream) -> Sample:
         raise ConfigurationError("lambda_max must be positive for a nonzero intensity")
     if lam_max == 0.0:
         return Sample(np.empty(0), np.zeros(n + 1, dtype=np.int64), ti.horizon)
-    bitgen = np.random.Philox(0)
-    g = np.random.Generator(bitgen)
-    key = [rng_base.master_seed & _MASK64, 0]
-    # the state of a new Philox(key=key): zero counter, empty buffer
-    fresh = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
-             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    mean = lam_max * ti.horizon
-    counts = np.empty(n, dtype=np.int64)
-    draws = []
-    for j in range(n):
-        key[1] = (rng_base.stream_index + j) & _MASK64
-        bitgen.state = fresh
-        counts[j] = k = g.poisson(mean)
-        # row 0: positions / horizon, row 1: acceptance uniforms, in draw order
-        draws.append(g.random((2, k)))
-    u = np.concatenate(draws, axis=1)
+    g = rng.generator()
+    counts = g.poisson(lam_max * ti.horizon, n)
+    u = g.random((2, int(counts.sum())))
     # 0 + horizon * u is exactly what Generator.uniform(0, horizon) returns
     times = ti.horizon * u[0]
     accept = u[1] * lam_max < ti.value(times)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 import poislim as pl
 from poislim import analysis
@@ -192,6 +193,20 @@ def test_kl_objective_grid_matches_scalar_with_varying_breakpoints(cid, theta0, 
         assert gv == pytest.approx(pl.kl_objective(true, m, th), rel=1e-12, abs=1e-14)
 
 
+@pytest.mark.parametrize("block_nodes", [17, 17 * 40, 1 << 15])
+def test_kl_objective_grid_values_do_not_depend_on_blocks(monkeypatch, block_nodes):
+    # FREQ_MOD_DISC on a long record: the t-breakpoint count grows with theta,
+    # so blocks of one theta, of a few thetas and of many all occur
+    m = pl.make_model("FREQ_MOD_DISC", horizon=10.0)
+    true = pl.TrueIntensity.from_model(m, 1.0137)
+    thetas = m.theta_interval.grid(301)
+    expect = kl_objective_grid(true, m, thetas)
+    monkeypatch.setattr(analysis, "_KL_BLOCK_NODES", block_nodes)
+    assert np.array_equal(kl_objective_grid(true, m, thetas), expect)
+    singles = [kl_objective_grid(true, m, thetas[i:i + 1])[0] for i in (0, 150, 300)]
+    assert np.array_equal(singles, expect[[0, 150, 300]])
+
+
 @pytest.mark.parametrize("d", [1e-5, 1e-6])
 def test_short_segments_keep_their_branch(d):
     # the only contribution is a segment of length d next to the jump at 0.5;
@@ -253,26 +268,17 @@ def test_misspec_asymptotics_contaminated_vs_oracle():
     true = pl.TrueIntensity.contaminated(reg, 0.5, lambda t: np.full_like(t, 0.1), 0.1)
     ma = pl.misspec_asymptotics(true, reg)
 
+    # theta* solves the first-order condition of the KL objective,
+    # int_0^1 t e^(theta t) dt = int_0^1 t (e^(t/2) + 0.1) dt, in closed form
+    def t_exp(a):  # int_0^1 t e^(a t) dt
+        return (math.exp(a) * (a - 1.0) + 1.0) / a ** 2
+
+    ts_oracle = optimize.brentq(lambda th: t_exp(th) - t_exp(0.5) - 0.05, 0.55, 0.65,
+                                xtol=1e-14)
+    assert ma.theta_star == pytest.approx(ts_oracle, abs=1e-6)
+
     tgrid = np.linspace(0, 1, 1_000_001)[:-1] + 0.5e-6
     lam_true = np.exp(0.5 * tgrid) + 0.1
-
-    # mean(lam - lam_true - lam_true * log(lam / lam_true)), the same ufuncs
-    # in the same order, over three buffers: fresh 8 MB temporaries per theta
-    # would be mapped and page-faulted each time
-    lam, diff, work = (np.empty_like(tgrid) for _ in range(3))
-
-    def kl(th):
-        np.exp(np.multiply(th, tgrid, out=lam), out=lam)
-        np.subtract(lam, lam_true, out=diff)
-        np.log(np.divide(lam, lam_true, out=work), out=work)
-        np.subtract(diff, np.multiply(lam_true, work, out=work), out=diff)
-        return float(np.mean(diff))
-
-    dense = np.linspace(0.55, 0.65, 2001)
-    vals = [kl(th) for th in dense]
-    ts_oracle = dense[int(np.argmin(vals))]
-    assert ma.theta_star == pytest.approx(ts_oracle, abs=1e-4)
-
     lam_star = np.exp(ma.theta_star * tgrid)
     d_oracle = float(np.mean(tgrid ** 2 * lam_star ** 2 * lam_true / lam_star ** 2))
     i_oracle = d_oracle + float(np.mean(tgrid ** 2 * lam_star * (1.0 - lam_true / lam_star)))

@@ -3,7 +3,10 @@ import json
 
 import pytest
 
-from poislim import cli
+from poislim import cli, limits
+from poislim.experiments import Scenario
+from poislim.intensity import make_model
+from poislim.simulate import RngStream
 
 TINY = {"model": "REGULAR_EXP", "theta0": 0.3, "regime": "regular",
         "n": [20, 40], "replicates": 3, "seed": 1, "limit_draws": 200}
@@ -66,14 +69,14 @@ ALL_FAIL = {"model": "SUFFWIN_LINEAR", "theta0": 0.5, "window": {"mode": "suffic
     (dict(TINY, replicates=2.9), [], cli.EXIT_CONFIG),
     (dict(TINY, seed=1.5), [], cli.EXIT_CONFIG),
     (dict(TINY, params={"zz": 1}), [], cli.EXIT_CONFIG),
-    # stream blocks that overlap: replicate r's trajectory 2**21 + j would reuse
-    # replicate r+1's stream j, or replicate streams would reach the limit-draw
-    # streams at 2**52.  theta0 lies outside Theta, so a run that loaded such a
-    # scenario would stop (exit 3) before simulating anything that size.
-    (dict(TINY, theta0=5.0, n=[3_000_000]), [], cli.EXIT_CONFIG),
-    (dict(TINY, theta0=5.0, n=[2 ** 21 + 1]), [], cli.EXIT_CONFIG),
-    (dict(TINY, theta0=5.0, n=[20], replicates=2 ** 31 + 1), [], cli.EXIT_CONFIG),
-    (dict(TINY, theta0=5.0, n=[1, 2], replicates=2 ** 30 + 1), [], cli.EXIT_CONFIG),
+    # replicate streams k * replicates + r that would reach the limit-draw
+    # stream 2**52.  theta0 lies outside Theta, so a run that loaded such a
+    # scenario would stop (exit 3) before building its job list.
+    (dict(TINY, theta0=5.0, n=[20], replicates=2 ** 52 + 1), [], cli.EXIT_CONFIG),
+    (dict(TINY, theta0=5.0, n=[1, 2], replicates=2 ** 51 + 1), [], cli.EXIT_CONFIG),
+    (dict(TINY, theta0=5.0, n=[3_000_000, 2 ** 21 + 1], replicates=2 ** 51 + 1), [],
+     cli.EXIT_CONFIG),
+    (dict(TINY, theta0=5.0, n=[1, 2, 3, 4], replicates=2 ** 50 + 1), [], cli.EXIT_CONFIG),
     # long_record families that are not one record on [0, n*tau]: exp(0.3 t)
     # leaves its bound past tau, and WINDOW_SINE pins its horizon to one period
     ({"model": "REGULAR_EXP", "theta0": 0.3, "n": [5], "replicates": 2, "seed": 1,
@@ -111,6 +114,8 @@ ALL_FAIL = {"model": "SUFFWIN_LINEAR", "theta0": 0.5, "window": {"mode": "suffic
       "n": [16], "replicates": 2, "seed": 1}, [], cli.EXIT_CONFIG),
     ({"model": "WINDOW_SINE", "theta0": 0.3, "window": {"mode": "optimal", "mu_star": 0},
       "n": [16], "replicates": 2, "seed": 1}, [], cli.EXIT_CONFIG),
+    # the Bayes panel count is fixed, not a setting
+    (dict(TINY, estimator={"bayes_panels": 4096}), [], cli.EXIT_CONFIG),
 ])
 def test_experiment_exit_codes(tmp_path, capsys, doc, extra, code):
     scenario = write_scenario(tmp_path, doc)
@@ -176,6 +181,21 @@ def test_limits_exit_codes(tmp_path, args, code):
     args = [scenario if a == "SCENARIO" else a for a in args]
     argv = ["limits", "--regime", "regular", *args, "--out", str(tmp_path / "draws.csv")]
     assert cli.main(argv) == code
+
+
+def test_limits_scenario_reads_the_prior(tmp_path):
+    doc = {"model": "NONIDENT_FIXED", "theta0": 1.0, "n": [10], "replicates": 1, "seed": 4,
+           "estimator": {"prior": [[0, 3], [1, 30]]}}
+    out = tmp_path / "draws.csv"
+    argv = ["limits", "--regime", "nonidentifiable", "--scenario", write_scenario(tmp_path, doc),
+            "--which", "bayes", "--samples", "50", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_OK
+    model = make_model("NONIDENT_FIXED")
+    prior = Scenario.from_dict(doc).build_settings().prior
+    limit = limits.limit_params("nonidentifiable", model, 1.0, prior=prior)
+    assert limit.prior_weights[0] < 1.0
+    expect = limits.sample_limit_batch(limit, RngStream(4, 0), "bayes", 50)
+    assert out.read_text().splitlines()[1:] == [f"{v:.17g}" for v in expect]
 
 
 @pytest.mark.parametrize("doc, code", [

@@ -111,7 +111,7 @@ def _bayes_reference(model, sample, settings, window=None):
         np.array([k for k in model.theta_kinks if iv.alpha < k < iv.beta]),
     ]))
     edges = np.concatenate([[iv.alpha], cuts, [iv.beta]])
-    shares = np.maximum(4, (settings.bayes_panels * np.diff(edges) / iv.width).astype(int))
+    shares = np.maximum(4, (estimators._BAYES_PANELS * np.diff(edges) / iv.width).astype(int))
     shares += shares % 2
     segments = []
     for a, b, p in zip(edges[:-1], edges[1:], shares):
@@ -127,7 +127,7 @@ def _bayes_reference(model, sample, settings, window=None):
         segments.append((nodes, vals, coeff))
     max_ll = max(float(np.max(v)) for _, v, _ in segments)
     # the prior is normalized by its maximum over all nodes
-    prior = np.split(estimators._prior_weights(settings, np.concatenate(
+    prior = np.split(estimators._prior_weights(settings.prior, np.concatenate(
         [nodes for nodes, _, _ in segments])), np.cumsum(shares + 1)[:-1])
     num = den = 0.0
     for (nodes, vals, coeff), p in zip(segments, prior):

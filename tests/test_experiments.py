@@ -5,8 +5,9 @@ import pytest
 
 from poislim import limits
 from poislim.errors import ConfigurationError
-from poislim.experiments import Scenario, _estimate_row, ks_two_sample, run_scenario
-from poislim.simulate import STREAM_STRIDE, RngStream
+from poislim.experiments import (Scenario, _estimate_row, _replicate_stream_base,
+                                 ks_two_sample, run_scenario)
+from poislim.simulate import RngStream, simulate_sample
 
 TINY = {"model": "REGULAR_EXP", "theta0": 0.3, "regime": "regular",
         "n": [20, 40], "replicates": 3, "seed": 1, "limit_draws": 200}
@@ -58,15 +59,28 @@ def test_failed_rows_stay_one_csv_field(tmp_path):
 
 
 def test_replicate_stream_blocks_cannot_overlap():
-    # the largest n and replicate counts whose stream blocks stay disjoint load
-    Scenario.from_dict(dict(TINY, n=[STREAM_STRIDE]))
-    Scenario.from_dict(dict(TINY, n=[20], replicates=2 ** 31))
-    # a long record uses one stream per replicate, so n is not bounded by the stride
+    # a replicate draws its whole sample from one stream, so n is not bounded
+    Scenario.from_dict(dict(TINY, n=[2 ** 21 + 1, 3_000_000]))
     Scenario.from_dict(dict(TINY, n=[3_000_000], long_record=True))
+    # the (n, replicate) streams k * replicates + r stay below the limit-draw stream 2^52
+    Scenario.from_dict(dict(TINY, n=[20], replicates=2 ** 52))
+    Scenario.from_dict(dict(TINY, n=[20, 40], replicates=2 ** 51))
+    assert _replicate_stream_base(1, 2 ** 51 - 1, 2 ** 51) == 2 ** 52 - 1
     with pytest.raises(ConfigurationError, match="at most"):
-        Scenario.from_dict(dict(TINY, n=[20, STREAM_STRIDE + 1]))
+        Scenario.from_dict(dict(TINY, n=[20], replicates=2 ** 52 + 1))
     with pytest.raises(ConfigurationError, match="at most"):
-        Scenario.from_dict(dict(TINY, n=[20, 40], replicates=2 ** 30 + 1))
+        Scenario.from_dict(dict(TINY, n=[20, 40], replicates=2 ** 51 + 1))
+
+
+def test_replicate_rows_read_one_stream_each():
+    scenario = Scenario.from_dict(TINY)
+    report = run_scenario(scenario)
+    model = scenario.build_model()
+    true_int = scenario.build_true_intensity(model)
+    assert [row["stream_base"] for row in report.rows] == list(range(6))
+    for row in report.rows:
+        sample = simulate_sample(true_int, row["n"], RngStream(1, row["stream_base"]))
+        assert row["events"] == sample.total_events()
 
 
 def test_long_record_freq_mod_mle_near_theta0():

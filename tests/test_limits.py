@@ -7,6 +7,7 @@ from scipy import integrate, special
 import poislim as pl
 from poislim import limits
 from poislim.errors import CapabilityError, ConfigurationError, DomainError, PreconditionError
+from poislim.experiments import Scenario, run_scenario
 from poislim.limits import (
     _JUMP_BLOCK,
     BoundaryParams,
@@ -14,6 +15,7 @@ from poislim.limits import (
     DiscFisherParams,
     JumpParams,
     MisspecifiedParams,
+    NonidentParams,
     NullFisherParams,
     RegularParams,
     _jump_bayes,
@@ -550,6 +552,38 @@ def test_nonidentifiable_sampler():
     assert np.mean(d == 1.0) == pytest.approx(p1, abs=0.01)
     db = sample_limit_batch(lim, RngStream(17, 0), "bayes", 5_000)
     assert np.all((db >= 1.0) & (db <= 2.0))
+
+
+def test_nonidentifiable_bayes_limit_weights_the_roots_by_the_prior():
+    nf = pl.make_model("NONIDENT_FIXED")
+    lim = limit_params("nonidentifiable", nf, 1.0)
+    assert lim.prior_weights == [1.0, 1.0]
+    plain = NonidentParams(lim.roots, lim.informations, lim.rho, [1.0, 1.0])
+    expect = sample_limit_batch(plain, RngStream(17, 0), ("mle", "bayes"), 2_000)
+    # a uniform prior, named or as a flat density, leaves the draws bit-identical
+    for prior in ("uniform", (np.array([0.0, 3.0]), np.array([2.5, 2.5]))):
+        flat = limit_params("nonidentifiable", nf, 1.0, prior=prior)
+        assert flat == lim
+        assert np.array_equal(sample_limit_batch(flat, RngStream(17, 0), ("mle", "bayes"),
+                                                 2_000), expect)
+    # density 1 + 29 theta / 3 is 32/3 at root 1 and 61/3 at root 2
+    tilted = limit_params("nonidentifiable", nf, 1.0,
+                          prior=(np.array([0.0, 3.0]), np.array([1.0, 30.0])))
+    assert tilted.prior_weights == pytest.approx([32.0 / 61.0, 1.0], rel=1e-15)
+    mle, bayes = sample_limit_batch(tilted, RngStream(17, 0), ("mle", "bayes"), 2_000)
+    assert np.array_equal(mle, expect[0])
+    assert bayes.mean() > expect[1].mean()
+
+
+def test_nonidentifiable_harness_compares_bayes_with_the_prior_limit():
+    # the estimates weight the roots by the prior, and so must the limit law:
+    # weighted equally the Bayes KS statistic read 0.99995
+    doc = {"model": "NONIDENT_FIXED", "theta0": 1.0, "regime": "nonidentifiable",
+           "n": [400], "replicates": 120, "seed": 4, "limit_draws": 20_000,
+           "estimator": {"prior": [[0, 3], [1, 30]], "estimators": ["bayes"]}}
+    report = run_scenario(Scenario.from_dict(doc))
+    assert report.summary["limit"]["prior_weights"] == pytest.approx([32.0 / 61.0, 1.0])
+    assert report.summary["estimates"]["bayes"]["by_n"]["400"]["ks_statistic"] <= 0.2
 
 
 def test_unsupported_which():

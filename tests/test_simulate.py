@@ -7,7 +7,6 @@ from scipy import stats
 import poislim as pl
 from poislim.errors import ConfigurationError, DomainError
 from poislim.simulate import (
-    STREAM_STRIDE,
     RngStream,
     Sample,
     Trajectory,
@@ -33,8 +32,8 @@ def test_zero_intensity_gives_empty_trajectory():
 
 def test_counts_match_poisson_moments_and_gof():
     lam2 = const_intensity(2.0)
-    # trajectory j of the sample uses stream (11, j), so one call gives the
-    # counts of 100,000 single-stream trajectories bit for bit
+    # the sample's n candidate counts are n Poisson draws of one stream, and the
+    # thinned counts are Poisson(2) whatever the draws that follow them
     counts = np.diff(simulate_sample(lam2, 100_000, RngStream(11, 0)).offsets)
     assert counts.mean() == pytest.approx(2.0, abs=0.02)
     assert counts.var() == pytest.approx(2.0, abs=0.05)
@@ -66,16 +65,16 @@ def test_thinning_is_bound_independent():
 
 def test_determinism_and_stream_independence():
     reg = pl.make_model("REGULAR_EXP")
-    s1 = simulate_sample((reg, 0.5), 3, RngStream(99, 10))
-    s2 = simulate_sample((reg, 0.5), 3, RngStream(99, 10))
-    for a, b in zip(s1.trajectories, s2.trajectories):
-        assert np.array_equal(a.events, b.events)
-    # trajectory j reuses stream base+j
-    single = simulate_trajectory((reg, 0.5), RngStream(99, 11))
-    assert np.array_equal(s1.trajectories[1].events, single.events)
-    # different streams differ
-    other = simulate_trajectory((reg, 0.5), RngStream(99, 12345))
-    assert not np.array_equal(single.events, other.events)
+    s1 = simulate_sample((reg, 0.5), 300, RngStream(99, 10))
+    s2 = simulate_sample((reg, 0.5), 300, RngStream(99, 10))
+    # the same key gives the same sample, bit for bit
+    assert np.array_equal(s1.offsets, s2.offsets)
+    assert np.array_equal(s1.events, s2.events)
+    # another stream index, or another seed, gives another sample
+    for key in (RngStream(99, 11), RngStream(98, 10)):
+        other = simulate_sample((reg, 0.5), 300, key)
+        assert not (other.events.size == s1.events.size
+                    and np.array_equal(other.events, s1.events))
 
 
 def test_sample_size_contracts():
@@ -169,21 +168,31 @@ def test_events_csv_rejects_out_of_range_index(tmp_path, index):
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
-def per_stream_thinning(ti, n, base):
-    """Reference: the per-stream thinning loop, one fresh Philox per trajectory."""
+def one_stream_thinning(ti, n, rng):
+    """Reference: the sample from one generator, then a plain per-trajectory loop."""
+    g = rng.generator()
+    counts = g.poisson(ti.lambda_max * ti.horizon, n)
+    times = g.uniform(0.0, ti.horizon, counts.sum())
+    accept = g.uniform(0.0, 1.0, counts.sum()) * ti.lambda_max < ti.value(times)
     out = []
-    for j in range(n):
-        key = np.array([base.master_seed & _MASK64, (base.stream_index + j) & _MASK64],
-                       dtype=np.uint64)
-        g = np.random.Generator(np.random.Philox(key=key))
-        n_cand = g.poisson(ti.lambda_max * ti.horizon)
-        times = g.uniform(0.0, ti.horizon, size=n_cand)
-        accept = g.uniform(0.0, 1.0, size=n_cand) * ti.lambda_max < ti.value(times)
-        kept = np.sort(times[accept])
+    for t, a in zip(np.split(times, np.cumsum(counts)[:-1]),
+                    np.split(accept, np.cumsum(counts)[:-1])):
+        kept = np.sort(t[a])
         if kept.size > 1:
             kept = kept[np.concatenate(([True], np.diff(kept) > 0.0))]
         out.append(kept)
     return out
+
+
+def per_trajectory_key_thinning(ti, rng):
+    """Reference of a size-1 sample: count, positions, uniforms from a fresh Philox
+    keyed (seed, index), the layout in which every trajectory had its own key."""
+    key = np.array([rng.master_seed & _MASK64, rng.stream_index & _MASK64], dtype=np.uint64)
+    g = np.random.Generator(np.random.Philox(key=key))
+    n_cand = g.poisson(ti.lambda_max * ti.horizon)
+    times = g.uniform(0.0, ti.horizon, size=n_cand)
+    accept = g.uniform(0.0, 1.0, size=n_cand) * ti.lambda_max < ti.value(times)
+    return np.unique(times[accept])
 
 
 def oracle_intensities():
@@ -202,16 +211,17 @@ def oracle_intensities():
 
 
 @pytest.mark.parametrize("name", list(oracle_intensities()))
-@pytest.mark.parametrize("n, base", [(1, RngStream(3, 0)),
-                                     (300, RngStream(21, 5 * STREAM_STRIDE + 17))])
+@pytest.mark.parametrize("n, base", [(1, RngStream(3, 0)), (300, RngStream(21, 17))])
 def test_simulate_sample_matches_per_stream_oracle(name, n, base):
+    # the whole sample comes from the one stream it is given
     ti = oracle_intensities()[name]
     sample = simulate_sample(ti, n, base)
-    expect = per_stream_thinning(ti, n, base)
+    expect = one_stream_thinning(ti, n, base)
     assert sample.n == n
     assert sample.total_events() == sum(e.size for e in expect)
     for tr, ev in zip(sample.trajectories, expect):
         assert np.array_equal(tr.events, ev)
     single = simulate_trajectory(ti, base)
     assert np.array_equal(single.events, simulate_sample(ti, 1, base).trajectories[0].events)
-    assert np.array_equal(single.events, expect[0])
+    # a size-1 sample draws what one trajectory of its own key always drew
+    assert np.array_equal(single.events, per_trajectory_key_thinning(ti, base))
