@@ -206,6 +206,21 @@ def ks_two_sample(a, b) -> float:
     return float(np.max(np.abs(fa - fb)))
 
 
+def _kolmogorov_sf(x: float) -> float:
+    """P(K > x) for the Kolmogorov distribution, the asymptotic law of
+    sqrt(nm / (n + m)) times the two-sample KS statistic.  For x >= 1 the
+    alternating series 2 sum (-1)^(k-1) exp(-2 k^2 x^2); below, one minus the
+    theta-function form (sqrt(2 pi) / x) sum exp(-(2k-1)^2 pi^2 / (8 x^2)).
+    Six terms of either reach double precision on its side of x = 1."""
+    if x >= 1.0:
+        return 2.0 * sum((-1) ** (k - 1) * math.exp(-2.0 * k * k * x * x) for k in range(1, 7))
+    if x < 0.1:  # 1 - P(K > x) < 1e-52 there
+        return 1.0
+    c = -math.pi ** 2 / (8.0 * x * x)
+    return 1.0 - math.sqrt(2.0 * math.pi) / x * sum(math.exp(c * (2 * k - 1) ** 2)
+                                                    for k in range(1, 7))
+
+
 def rate_regression(ns, mses) -> tuple[float, float]:
     """OLS slope (and its standard error) of log(mse) against log(n)."""
     ns = np.asarray(ns, dtype=float)
@@ -464,7 +479,11 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> ExperimentReport:
             }
             if limit is not None:
                 compare = vals if limit.estimate_law else norm
-                entry["ks_statistic"] = ks_two_sample(compare, draws[which])
+                stat = ks_two_sample(compare, draws[which])
+                scale = math.sqrt(compare.size * draws[which].size
+                                  / (compare.size + draws[which].size))
+                entry["ks_statistic"] = stat
+                entry["ks_pvalue"] = _kolmogorov_sf(scale * stat)
             per_n[str(n)] = entry
             mses.append(entry["mse"])
         block = {"by_n": per_n}

@@ -16,7 +16,6 @@ from dataclasses import MISSING, dataclass, field
 from typing import ClassVar
 
 import numpy as np
-from scipy import special
 
 from . import analysis
 from .errors import (CapabilityError, ConfigurationError, DomainError, NumericalError,
@@ -41,8 +40,9 @@ class RegimeLimit:
 
     def __post_init__(self):
         for key, name in self.set_keys.items():
-            if name not in self.signed and not getattr(self, name) > 0:
-                raise ConfigurationError(f"{key} must be positive, got {getattr(self, name):g}")
+            value = getattr(self, name)  # None: a default the subclass derives
+            if name not in self.signed and value is not None and not value > 0:
+                raise ConfigurationError(f"{key} must be positive, got {value:g}")
 
     def target(self, theta0: float) -> float:  # the value the estimators converge to
         return theta0
@@ -301,13 +301,26 @@ class CuspParams(RegimeLimit):
 @dataclass(frozen=True)
 class JumpParams(RegimeLimit):
     """log Z(u) = log(lam_right / lam_left) N(u) - (lam_right - lam_left) u on |u| <= u_halfwidth,
-    N(u) the signed count of events from 0 to u, at rate lam_left for u > 0, lam_right for u < 0."""
+    N(u) the signed count of events from 0 to u, at rate lam_left for u > 0, lam_right for u < 0.
+
+    Z's natural scale is 1 / (lam (ln rho)^2), rho = lam_right / lam_left, so u_halfwidth
+    defaults to max(60, 50 / (min(lam_left, lam_right) (ln rho)^2)).
+    """
 
     regime, rate_exponent = "jump", 1.0
     set_keys = {"lam_left": "lam_left", "lam_right": "lam_right", "halfwidth": "u_halfwidth"}
     lam_left: float
     lam_right: float
-    u_halfwidth: float = 60.0
+    u_halfwidth: float | None = None
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.u_halfwidth is None:
+            if self.lam_left == self.lam_right:
+                raise ConfigurationError("equal jump rates need an explicit halfwidth")
+            log_ratio = math.log(self.lam_right / self.lam_left)
+            scale = min(self.lam_left, self.lam_right) * log_ratio ** 2
+            object.__setattr__(self, "u_halfwidth", max(60.0, 50.0 / scale))
 
     @classmethod
     def from_model(cls, model, theta0, true_intensity, prior):
@@ -342,6 +355,8 @@ REGIMES = {cls.regime: cls for cls in (
 def cusp_gamma_sq(a: float, lam0: float, kappa: float) -> float:
     """(a^2 / lam0) integral of (|v - 1|^kappa - |v|^kappa)^2 dv over the real line,
     in closed form 2 a^2 (1 - cos(pi kappa)) B(1+kappa, 1+kappa) / (lam0 cos(pi kappa))."""
+    from scipy import special
+
     return (2.0 * a ** 2 * (1.0 - math.cos(math.pi * kappa))
             * special.beta(1.0 + kappa, 1.0 + kappa)
             / (lam0 * math.cos(math.pi * kappa)))
@@ -406,7 +421,10 @@ def _fbm_batch(hurst: float, grid: np.ndarray, g: np.random.Generator, size: int
     drawing chunk after chunk maps and faults its arrays in only once;
     the paths are then a view of ``bufs[1]``.
     """
-    # imported here: scipy.linalg at module level adds about 5.5 MiB to every process
+    # scipy is imported inside the functions that use it (here, cusp_gamma_sq, _mills
+    # and _split_gaussian_mean): at module level scipy.special costs about 0.45 s of
+    # import time and scipy.linalg about 5.5 MiB in every process, and the regular and
+    # jump regimes and ``poislim simulate`` use neither
     from scipy.linalg.blas import dtrmm
 
     chol = _fbm_cholesky(hurst, grid)
@@ -544,6 +562,8 @@ def _jump_bayes(plus, minus, log_ratio, drift, u_max, size):
 
 def _mills(z):
     """phi(z) / Phi(z), in log space so that it stays finite for every z."""
+    from scipy import special
+
     return np.exp(-0.5 * z * z - 0.5 * math.log(2.0 * math.pi) - special.log_ndtr(z))
 
 
@@ -572,6 +592,8 @@ def _split_gaussian_mean(zl, zr, il, ir):
     truncated Gaussians: N(zl, 1) on v <= 0, of mass exp(zl^2/2) Phi(-zl) / sqrt(il) and
     mean zl - phi(zl)/Phi(-zl), and N(zr, 1) on v > 0, of mass exp(zr^2/2) Phi(zr) / sqrt(ir)
     and mean zr + phi(zr)/Phi(zr) (a common factor sqrt(2 pi) dropped)."""
+    from scipy import special
+
     mean_l = (zl - _mills(-zl)) / math.sqrt(il)
     mean_r = (zr + _mills(zr)) / math.sqrt(ir)
     log_ratio = (0.5 * (zl * zl - zr * zr) + special.log_ndtr(-zl) - special.log_ndtr(zr)

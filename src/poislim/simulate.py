@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.random import Generator, Philox
 
 from .errors import ConfigurationError, DomainError
 from .intensity import IntensityModel, TrueIntensity
@@ -45,10 +46,10 @@ class RngStream:
     master_seed: int
     stream_index: int = 0
 
-    def generator(self) -> np.random.Generator:
+    def generator(self) -> Generator:
         key = np.array([self.master_seed & _MASK64,
                         self.stream_index & _MASK64], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        return Generator(Philox(key=key))
 
 
 def _check_events(ev: np.ndarray, horizon: float, offsets=None) -> None:

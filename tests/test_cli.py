@@ -161,6 +161,8 @@ def test_experiment_rejects_optimal_window_without_mu_star(tmp_path):
     ("cusp", ["kappa=0.25", "gamma_sq=1.5", "halfwidth=inf"], cli.EXIT_CONFIG),
     ("jump", ["lam_left=1", "lam_right=2", "halfwidth=inf"], cli.EXIT_CONFIG),
     ("regular", ["I=inf"], cli.EXIT_CONFIG),
+    ("jump", ["lam_left=3", "lam_right=3"], cli.EXIT_CONFIG),
+    ("jump", ["lam_left=3", "lam_right=3", "halfwidth=2"], cli.EXIT_OK),
 ])
 def test_limits_set_exit_codes(tmp_path, regime, pairs, code):
     out = tmp_path / "draws.csv"

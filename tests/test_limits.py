@@ -335,6 +335,23 @@ def test_jump_bayes_finite_at_large_halfwidth(rates):
     assert np.array_equal(got, _jump_reference(lim, RngStream(4, 0), "bayes", 40))
 
 
+def test_jump_halfwidth_scales_with_the_rates():
+    # 50 / (min rate (ln rho)^2): 57.9 for the default JUMP_SHIFT rates, about 3,380 at r = 0.2
+    assert limit_params("jump", pl.make_model("JUMP_SHIFT"), 0.5).u_halfwidth == 60.0
+    lim = limit_params("jump", pl.make_model("JUMP_SHIFT", params={"r": 0.2}), 0.5)
+    assert (lim.lam_left, lim.lam_right) == (2.5, 2.7)
+    assert lim.u_halfwidth == pytest.approx(50.0 / (2.5 * math.log(2.7 / 2.5) ** 2))
+    explicit = JumpParams.from_set({"lam_left": 2.5, "lam_right": 2.7, "halfwidth": 7.0})
+    assert explicit.u_halfwidth == 7.0
+    with pytest.raises(ConfigurationError, match="explicit halfwidth"):
+        JumpParams(lam_left=3.0, lam_right=3.0)
+    draws = sample_limit_batch(lim, RngStream(1, 0), "mle", 400)
+    assert np.all(np.abs(draws) < 0.99 * lim.u_halfwidth)
+    # the same stream on the old fixed window of 60 piles draws on its edge
+    fixed = JumpParams(lam_left=2.5, lam_right=2.7, u_halfwidth=60.0)
+    assert np.any(np.abs(sample_limit_batch(fixed, RngStream(1, 0), "mle", 400)) >= 0.99 * 60.0)
+
+
 def test_jump_sampler_against_dense_oracle():
     log_ratio = math.log(4.5 / 2.5)
     drift = 2.0
