@@ -20,6 +20,7 @@ import numpy as np
 from . import analysis, estimators, limits
 from .errors import ConfigurationError, DomainError, PoislimError
 from .intensity import ChangePointModel, IntensityModel, TrueIntensity, make_model
+from .limits import ks_two_sample
 from .simulate import RngStream, simulate_sample
 
 __all__ = [
@@ -192,33 +193,6 @@ class Scenario:
 # ---------------------------------------------------------------------------
 # statistics helpers
 # ---------------------------------------------------------------------------
-
-
-def ks_two_sample(a, b) -> float:
-    """Exact sup-distance between the empirical CDFs of two samples."""
-    a = np.sort(np.asarray(a, dtype=float))
-    b = np.sort(np.asarray(b, dtype=float))
-    if a.size == 0 or b.size == 0:
-        raise DomainError("ks_two_sample needs nonempty samples")
-    pooled = np.concatenate([a, b])
-    fa = np.searchsorted(a, pooled, side="right") / a.size
-    fb = np.searchsorted(b, pooled, side="right") / b.size
-    return float(np.max(np.abs(fa - fb)))
-
-
-def _kolmogorov_sf(x: float) -> float:
-    """P(K > x) for the Kolmogorov distribution, the asymptotic law of
-    sqrt(nm / (n + m)) times the two-sample KS statistic.  For x >= 1 the
-    alternating series 2 sum (-1)^(k-1) exp(-2 k^2 x^2); below, one minus the
-    theta-function form (sqrt(2 pi) / x) sum exp(-(2k-1)^2 pi^2 / (8 x^2)).
-    Six terms of either reach double precision on its side of x = 1."""
-    if x >= 1.0:
-        return 2.0 * sum((-1) ** (k - 1) * math.exp(-2.0 * k * k * x * x) for k in range(1, 7))
-    if x < 0.1:  # 1 - P(K > x) < 1e-52 there
-        return 1.0
-    c = -math.pi ** 2 / (8.0 * x * x)
-    return 1.0 - math.sqrt(2.0 * math.pi) / x * sum(math.exp(c * (2 * k - 1) ** 2)
-                                                    for k in range(1, 7))
 
 
 def rate_regression(ns, mses) -> tuple[float, float]:
@@ -441,7 +415,7 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> ExperimentReport:
         for r in range(scenario.replicates):
             row = results[(k, r)]
             for which in settings.estimators:
-                est = row.get(which, float("nan"))
+                est = row[which]
                 err = est - target
                 row[f"err_{which}"] = err
                 row[f"norm_err_{which}"] = float(n) ** rate_exp * err
@@ -461,7 +435,7 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> ExperimentReport:
         mses = []
         for n in scenario.n:
             vals = np.array([row[which] for row in all_rows
-                             if row["n"] == n and np.isfinite(row.get(which, float("nan")))])
+                             if row["n"] == n and np.isfinite(row[which])])
             if vals.size == 0:
                 per_n[str(n)] = {"count": 0}
                 mses.append(float("nan"))
@@ -478,12 +452,7 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> ExperimentReport:
                 "atom_frequency": float(np.mean(np.abs(norm) < scenario.atom_epsilon)),
             }
             if limit is not None:
-                compare = vals if limit.estimate_law else norm
-                stat = ks_two_sample(compare, draws[which])
-                scale = math.sqrt(compare.size * draws[which].size
-                                  / (compare.size + draws[which].size))
-                entry["ks_statistic"] = stat
-                entry["ks_pvalue"] = _kolmogorov_sf(scale * stat)
+                entry.update(limit.compare(vals, n, target, draws[which]))
             per_n[str(n)] = entry
             mses.append(entry["mse"])
         block = {"by_n": per_n}

@@ -6,7 +6,8 @@ integral u Z / integral Z (the Bayes estimator).  ``REGIMES`` maps each regime n
 to one frozen ``RegimeLimit`` class whose fields are the sampler parameters: it
 computes them at theta0 (``from_model``) or reads them from ``limits --set`` values
 (``set_keys``; the keys of fields without defaults are required), validates them,
-and ``draw(g, size)`` draws Z once per chunk of draws and yields both functionals.
+and ``draw(g, size)`` draws Z once per chunk of draws and yields both functionals;
+``compare`` gives the summary entries of estimates of theta0 against those draws.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from .estimators import _prior_weights
 from .intensity import CuspModel, JumpShiftModel
 from .simulate import RngStream
 
-__all__ = ["REGIMES", "RegimeLimit", "CuspParams", "limit_params", "sample_limit",
-           "sample_limit_batch", "simulate_fbm"]
+__all__ = ["REGIMES", "RegimeLimit", "CuspParams", "ks_two_sample", "limit_params",
+           "sample_limit", "sample_limit_batch", "simulate_fbm"]
 
 
 @dataclass(frozen=True)
@@ -36,7 +37,6 @@ class RegimeLimit:
     rate_exponent: ClassVar[float]
     set_keys: ClassVar[dict] = {}  # limits --set key -> field; empty: no direct form
     signed: ClassVar[tuple] = ()  # the set_keys fields that need not be positive
-    estimate_law: ClassVar[bool] = False  # a law of the estimate, not of the normalized error
 
     def __post_init__(self):
         for key, name in self.set_keys.items():
@@ -46,6 +46,13 @@ class RegimeLimit:
 
     def target(self, theta0: float) -> float:  # the value the estimators converge to
         return theta0
+
+    def compare(self, values, n, target, draws) -> dict:
+        """KS statistic and p-value of n^rate_exponent (values - target) against the draws."""
+        sample = float(n) ** self.rate_exponent * (values - target)
+        stat = ks_two_sample(sample, draws)
+        scale = math.sqrt(sample.size * draws.size / (sample.size + draws.size))
+        return {"ks_statistic": stat, "ks_pvalue": _kolmogorov_sf(scale * stat)}
 
     @classmethod
     def from_set(cls, values: dict) -> "RegimeLimit":
@@ -117,7 +124,6 @@ class NonidentParams(RegimeLimit):
     density at theta_k."""
 
     regime, rate_exponent = "nonidentifiable", 0.5
-    estimate_law = True
     roots: list
     informations: list
     rho: list
@@ -131,6 +137,9 @@ class NonidentParams(RegimeLimit):
         cov = analysis.nonident_covariance(model, roots_fn())
         weights = _prior_weights(prior, np.asarray(cov.roots, dtype=float))
         return cls(list(cov.roots), list(cov.informations), cov.rho.tolist(), weights.tolist())
+
+    def compare(self, values, n, target, draws):  # a law of the estimate, not of its error
+        return super().compare(values, 1, 0.0, draws)  # the estimates themselves, bit for bit
 
     def draw(self, g, size):
         roots = np.asarray(self.roots, dtype=float)
@@ -370,6 +379,33 @@ def limit_params(regime: str, model, theta0: float, true_intensity=None, prior="
     if regime not in REGIMES:
         raise DomainError(f"unknown regime {regime!r}; known: {tuple(REGIMES)}")
     return REGIMES[regime].from_model(model, float(theta0), true_intensity, prior)
+
+
+def ks_two_sample(a, b) -> float:
+    """Exact sup-distance between the empirical CDFs of two samples."""
+    a = np.sort(np.asarray(a, dtype=float))
+    b = np.sort(np.asarray(b, dtype=float))
+    if a.size == 0 or b.size == 0:
+        raise DomainError("ks_two_sample needs nonempty samples")
+    pooled = np.concatenate([a, b])
+    fa = np.searchsorted(a, pooled, side="right") / a.size
+    fb = np.searchsorted(b, pooled, side="right") / b.size
+    return float(np.max(np.abs(fa - fb)))
+
+
+def _kolmogorov_sf(x: float) -> float:
+    """P(K > x) for the Kolmogorov distribution, the asymptotic law of
+    sqrt(nm / (n + m)) times the two-sample KS statistic.  For x >= 1 the
+    alternating series 2 sum (-1)^(k-1) exp(-2 k^2 x^2); below, one minus the
+    theta-function form (sqrt(2 pi) / x) sum exp(-(2k-1)^2 pi^2 / (8 x^2)).
+    Six terms of either reach double precision on its side of x = 1."""
+    if x >= 1.0:
+        return 2.0 * sum((-1) ** (k - 1) * math.exp(-2.0 * k * k * x * x) for k in range(1, 7))
+    if x < 0.1:  # 1 - P(K > x) < 1e-52 there
+        return 1.0
+    c = -math.pi ** 2 / (8.0 * x * x)
+    return 1.0 - math.sqrt(2.0 * math.pi) / x * sum(math.exp(c * (2 * k - 1) ** 2)
+                                                    for k in range(1, 7))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from poislim.experiments import _kolmogorov_sf
+from poislim.limits import _kolmogorov_sf
 
 ROOT = Path(__file__).resolve().parents[1]
 

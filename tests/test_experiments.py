@@ -1,4 +1,5 @@
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from poislim import limits
 from poislim.errors import ConfigurationError
 from poislim.experiments import (Scenario, _estimate_row, _replicate_stream_base,
                                  ks_two_sample, run_scenario)
+from poislim.limits import _kolmogorov_sf
 from poislim.simulate import RngStream, simulate_sample
 
 TINY = {"model": "REGULAR_EXP", "theta0": 0.3, "regime": "regular",
@@ -93,31 +95,57 @@ def test_long_record_freq_mod_mle_near_theta0():
     assert abs(row["mle"] - 1.0137) < 1e-4
 
 
+_PIN = {"n": [20, 40], "replicates": 2, "seed": 7, "limit_draws": 200}
+
+
 @pytest.mark.parametrize("doc", [
-    {"model": "JUMP_SHIFT", "theta0": 0.5, "regime": "jump", "n": [20, 40],
-     "replicates": 2, "seed": 7, "limit_draws": 200},
-    {"model": "CUSP", "theta0": 0.5, "regime": "cusp", "n": [40], "replicates": 2,
-     "seed": 7, "limit_draws": 100, "estimator": {"zoom_rounds": 3}},
-], ids=["jump", "cusp"])
+    {"model": "REGULAR_EXP", "theta0": 0.3, "regime": "regular"},
+    {"model": "REGULAR_EXP", "theta0": 0.3, "regime": "misspecified",
+     "true_intensity": {"kind": "constant_shift", "h": 0.5}},
+    {"model": "NONIDENT_FIXED", "theta0": 1.0, "regime": "nonidentifiable"},
+    {"model": "NULLFI_SINE", "theta0": 0.0, "regime": "null-fisher"},
+    {"model": "DISCFI_KINK", "theta0": 1.0, "regime": "disc-fisher"},
+    {"model": "REGULAR_EXP", "theta0": -1.0, "regime": "boundary"},
+    {"model": "CUSP", "theta0": 0.5, "regime": "cusp", "estimator": {"zoom_rounds": 3}},
+    {"model": "JUMP_SHIFT", "theta0": 0.5, "regime": "jump"},
+], ids=["regular", "misspecified", "nonidentifiable", "null-fisher", "disc-fisher",
+        "boundary", "cusp", "jump"])
 def test_limit_draws_share_one_stream(doc, tmp_path):
-    scenario = Scenario.from_dict(doc)
+    scenario = Scenario.from_dict(dict(_PIN, **doc))
     reports = [run_scenario(scenario, workers=w) for w in (1, 2)]
     model = scenario.build_model()
     settings = scenario.build_settings()
-    limit = limits.limit_params(scenario.regime, model, scenario.theta0)
+    limit = limits.limit_params(scenario.regime, model, scenario.theta0,
+                                true_intensity=scenario.build_true_intensity(model),
+                                prior=settings.prior)
     # every estimator's draws are one row of one call on stream 2^52
     rows = limits.sample_limit_batch(limit, RngStream(scenario.seed, 2 ** 52),
                                      settings.estimators, scenario.limit_draws)
     report = reports[0]
     for which, draws in zip(settings.estimators, rows):
+        # the nonidentifiable limit is a law of the estimate; the others, of the normalized error
+        column = which if scenario.regime == "nonidentifiable" else f"norm_err_{which}"
         for n in scenario.n:
-            norm = [row[f"norm_err_{which}"] for row in report.rows
-                    if row["n"] == n and np.isfinite(row[which])]
+            sample = [row[column] for row in report.rows
+                      if row["n"] == n and np.isfinite(row[which])]
             entry = report.summary["estimates"][which]["by_n"][str(n)]
-            assert entry["ks_statistic"] == ks_two_sample(norm, draws)
+            stat = ks_two_sample(sample, draws)
+            assert entry["ks_statistic"] == stat
+            m, k = len(sample), draws.size
+            assert entry["ks_pvalue"] == _kolmogorov_sf(math.sqrt(m * k / (m + k)) * stat)
     outputs = []
     for w, rep in zip((1, 2), reports):
         rep.write_table_csv(tmp_path / f"{w}.csv")
         rep.write_summary_json(tmp_path / f"{w}.json")
         outputs.append((tmp_path / f"{w}.csv").read_bytes() + (tmp_path / f"{w}.json").read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def test_scenario_without_regime_has_no_limit_comparison():
+    doc = dict(TINY, regime=None)
+    summary = run_scenario(Scenario.from_dict(doc)).summary
+    assert "limit" not in summary
+    for block in summary["estimates"].values():
+        for entry in block["by_n"].values():
+            assert entry["count"] == 3
+            assert not any(key.startswith("ks_") for key in entry)
