@@ -28,8 +28,6 @@ from .simulate import Sample
 __all__ = ["EstimatorSettings", "Estimate", "mle", "bayes", "moments_preliminary", "two_stage"]
 
 _DEGENERATE_WIDTH = 1e-11
-_LOCALIZE_BREAK_COUNT = 512
-_LOCALIZE_MARGIN_CELLS = 8
 # Simpson panels of ``bayes``, spread over the segments between breakpoints
 _BAYES_PANELS = 4096
 
@@ -93,33 +91,31 @@ def _clamp(x, iv):
 
 
 def _candidate_argmax(thetas, sides, values):
-    """First (= smallest theta, then left side) index attaining the max."""
+    """(theta, value) of the first candidate attaining the max: smallest theta,
+    then left side."""
     order = np.lexsort((sides, thetas))
     vals = values[order]
     if not np.any(vals > -np.inf):
         raise EstimationError("log-likelihood is -inf over every candidate")
     i = int(np.argmax(vals))
-    return float(thetas[order][i]), int(sides[order][i]), float(vals[i])
+    return float(thetas[order][i]), float(vals[i])
 
 
 def _eval_candidates(ev, grid):
     """(theta, side, value) candidate arrays of one search pass over ``grid``.
 
-    The candidates are the grid and the sample's breakpoints strictly inside it.
+    The candidates are the grid and the sample's breakpoints strictly inside
+    it: on side 0 where the curve kinks, on both sides where it jumps.
     """
-    jump_breaks, kink_breaks = (b[(b > grid[0]) & (b < grid[-1])] for b in ev.breaks)
+    breaks = ev.breaks[(ev.breaks > grid[0]) & (ev.breaks < grid[-1])]
     thetas = [grid]
     sides = [np.zeros(grid.size, dtype=int)]
     values = [ev.values(grid)]
-    if kink_breaks.size:
-        thetas.append(kink_breaks)
-        sides.append(np.zeros(kink_breaks.size, dtype=int))
-        values.append(ev.values(kink_breaks))
-    if jump_breaks.size:
-        for side in (-1, 1):
-            thetas.append(jump_breaks)
-            sides.append(side * np.ones(jump_breaks.size, dtype=int))
-            values.append(ev.values(jump_breaks, theta_side=side))
+    if breaks.size:
+        for side in (-1, 1) if ev.model.event_breakpoints_are_jumps else (0,):
+            thetas.append(breaks)
+            sides.append(np.full(breaks.size, side))
+            values.append(ev.values(breaks, theta_side=side))
     return np.concatenate(thetas), np.concatenate(sides), np.concatenate(values)
 
 
@@ -127,10 +123,12 @@ def mle(model: IntensityModel, sample: Sample, settings: EstimatorSettings | Non
         window=None) -> Estimate:
     """Maximum-likelihood estimate over Theta's closure.
 
-    Ties break toward the smaller theta; at sample-dependent discontinuities
-    both one-sided limits compete for the sup.  Golden-section and score
-    refinement run where the family is theta-smooth; a sample with more than
-    ``_LOCALIZE_BREAK_COUNT`` theta-breakpoints is searched in two passes.
+    One exact search serves every sample: the grid, each kink breakpoint, and
+    both one-sided values at each jump breakpoint, about G + 2B evaluations for
+    G grid points and B breakpoints.  Ties break toward the smaller theta; at
+    sample-dependent discontinuities both one-sided limits compete for the sup.
+    Zoom rounds then refine cusp-type likelihoods, and golden-section and score
+    refinement run where the family is theta-smooth.
     """
     if sample.n < 1:
         raise PreconditionError("sample must contain at least one trajectory")
@@ -141,43 +139,16 @@ def mle(model: IntensityModel, sample: Sample, settings: EstimatorSettings | Non
 
     ev = LikelihoodEvaluator(model, sample, window)
     grid = curve_grid(model, settings.grid_size)
-    cell = grid[1] - grid[0]
-
-    if sum(b.size for b in ev.breaks) > _LOCALIZE_BREAK_COUNT:
-        coarse_vals = ev.values(grid)
-        if not np.any(coarse_vals > -np.inf):
-            raise EstimationError("log-likelihood is -inf over the whole grid")
-        i = int(np.argmax(coarse_vals))
-        th, sd, vals, _ = _local_candidates(ev, grid[i], coarse_vals[i],
-                                            _LOCALIZE_MARGIN_CELLS * cell)
-    else:
-        th, sd, vals = _eval_candidates(ev, grid)
-
-    best_theta, best_side, best_val = _candidate_argmax(th, sd, vals)
+    th, sd, vals = _eval_candidates(ev, grid)
+    best_theta, best_val = _candidate_argmax(th, sd, vals)
 
     if settings.zoom_rounds and not model.is_theta_smooth:
-        best_theta, best_val = _zoom_refine(ev, best_theta, best_val, 4.0 * cell,
+        best_theta, best_val = _zoom_refine(ev, best_theta, best_val, 4.0 * (grid[1] - grid[0]),
                                             settings.zoom_rounds)
     elif model.smoothness_order >= 1:
         best_theta, best_val = _golden_refine(ev, th, sd, vals, best_theta, best_val)
 
     return Estimate(_clamp(best_theta, iv), best_val, "mle")
-
-
-def _local_candidates(ev, center, center_val, width):
-    """Candidates of one local pass and their grid step, or None if the window is empty.
-
-    129 points over center +- width clipped to Theta, the sample's (jump, kink)
-    breakpoints inside, and the incumbent (center, center_val).
-    """
-    iv = ev.model.theta_interval
-    lo = max(iv.alpha, center - width)
-    hi = min(iv.beta, center + width)
-    if hi <= lo:
-        return None
-    fine = np.linspace(lo, hi, 129)
-    th, sd, vals = _eval_candidates(ev, fine)
-    return np.append(th, center), np.append(sd, 0), np.append(vals, center_val), fine[1] - fine[0]
 
 
 def _golden_refine(ev, thetas, sides, values, best_theta, best_val):
@@ -244,14 +215,22 @@ def _score_bisect(f, x, lo, hi, iters=64):
 
 
 def _zoom_refine(ev, theta, val, width, rounds):
-    """Iterated grid refinement for continuous non-smooth likelihoods."""
+    """Iterated grid refinement for continuous non-smooth likelihoods.
+
+    Each round searches 129 points over theta +- width clipped to Theta, the
+    sample's breakpoints inside, and the incumbent; the next width is four of
+    its grid steps.
+    """
+    iv = ev.model.theta_interval
     for _ in range(rounds):
-        found = _local_candidates(ev, theta, val, width)
-        if found is None:
+        lo, hi = max(iv.alpha, theta - width), min(iv.beta, theta + width)
+        if hi <= lo:
             break
-        *candidates, step = found
-        theta, _, val = _candidate_argmax(*candidates)
-        width = 4.0 * step
+        fine = np.linspace(lo, hi, 129)
+        th, sd, vals = _eval_candidates(ev, fine)
+        theta, val = _candidate_argmax(np.append(th, theta), np.append(sd, 0),
+                                       np.append(vals, val))
+        width = 4.0 * (fine[1] - fine[0])
     return theta, val
 
 
@@ -291,9 +270,9 @@ def bayes(model: IntensityModel, sample: Sample, settings: EstimatorSettings | N
         return Estimate(iv.midpoint, float("nan"), "bayes")
 
     ev = LikelihoodEvaluator(model, sample, window)
-    jump_breaks, kink_breaks = ev.breaks
+    jump_breaks = ev.breaks if model.event_breakpoints_are_jumps else np.empty(0)
     cuts = np.unique(np.concatenate([
-        jump_breaks, kink_breaks,
+        ev.breaks,
         np.array([k for k in model.theta_kinks if iv.alpha < k < iv.beta]),
     ]))
     edges = np.concatenate([[iv.alpha], cuts, [iv.beta]])

@@ -51,18 +51,15 @@ class LikelihoodEvaluator:
         self.events = events[inside]
 
     @cached_property
-    def breaks(self):
-        """The events' theta-breakpoints inside Theta, split as (jumps, kinks).
+    def breaks(self) -> np.ndarray:
+        """The events' theta-breakpoints inside Theta, sorted and distinct.
 
-        Whether the curve jumps or kinks there is a property of the family, so
-        one of the two is always empty.
+        Whether the curve jumps or only kinks there is the family's
+        ``event_breakpoints_are_jumps``.
         """
         iv = self.model.theta_interval
         br = np.unique(self.model.event_theta_breakpoints(self.events))
-        br = br[(br > iv.alpha) & (br < iv.beta)]
-        if self.model.event_breakpoints_are_jumps:
-            return br, np.empty(0)
-        return np.empty(0), br
+        return br[(br > iv.alpha) & (br < iv.beta)]
 
     def values(self, thetas, theta_side=0) -> np.ndarray:
         thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
@@ -131,13 +128,12 @@ def likelihood_curve(model: IntensityModel, sample: Sample, grid_size: int,
         raise DomainError(f"grid_size must be >= 3, got {grid_size}")
     ev = LikelihoodEvaluator(model, sample, window)
     grid = curve_grid(model, grid_size)
-    breaks = np.union1d(*ev.breaks)
-    full = np.unique(np.concatenate([grid, breaks])) if breaks.size else grid
+    breaks = ev.breaks
+    full = np.union1d(grid, breaks)
     values = ev.values(full)
-    if breaks.size:
-        left = ev.values(breaks, theta_side=-1)
-        right = ev.values(breaks, theta_side=+1)
-    else:
-        left = right = np.empty(0)
+    if model.event_breakpoints_are_jumps:
+        left, right = (ev.values(breaks, theta_side=side) for side in (-1, 1))
+    else:  # the curve only kinks there
+        left = right = values[np.searchsorted(full, breaks)]
     return LogLikelihoodCurve(thetas=full, values=values,
                               break_thetas=breaks, break_left=left, break_right=right)

@@ -105,9 +105,9 @@ def _bayes_reference(model, sample, settings, window=None):
     values call per segment, the nodes at a jump cut evaluated again one-sided."""
     iv = model.theta_interval
     ev = LikelihoodEvaluator(model, sample, window)
-    jump_breaks, kink_breaks = ev.breaks
+    jump_breaks = ev.breaks if model.event_breakpoints_are_jumps else np.empty(0)
     cuts = np.unique(np.concatenate([
-        jump_breaks, kink_breaks,
+        ev.breaks,
         np.array([k for k in model.theta_kinks if iv.alpha < k < iv.beta]),
     ]))
     edges = np.concatenate([[iv.alpha], cuts, [iv.beta]])
@@ -179,8 +179,9 @@ def test_bayes_matches_per_segment_reference(case, monkeypatch):
     est = bayes(model, s, settings, window)
     assert est.value == expected, name
     # every case cuts Theta: at sample breakpoints, or at DISCFI_KINK's declared kink
-    jumps, kinks = LikelihoodEvaluator(model, s, window).breaks
-    assert jumps.size or kinks.size or model.theta_kinks
+    breaks = LikelihoodEvaluator(model, s, window).breaks
+    assert breaks.size or model.theta_kinks
+    jumps = breaks if model.event_breakpoints_are_jumps else np.empty(0)
     thetas = {side: np.concatenate(calls or [np.empty(0)]) for side, calls in seen.items()}
     for side, th in thetas.items():
         assert np.unique(th).size == th.size, (name, side)
@@ -248,9 +249,6 @@ def test_two_stage_sufficient_window_improves_on_preliminary():
         prelim = moments_preliminary(sw, s[:n1])
         final = two_stage(sw, s, settings, stage="sufficient-window")
         win = pl.sufficient_window(prelim.value, n, sw.horizon)
-        # so the final MLE takes the two-pass (localized) search
-        breaks = LikelihoodEvaluator(sw, s[n1:], win).breaks
-        assert sum(b.size for b in breaks) > estimators._LOCALIZE_BREAK_COUNT, r
         assert win.intervals[0][0] <= final.value <= win.intervals[0][1]
         if abs(final.value - theta0) <= abs(prelim.value - theta0):
             better += 1
@@ -282,20 +280,16 @@ def test_disc_fisher_kink_can_return_exact_kink():
     assert hits > 0
 
 
-def test_jump_shift_mle_localized_matches_full(monkeypatch):
-    js = pl.make_model("JUMP_SHIFT")
-    settings = EstimatorSettings(grid_size=401)
-    samples = [simulate_sample((js, 0.5), 60, RngStream(20 + seed, 0)) for seed in range(5)]
-    full = []
-    for s in samples:
-        # few enough breakpoints that the default is the one-pass (full) search
-        breaks = LikelihoodEvaluator(js, s).breaks
-        assert sum(b.size for b in breaks) <= estimators._LOCALIZE_BREAK_COUNT
-        full.append(mle(js, s, settings))
-    monkeypatch.setattr(estimators, "_LOCALIZE_BREAK_COUNT", 0)
-    for seed, (s, f) in enumerate(zip(samples, full)):
-        local = mle(js, s, settings)
-        assert local.value == pytest.approx(f.value, abs=1e-12), seed
+@pytest.mark.parametrize("family, seed", [("JUMP_SHIFT", 78), ("CHANGEPOINT", 8),
+                                          ("SUFFWIN_LINEAR", 19)])
+def test_mle_attains_the_likelihood_maximum(family, seed):
+    # on these samples a higher mode lies well away from the grid argmax, so a
+    # search confined to a window around the grid argmax would miss it
+    model = pl.make_model(family)
+    s = simulate_sample((model, model.theta_interval.midpoint), 400, RngStream(seed, 0))
+    curve = likelihood_curve(model, s, 4001)
+    best = max(curve.values.max(), curve.break_left.max(), curve.break_right.max())
+    assert mle(model, s).objective_at_value == best
 
 
 def test_cusp_zoom_refines():
