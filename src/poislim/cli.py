@@ -100,7 +100,7 @@ def _cmd_limits(args) -> int:
         seed = scenario.seed
     else:
         limit = limits.REGIMES[args.regime].from_set(_parse_kv(args.set))
-        seed = args.seed if args.seed is not None else 0
+        seed = experiments.check_seed(args.seed if args.seed is not None else 0)
     draws = limits.sample_limit_batch(limit, RngStream(seed, 0), args.which, args.samples)
     with open(args.out, "w", newline="") as fh:
         fh.write("draw\n")

@@ -48,12 +48,20 @@ def _integer(value, what: str) -> int:
     """``value`` as an int; a non-integral number such as 20.7 fails, not truncates."""
     try:
         out = int(value)
-        exact = out == float(value)
+        exact = isinstance(value, str) or out == value  # int == float compares exactly
     except (TypeError, ValueError, OverflowError):
         exact = False
     if not exact:
         raise ConfigurationError(f"{what} must be an integer, got {value!r}")
     return out
+
+
+def check_seed(value) -> int:
+    """``value`` as a master seed: an integer in [0, 2^64), the range of a Philox key word."""
+    seed = _integer(value, "seed")
+    if not 0 <= seed < 2 ** 64:
+        raise ConfigurationError(f"seed must lie in [0, 2^64), got {seed}")
+    return seed
 
 
 def _check_number(value, what: str) -> None:
@@ -93,7 +101,7 @@ class Scenario:
             raise ConfigurationError("n must list at least one value, each >= 1")
         object.__setattr__(self, "n", ns)
         object.__setattr__(self, "replicates", _integer(self.replicates, "replicates"))
-        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
+        object.__setattr__(self, "seed", check_seed(self.seed))
         object.__setattr__(self, "limit_draws", _integer(self.limit_draws, "limit_draws"))
         _check_number(self.theta0, "theta0")
         _check_number(self.atom_epsilon, "atom_epsilon")

@@ -290,21 +290,19 @@ class CuspParams(RegimeLimit):
         return cls(kappa=model.kappa, hurst=model.hurst, gamma_sq=gamma_sq)
 
     def draw(self, g, size):
-        hurst, gamma_sq = self.hurst, self.gamma_sq
         u = np.linspace(-self.grid_halfwidth, self.grid_halfwidth, self.grid_points)
-        pen = np.abs(u) ** (2.0 * hurst) * gamma_sq / 2.0
-        chunk = 2048
-        # two buffers serve every chunk: bufs[1] holds log Z, bufs[0] the normals,
-        # which are spent once _fbm_batch returns, so it is then the posterior's scratch
-        bufs = np.empty(min(chunk, size) * u.size), np.empty(min(chunk, size) * u.size)
-        for lo in range(0, size, chunk):
-            log_z = _fbm_batch(hurst, u, g, min(chunk, size - lo), bufs)
-            log_z *= math.sqrt(gamma_sq)
+        # linspace computes the centre as k * (2h / 2k) - h, which need not round to 0.0
+        # (halfwidth 1, 99 points gives -1.1e-16); the fBm sampler needs an exact 0.0 node
+        u[self.grid_points // 2] = 0.0
+        pen = np.abs(u) ** (2.0 * self.hurst) * self.gamma_sq / 2.0
+        lo = 0
+        for log_z, scratch in _fbm_chunks(self.hurst, u, g, size):
+            log_z *= math.sqrt(self.gamma_sq)
             log_z -= pen
-            scratch = bufs[0][:log_z.size].reshape(log_z.shape)
-            yield slice(lo, lo + chunk), {
+            yield slice(lo, lo + log_z.shape[0]), {
                 "mle": lambda: u[np.argmax(log_z, axis=1)],
                 "bayes": lambda: _grid_posterior_mean(u, log_z, scratch)}
+            lo += log_z.shape[0]
 
 
 @dataclass(frozen=True)
@@ -364,6 +362,10 @@ REGIMES = {cls.regime: cls for cls in (
 def cusp_gamma_sq(a: float, lam0: float, kappa: float) -> float:
     """(a^2 / lam0) integral of (|v - 1|^kappa - |v|^kappa)^2 dv over the real line,
     in closed form 2 a^2 (1 - cos(pi kappa)) B(1+kappa, 1+kappa) / (lam0 cos(pi kappa))."""
+    # scipy is imported inside the functions that use it (here, _mills and
+    # _split_gaussian_mean): at module level scipy.special costs about 0.45 s of import
+    # time in every process, and the regular and jump regimes and ``poislim simulate``
+    # do not use it
     from scipy import special
 
     return (2.0 * a ** 2 * (1.0 - math.cos(math.pi * kappa))
@@ -412,79 +414,79 @@ def _kolmogorov_sf(x: float) -> float:
 # fractional Brownian motion
 # ---------------------------------------------------------------------------
 
-_FBM_CACHE: dict = {}
+_FBM_CHUNK = 128  # paths per chunk: about 14 MB of buffers on the default 2,001-point grid
 
 
-def _fbm_cholesky(hurst: float, grid: np.ndarray) -> np.ndarray:
-    key = (float(hurst), grid.tobytes())
-    hit = _FBM_CACHE.get(key)
-    if hit is not None:
-        return hit
-    u = grid[grid != 0.0]
+def _fbm_grid(grid: np.ndarray) -> tuple[int, float]:
+    """(index of the 0.0 node, spacing) of an increasing uniform grid with an exact 0.0 node."""
+    if grid.ndim != 1 or grid.size < 2:
+        raise DomainError("an fBm grid needs at least 2 points")
+    zero = np.flatnonzero(grid == 0.0)
+    step = (grid[-1] - grid[0]) / (grid.size - 1)
+    if zero.size != 1 or not (step > 0.0 and np.all(np.abs(np.diff(grid) - step) <= 1e-9 * step)):
+        raise DomainError("an fBm grid must be uniform and increasing, with an exact 0.0 node")
+    return int(zero[0]), float(step)
+
+
+def _fgn_spectrum(hurst: float, n: int, step: float) -> np.ndarray:
+    """The n + 1 rfft eigenvalues of the 2n-circulant that embeds the covariance
+    gamma(k) = step^2H (|k+1|^2H + |k-1|^2H - 2|k|^2H) / 2 of n fGn increments."""
     h2 = 2.0 * hurst
-    pw = np.abs(u) ** h2
-    # 0.5 (|u_i|^2H + |u_j|^2H - |u_i - u_j|^2H), the |u_i - u_j|^2H term built in place
-    dist = np.subtract.outer(u, u)
-    np.abs(dist, out=dist)
-    dist **= h2
-    cov = np.subtract(np.add.outer(pw, pw), dist, out=dist)
-    cov *= 0.5
-    diag = cov.diagonal().copy()
-    jitter = 0.0
-    for _ in range(6):
-        try:
-            chol = np.linalg.cholesky(cov)
-            break
-        except np.linalg.LinAlgError:
-            jitter = max(jitter * 10.0, 1e-12 * float(np.max(diag)))
-            np.fill_diagonal(cov, diag + jitter)
-    else:
-        raise NumericalError("fBm covariance failed Cholesky even after jitter")
-    if len(_FBM_CACHE) > 8:
-        _FBM_CACHE.clear()
-    _FBM_CACHE[key] = chol
-    return chol
+    k = np.arange(n + 1.0)
+    gamma = 0.5 * step ** h2 * (np.abs(k + 1.0) ** h2 + np.abs(k - 1.0) ** h2 - 2.0 * k ** h2)
+    lam = np.fft.rfft(np.concatenate([gamma, gamma[n - 1:0:-1]])).real
+    if lam.min() < -1e-12 * lam.max():
+        raise NumericalError(f"fGn circulant embedding is not nonnegative at hurst {hurst}")
+    return np.maximum(lam, 0.0, out=lam)
 
 
-def _fbm_batch(hurst: float, grid: np.ndarray, g: np.random.Generator, size: int,
-               bufs=None) -> np.ndarray:
-    """size paths of two-sided fBm on the grid, one per row; W(0)=0 exactly.
+def _fbm_chunks(hurst: float, grid: np.ndarray, g: np.random.Generator, size: int):
+    """Yield size paths of two-sided fBm on the grid, one per row, W(0) = 0 exactly,
+    in chunks of at most ``_FBM_CHUNK`` rows, each with a scratch array of its shape.
 
-    The paths are L z for the lower Cholesky factor L, taken as one in-place
-    triangular product (BLAS trmm: half the multiply-adds of a dense one) in
-    the normals' own buffer.  ``bufs``, two flat float arrays of at least
-    size * grid.size elements, hold the normals and the paths, so that a caller
-    drawing chunk after chunk maps and faults its arrays in only once;
-    the paths are then a view of ``bufs[1]``.
+    The paths are exact by circulant embedding (Davies and Harte, 1987): with N = grid
+    points - 1 and M = 2N, a path takes one row of 2N normals a_0..a_N, b_1..b_N-1, the
+    Hermitian half-spectrum sqrt(lam_k M / 2) (a_k + i b_k), sqrt(lam_k M) a_k at k = 0
+    and N, and its real inverse FFT, whose first N values are the fGn increments; their
+    cumsum less its value at the 0.0 node is the path.  A path depends only on its own
+    row of normals, so not on ``_FBM_CHUNK``.  The yielded arrays are views of buffers
+    that the next chunk overwrites.
     """
-    # scipy is imported inside the functions that use it (here, cusp_gamma_sq, _mills
-    # and _split_gaussian_mean): at module level scipy.special costs about 0.45 s of
-    # import time and scipy.linalg about 5.5 MiB in every process, and the regular and
-    # jump regimes and ``poislim simulate`` use neither
-    from scipy.linalg.blas import dtrmm
+    zero, step = _fbm_grid(grid)
+    n = grid.size - 1
+    m = 2 * n
+    weight = np.full(n + 1, float(n))
+    weight[[0, n]] = m
+    scale = np.sqrt(_fgn_spectrum(hurst, n, step) * weight)
+    chunk = _FBM_CHUNK
+    rows = min(chunk, size)
+    z, inc = np.empty((rows, m)), np.empty((rows, m))
+    spec = np.zeros((rows, n + 1), dtype=complex)
+    path = np.empty((rows, n + 1))
+    for lo in range(0, size, chunk):
+        r = min(chunk, size - lo)
+        normals = g.standard_normal((r, m), out=z[:r])
+        np.multiply(normals[:, :n + 1], scale, out=spec.real[:r])
+        np.multiply(normals[:, n + 1:], scale[1:n], out=spec.imag[:r, 1:n])
+        np.fft.irfft(spec[:r], n=m, out=inc[:r])
+        w = path[:r]
+        w[:, 0] = 0.0
+        np.cumsum(inc[:r, :n], axis=1, out=w[:, 1:])
+        w -= w[:, zero, None]
+        # the normals are spent: their buffer is the chunk's scratch
+        yield w, z.reshape(-1)[:w.size].reshape(w.shape)
 
-    chol = _fbm_cholesky(hurst, grid)
-    m = chol.shape[0]
-    if bufs is None:
-        bufs = np.empty(m * size), np.empty(grid.size * size)
-    z = g.standard_normal((m, size), out=bufs[0][:m * size].reshape(m, size))
-    # z.T L^T = (L z)^T, written over z.T
-    w = dtrmm(1.0, chol.T, z.T, side=1, lower=0, overwrite_b=1)
-    out = bufs[1][:grid.size * size].reshape(size, grid.size)
-    nz = grid != 0.0
-    out[:, nz] = w
-    out[:, ~nz] = 0.0
-    return out
+
+def _fbm_batch(hurst: float, grid: np.ndarray, g: np.random.Generator, size: int) -> np.ndarray:
+    """size fBm paths as by ``_fbm_chunks``, in one new array."""
+    return np.concatenate([w.copy() for w, _ in _fbm_chunks(hurst, grid, g, size)])
 
 
 def simulate_fbm(hurst: float, grid, rng: RngStream) -> np.ndarray:
-    """One exact (covariance-factorized) fBm path on the given grid."""
+    """One exact (circulant-embedding) fBm path on a uniform grid with an exact 0.0 node."""
     if not (0.0 < hurst < 1.0):
         raise DomainError(f"hurst must lie in (0, 1), got {hurst}")
-    grid = np.asarray(grid, dtype=float)
-    if grid.size > 4001:
-        raise DomainError("grid_points must be <= 4001 for exact factorization")
-    return _fbm_batch(hurst, grid, rng.generator(), 1)[0]
+    return _fbm_batch(hurst, np.asarray(grid, dtype=float), rng.generator(), 1)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -116,6 +116,12 @@ ALL_FAIL = {"model": "SUFFWIN_LINEAR", "theta0": 0.5, "window": {"mode": "suffic
       "n": [16], "replicates": 2, "seed": 1}, [], cli.EXIT_CONFIG),
     # the Bayes panel count is fixed, not a setting
     (dict(TINY, estimator={"bayes_panels": 4096}), [], cli.EXIT_CONFIG),
+    # a seed outside [0, 2^64) fails instead of aliasing one inside it
+    (dict(TINY, seed=2 ** 64), [], cli.EXIT_CONFIG),
+    (dict(TINY, seed=-1), [], cli.EXIT_CONFIG),
+    (TINY, ["--seed", "-1"], cli.EXIT_CONFIG),
+    (TINY, ["--seed", str(2 ** 64)], cli.EXIT_CONFIG),
+    (dict(TINY, seed=2 ** 64 - 1), [], cli.EXIT_OK),
 ])
 def test_experiment_exit_codes(tmp_path, capsys, doc, extra, code):
     scenario = write_scenario(tmp_path, doc)
@@ -163,6 +169,8 @@ def test_experiment_rejects_optimal_window_without_mu_star(tmp_path):
     ("regular", ["I=inf"], cli.EXIT_CONFIG),
     ("jump", ["lam_left=3", "lam_right=3"], cli.EXIT_CONFIG),
     ("jump", ["lam_left=3", "lam_right=3", "halfwidth=2"], cli.EXIT_OK),
+    # linspace puts this grid's centre at -1.1e-16, not 0.0
+    ("cusp", ["kappa=0.25", "gamma_sq=1.5", "halfwidth=1", "grid_points=99"], cli.EXIT_OK),
 ])
 def test_limits_set_exit_codes(tmp_path, regime, pairs, code):
     out = tmp_path / "draws.csv"
@@ -177,12 +185,25 @@ def test_limits_set_exit_codes(tmp_path, regime, pairs, code):
     (["--set", "I=2", "--samples", "0"], cli.EXIT_CONFIG),
     (["--scenario", "SCENARIO", "--samples", "-1"], cli.EXIT_CONFIG),
     (["--scenario", "SCENARIO"], cli.EXIT_OK),
+    (["--set", "I=2", "--seed", "-1"], cli.EXIT_CONFIG),
+    (["--set", "I=2", "--seed", str(2 ** 64)], cli.EXIT_CONFIG),
+    (["--set", "I=2", "--seed", str(2 ** 64 - 1)], cli.EXIT_OK),
 ])
 def test_limits_exit_codes(tmp_path, args, code):
     scenario = write_scenario(tmp_path, TINY)
     args = [scenario if a == "SCENARIO" else a for a in args]
     argv = ["limits", "--regime", "regular", *args, "--out", str(tmp_path / "draws.csv")]
     assert cli.main(argv) == code
+
+
+def test_seed_range_message_and_exact_integers(tmp_path, capsys):
+    argv = ["limits", "--regime", "regular", "--set", "I=2", "--seed", "-1",
+            "--out", str(tmp_path / "draws.csv")]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert "seed must lie in [0, 2^64), got -1" in capsys.readouterr().err
+    # above 2^53 a double cannot hold every integer: the seed stays exact
+    for seed in (2 ** 53 + 1, 2 ** 64 - 1):
+        assert Scenario.from_dict(dict(TINY, seed=seed)).seed == seed
 
 
 def test_limits_scenario_reads_the_prior(tmp_path):

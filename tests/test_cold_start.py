@@ -52,7 +52,10 @@ def test_import_and_scipy_free_regimes(fresh):
         assert fresh[name]["summary"]["failures"] == 0, name
     cusp = fresh["cusp-fbm"]
     assert cusp["summary"]["failures"] == 0
-    assert {"scipy.special", "scipy.linalg"} <= set(cusp["added"])
+    # the cusp constant needs scipy.special and the fBm sampler numpy.fft, but no
+    # cusp draw needs scipy.linalg
+    assert {"scipy.special", "numpy.fft"} <= set(cusp["added"])
+    assert not any(m.startswith("scipy.linalg") for m in cusp["added"])
 
 
 def test_kolmogorov_sf_matches_scipy():

@@ -415,58 +415,79 @@ def test_fbm_covariance_properties():
     assert abs(np.corrcoef(inc1, inc2)[0, 1]) < 0.02
 
 
-def _fbm_cholesky_reference(hurst, grid):
-    """The covariance as one expression, jittered by a full identity matrix."""
-    u = grid[grid != 0.0]
+class _UnitNormals:
+    """Stands in for a Generator: its normals are the unit vectors e_0, e_1, ... in turn,
+    so the paths drawn from it are the columns of the sampler's normals-to-path map."""
+
+    def __init__(self):
+        self.drawn = 0
+
+    def standard_normal(self, size, out):
+        out[...] = 0.0
+        out[np.arange(size[0]), self.drawn + np.arange(size[0])] = 1.0
+        self.drawn += size[0]
+        return out
+
+
+def _fbm_covariance_formula(hurst, u, v):
     h2 = 2.0 * hurst
-    au = np.abs(u)
-    cov = 0.5 * (au[:, None] ** h2 + au[None, :] ** h2 - np.abs(u[:, None] - u[None, :]) ** h2)
-    scale = float(np.max(np.diag(cov)))
-    jitter = 0.0
-    for _ in range(6):
-        try:
-            return np.linalg.cholesky(cov + jitter * np.eye(cov.shape[0]))
-        except np.linalg.LinAlgError:
-            jitter = max(jitter * 10.0, 1e-12 * scale)
-    raise AssertionError("reference Cholesky failed")
+    return 0.5 * (np.abs(u)[:, None] ** h2 + np.abs(v)[None, :] ** h2
+                  - np.abs(u[:, None] - v[None, :]) ** h2)
 
 
-_CHOLESKY = np.linalg.cholesky
+@pytest.mark.parametrize("hurst", [0.55, 0.75, 0.9, 0.99])
+def test_fbm_covariance_matches_formula(hurst):
+    # the map's implied covariance, the sum of the outer products of its columns,
+    # against the fBm covariance, on a subset of the columns of the larger grids:
+    # the zero node in the middle, at the left and at the right end of 61 points, in
+    # the middle of the cusp default and of the widest cusp grid, and at both ends
+    # of the widest grid for the least well-conditioned embedding
+    grids = [(-3.0, 3.0, 61), (0.0, 3.0, 61), (-3.0, 0.0, 61), (-20.0, 20.0, 2001),
+             (-60.0, 60.0, 4001)]
+    if hurst == 0.99:
+        grids += [(0.0, 60.0, 4001), (-60.0, 0.0, 4001)]
+    for lo, hi, points in grids:
+        grid = np.linspace(lo, hi, points)
+        cols = np.unique(np.r_[np.linspace(0, points - 1, min(points, 25)).astype(int),
+                               np.flatnonzero(grid == 0.0)])
+        cov = np.zeros((points, cols.size))
+        for w, _ in limits._fbm_chunks(hurst, grid, _UnitNormals(), 2 * (points - 1)):
+            cov += w.T @ w[:, cols]
+        want = _fbm_covariance_formula(hurst, grid, grid[cols])
+        assert np.max(np.abs(cov - want)) <= 1e-10 * np.max(np.abs(want)), (lo, hi, points)
+        assert limits._fgn_spectrum(hurst, points - 1, grid[1] - grid[0]).min() > 0.0
 
 
-def _cholesky_failing_first(fails):
-    """np.linalg.cholesky that raises on its first ``fails`` calls."""
-    def cholesky(a):
-        nonlocal fails
-        if fails:
-            fails -= 1
-            raise np.linalg.LinAlgError("forced")
-        return _CHOLESKY(a)
-    return cholesky
+def test_fbm_draws_do_not_depend_on_chunk(monkeypatch):
+    grid = np.linspace(-20.0, 20.0, 2001)
+    draws = []
+    for chunk in (1, 7, limits._FBM_CHUNK):
+        monkeypatch.setattr(limits, "_FBM_CHUNK", chunk)
+        draws.append(limits._fbm_batch(0.75, grid, RngStream(30, 0).generator(), 300))
+    monkeypatch.undo()
+    assert np.array_equal(draws[0], draws[1]) and np.array_equal(draws[0], draws[2])
+    lim = CuspParams(kappa=0.25, gamma_sq=1.0)
+    mle = [sample_limit_batch(lim, RngStream(30, 1), "mle", size) for size in (1, 300)]
+    assert mle[0][0] == mle[1][0]
 
 
-@pytest.mark.parametrize("hurst", [0.6, 0.75, 0.9])
-def test_fbm_cholesky_matches_one_line_formula(hurst, monkeypatch):
-    # the cusp default grid, and a grid with two repeated nodes: its covariance
-    # is singular, so the factor comes from the jittered retry; two forced
-    # failures on top of that reach the third jitter level
-    default = np.linspace(-20.0, 20.0, CuspParams(kappa=0.25, hurst=0.75, gamma_sq=1.0).grid_points)
-    repeated = np.concatenate([np.linspace(-3.0, 3.0, 61), [1.0, 2.0]])
-    for grid, fails in ((default, 0), (repeated, 0), (repeated, 2)):
-        monkeypatch.setattr(limits, "_FBM_CACHE", {})
-        monkeypatch.setattr(np.linalg, "cholesky", _cholesky_failing_first(fails))
-        got = limits._fbm_cholesky(hurst, grid)
-        monkeypatch.setattr(np.linalg, "cholesky", _cholesky_failing_first(fails))
-        assert np.array_equal(got, _fbm_cholesky_reference(hurst, grid)), fails
-
-
-def _fbm_dense(hurst, grid, g, size):
-    """fBm paths as the dense product (L z)^T, scattered around the zero node."""
-    chol = limits._fbm_cholesky(hurst, grid)
-    z = g.standard_normal((chol.shape[0], size))
-    out = np.zeros((size, grid.size))
-    out[:, grid != 0.0] = (chol @ z).T
-    return out
+def _fbm_reference(hurst, grid, g, size):
+    """fBm paths by circulant embedding as plain numpy on one array of normals."""
+    n = grid.size - 1
+    m = 2 * n
+    k = np.arange(n + 1.0)
+    h2 = 2.0 * hurst
+    gamma = 0.5 * (grid[1] - grid[0]) ** h2 * (np.abs(k + 1.0) ** h2 + np.abs(k - 1.0) ** h2
+                                               - 2.0 * k ** h2)
+    lam = np.fft.rfft(np.r_[gamma, gamma[n - 1:0:-1]]).real
+    z = g.standard_normal((size, m))
+    spec = np.zeros((size, n + 1), dtype=complex)
+    spec[:, 0] = np.sqrt(lam[0] * m) * z[:, 0]
+    spec[:, n] = np.sqrt(lam[n] * m) * z[:, n]
+    spec[:, 1:n] = np.sqrt(lam[1:n] * (m / 2)) * (z[:, 1:n] + 1j * z[:, n + 1:])
+    path = np.zeros((size, n + 1))
+    path[:, 1:] = np.cumsum(np.fft.irfft(spec, n=m)[:, :n], axis=1)
+    return path - path[:, grid == 0.0]
 
 
 def _grid_posterior_mean_reference(u, log_z):
@@ -484,39 +505,36 @@ def _grid_posterior_mean_reference(u, log_z):
     np.array([-2.0, -0.5, 0.0, 0.25, 1.0, 2.5]),     # not uniform
 ], ids=["middle", "left", "right", "absent", "uneven"])
 def test_fbm_triangular_product_matches_dense(grid):
+    # the chunked, buffered sampler against the plain reference; a grid without
+    # an exact 0.0 node or not uniform is rejected
     zero = grid == 0.0
+    if not zero.any() or np.ptp(np.diff(grid)) > 1e-9:
+        for fn in (simulate_fbm, lambda h, u, rng: limits._fbm_batch(h, u, rng.generator(), 5)):
+            with pytest.raises(DomainError, match="exact 0.0 node"):
+                fn(0.75, grid, RngStream(31, 0))
+        return
     for hurst in (0.55, 0.9):
         for size in (1, 300):
-            want = _fbm_dense(hurst, grid, RngStream(31, size).generator(), size)
+            want = _fbm_reference(hurst, grid, RngStream(31, size).generator(), size)
             got = limits._fbm_batch(hurst, grid, RngStream(31, size).generator(), size)
             assert got.shape == want.shape == (size, grid.size)
             assert np.all(got[:, zero] == 0.0)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-        # reused buffers, larger than the chunk, across two chunks of one stream
-        g, g_ref = RngStream(32, 0).generator(), RngStream(32, 0).generator()
-        bufs = np.full(500 * grid.size, np.nan), np.full(500 * grid.size, np.nan)
-        for size in (400, 123):
-            got = limits._fbm_batch(hurst, grid, g, size, bufs)
-            assert np.shares_memory(got, bufs[1])
-            np.testing.assert_allclose(got, _fbm_dense(hurst, grid, g_ref, size), rtol=0,
-                                       atol=1e-12)
+        want = limits._fbm_batch(hurst, grid, RngStream(31, 1).generator(), 1)[0]
+        assert np.array_equal(simulate_fbm(hurst, grid, RngStream(31, 1)), want)
 
 
 def test_cusp_draws_match_dense_product():
     lim = limit_params("cusp", pl.make_model("CUSP"), 0.5)
     u = np.linspace(-lim.grid_halfwidth, lim.grid_halfwidth, lim.grid_points)
     pen = np.abs(u) ** (2.0 * lim.hurst) * lim.gamma_sq / 2.0
-    for size in (1, 2049):  # 2,049 draws cross the 2,048-draw chunk boundary
-        g = RngStream(33, size).generator()
-        mle, bayes = [], []
-        for lo in range(0, size, 2048):
-            log_z = _fbm_dense(lim.hurst, u, g, min(2048, size - lo)) * math.sqrt(lim.gamma_sq)
-            log_z -= pen
-            mle.append(u[np.argmax(log_z, axis=1)])
-            bayes.append(_grid_posterior_mean_reference(u, log_z))
+    for size in (1, 2 * limits._FBM_CHUNK + 1):  # across two chunk boundaries
+        log_z = _fbm_reference(lim.hurst, u, RngStream(33, size).generator(), size)
+        log_z = log_z * math.sqrt(lim.gamma_sq) - pen
         got = sample_limit_batch(lim, RngStream(33, size), ("mle", "bayes"), size)
-        assert np.array_equal(got[0], np.concatenate(mle))
-        np.testing.assert_allclose(got[1], np.concatenate(bayes), rtol=0, atol=1e-12)
+        assert np.array_equal(got[0], u[np.argmax(log_z, axis=1)])
+        np.testing.assert_allclose(got[1], _grid_posterior_mean_reference(u, log_z), rtol=0,
+                                   atol=1e-12)
 
 
 def test_null_fisher_bayes_matches_fresh_temporaries():
@@ -532,10 +550,13 @@ def test_null_fisher_bayes_matches_fresh_temporaries():
 
 
 def test_fbm_guards():
-    with pytest.raises(Exception):
+    with pytest.raises(DomainError, match="hurst"):
         simulate_fbm(1.5, np.linspace(-1, 1, 11), RngStream(1, 0))
-    with pytest.raises(Exception):
-        simulate_fbm(0.7, np.linspace(-1, 1, 4002), RngStream(1, 0))
+    for grid in (np.zeros(1), np.linspace(1, -1, 11), np.r_[np.linspace(-1, 1, 11)[:-1], np.nan]):
+        with pytest.raises(DomainError):
+            simulate_fbm(0.7, grid, RngStream(1, 0))
+    # the grid size is bounded only by CuspParams, not by the sampler
+    assert simulate_fbm(0.7, np.linspace(-1, 1, 4003), RngStream(1, 0)).shape == (4003,)
 
 
 def test_cusp_sampler_argmax_consistency():
