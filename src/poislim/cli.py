@@ -135,9 +135,12 @@ def _cmd_windows(args) -> int:
 def _parse_grid(text: str):
     try:
         lo, hi, count = text.split(":")
-        return np.linspace(float(lo), float(hi), int(count))
+        grid = np.linspace(float(lo), float(hi), int(count))
     except ValueError:
         raise ConfigurationError(f"expected a grid lo:hi:count, got {text!r}") from None
+    if not grid.size:
+        raise ConfigurationError(f"a grid needs a count >= 1, got {text!r}")
+    return grid
 
 
 def _cmd_region_map(args) -> int:
@@ -147,6 +150,12 @@ def _cmd_region_map(args) -> int:
         raise ConfigurationError(f"--x must list numbers, got {args.x!r}") from None
     if not all(x > 1.0 for x in xs):
         raise ConfigurationError(f"every --x must exceed 1, got {args.x}")
+    if args.grid_size < 3:
+        raise ConfigurationError(f"--grid-size must be >= 3, got {args.grid_size}")
+    iv = make_model("CHANGEPOINT").theta_interval
+    if not iv.contains(args.theta0, closed=False):
+        raise ConfigurationError(f"--theta0 {args.theta0} outside the change-point "
+                                 f"Theta ({iv.alpha:g}, {iv.beta:g})")
     h1 = _parse_grid(args.h1)
     h2 = _parse_grid(args.h2)
     result = experiments.region_scan(xs, h1, h2, theta0=args.theta0,

@@ -104,29 +104,26 @@ def _candidate_argmax(thetas, sides, values):
 def _eval_candidates(ev, grid):
     """(theta, side, value) candidate arrays of one search pass over ``grid``.
 
-    The candidates are the grid and the sample's breakpoints strictly inside
-    it: on side 0 where the curve kinks, on both sides where it jumps.
+    The candidates are the grid on side 0 and the sample's breakpoints strictly
+    inside it on sides -1 and +1, their values read off ``ev.sides``.
     """
-    breaks = ev.breaks[(ev.breaks > grid[0]) & (ev.breaks < grid[-1])]
-    thetas = [grid]
-    sides = [np.zeros(grid.size, dtype=int)]
-    values = [ev.values(grid)]
-    if breaks.size:
-        for side in (-1, 1) if ev.model.event_breakpoints_are_jumps else (0,):
-            thetas.append(breaks)
-            sides.append(np.full(breaks.size, side))
-            values.append(ev.values(breaks, theta_side=side))
-    return np.concatenate(thetas), np.concatenate(sides), np.concatenate(values)
+    inside = (ev.breaks > grid[0]) & (ev.breaks < grid[-1])
+    breaks = ev.breaks[inside]
+    left, right = (v[inside] for v in ev.sides)
+    thetas = np.concatenate([grid, breaks, breaks])
+    sides = np.repeat([0, -1, 1], [grid.size, breaks.size, breaks.size])
+    return thetas, sides, np.concatenate([ev.values(grid), left, right])
 
 
 def mle(model: IntensityModel, sample: Sample, settings: EstimatorSettings | None = None,
         window=None) -> Estimate:
     """Maximum-likelihood estimate over Theta's closure.
 
-    One exact search serves every sample: the grid, each kink breakpoint, and
-    both one-sided values at each jump breakpoint, about G + 2B evaluations for
-    G grid points and B breakpoints.  Ties break toward the smaller theta; at
-    sample-dependent discontinuities both one-sided limits compete for the sup.
+    One exact search serves every sample: the grid and both one-sided values
+    at each breakpoint (``LikelihoodEvaluator.sides``), G + 2B evaluations for
+    G grid points and B breakpoints (G + B where the curve only kinks).  Ties
+    break toward the smaller theta; at sample-dependent discontinuities both
+    one-sided limits compete for the sup.
     Zoom rounds then refine cusp-type likelihoods, and golden-section and score
     refinement run where the family is theta-smooth.
     """
@@ -146,15 +143,14 @@ def mle(model: IntensityModel, sample: Sample, settings: EstimatorSettings | Non
         best_theta, best_val = _zoom_refine(ev, best_theta, best_val, 4.0 * (grid[1] - grid[0]),
                                             settings.zoom_rounds)
     elif model.smoothness_order >= 1:
-        best_theta, best_val = _golden_refine(ev, th, sd, vals, best_theta, best_val)
+        best_theta, best_val = _golden_refine(ev, grid, best_theta, best_val)
 
     return Estimate(_clamp(best_theta, iv), best_val, "mle")
 
 
-def _golden_refine(ev, thetas, sides, values, best_theta, best_val):
-    """Golden-section inside the bracketing cell, never across a declared kink."""
-    plain = sides == 0
-    grid = np.unique(thetas[plain])
+def _golden_refine(ev, grid, best_theta, best_val):
+    """Golden-section inside the bracketing cell of ``grid``, never across a
+    declared kink."""
     i = int(np.searchsorted(grid, best_theta))
     i = min(max(i, 0), grid.size - 1)
     if not math.isclose(grid[i], best_theta, rel_tol=0, abs_tol=1e-15):
@@ -218,8 +214,8 @@ def _zoom_refine(ev, theta, val, width, rounds):
     """Iterated grid refinement for continuous non-smooth likelihoods.
 
     Each round searches 129 points over theta +- width clipped to Theta, the
-    sample's breakpoints inside, and the incumbent; the next width is four of
-    its grid steps.
+    sample's breakpoints inside (from ``ev.sides``, not evaluated again), and
+    the incumbent; the next width is four of its grid steps.
     """
     iv = ev.model.theta_interval
     for _ in range(rounds):
@@ -255,12 +251,12 @@ def bayes(model: IntensityModel, sample: Sample, settings: EstimatorSettings | N
     """Posterior-mean estimate under the quadratic loss.
 
     Composite Simpson over Theta, split at declared kinks and at the
-    sample-dependent jump and kink breakpoints.  The nodes and weights of all
-    segments are built at once, and each distinct (theta, side) is evaluated
-    once: a cut node shared by two segments on side 0 at a kink, on each side
-    (one call per side) at a jump.  Log-likelihood values are max-subtracted
-    before exponentiation; each segment is summed as np.sum sums it, and the
-    segment sums are added in order.
+    sample-dependent breakpoints.  The nodes and weights of all segments are
+    built at once, and each distinct (theta, side) is evaluated once: the two
+    nodes of a sample breakpoint take ``ev.sides``, and the two nodes of a
+    declared kink share one side-0 value.  Log-likelihood values are
+    max-subtracted before exponentiation; each segment is summed as np.sum sums
+    it, and the segment sums are added in order.
     """
     if sample.n < 1:
         raise PreconditionError("sample must contain at least one trajectory")
@@ -270,7 +266,6 @@ def bayes(model: IntensityModel, sample: Sample, settings: EstimatorSettings | N
         return Estimate(iv.midpoint, float("nan"), "bayes")
 
     ev = LikelihoodEvaluator(model, sample, window)
-    jump_breaks = ev.breaks if model.event_breakpoints_are_jumps else np.empty(0)
     cuts = np.unique(np.concatenate([
         ev.breaks,
         np.array([k for k in model.theta_kinks if iv.alpha < k < iv.beta]),
@@ -280,19 +275,16 @@ def bayes(model: IntensityModel, sample: Sample, settings: EstimatorSettings | N
     nodes, coeff, starts = _simpson_layout(edges[:-1], edges[1:], shares)
 
     # each distinct (theta, side) once.  Cut c is node left[c], the last of the
-    # segment before it, and node right[c], the first after it: one side-0 value
-    # at a kink, the left and the right limit at a jump
+    # segment before it, and node right[c], the first after it: the left and the
+    # right limit at a sample breakpoint, one side-0 value at a declared kink
     left, right = (starts + shares)[:-1], starts[1:]
-    at_jump = np.zeros(cuts.size, dtype=bool)
-    at_jump[np.searchsorted(cuts, jump_breaks)] = True
+    at_break = np.searchsorted(cuts, ev.breaks)
     own = np.ones(nodes.size, dtype=bool)
-    own[right] = own[left[at_jump]] = False
+    own[right] = own[left[at_break]] = False
     vals = np.empty(nodes.size)
     vals[own] = ev.values(nodes[own])
     vals[right] = vals[left]
-    if jump_breaks.size:
-        vals[left[at_jump]] = ev.values(jump_breaks, theta_side=-1)
-        vals[right[at_jump]] = ev.values(jump_breaks, theta_side=+1)
+    vals[left[at_break]], vals[right[at_break]] = ev.sides
     max_ll = float(np.max(vals, where=np.isfinite(vals), initial=-np.inf))
     if not np.isfinite(max_ll):
         raise EstimationError("log-likelihood is -inf over the whole parameter grid")

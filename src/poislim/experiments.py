@@ -41,7 +41,8 @@ _LIMIT_STREAM_BASE = 1 << 52
 # ---------------------------------------------------------------------------
 
 _WINDOW_KEYS = {"mode", "mu_star"}
-_TRUE_KEYS = {"kind", "h", "h1", "h2"}
+# the keys each true_intensity kind reads besides "kind"
+_TRUE_KEYS = {"constant_shift": {"h"}, "changepoint": {"h1", "h2"}}
 
 
 def _integer(value, what: str) -> int:
@@ -104,6 +105,12 @@ class Scenario:
         object.__setattr__(self, "seed", check_seed(self.seed))
         object.__setattr__(self, "limit_draws", _integer(self.limit_draws, "limit_draws"))
         _check_number(self.theta0, "theta0")
+        if self.theta_interval is not None:
+            if not isinstance(self.theta_interval, (list, tuple)) or len(self.theta_interval) != 2:
+                raise ConfigurationError("theta_interval must be two numbers [alpha, beta], "
+                                         f"got {self.theta_interval!r}")
+            for v in self.theta_interval:
+                _check_number(v, "theta_interval")
         _check_number(self.atom_epsilon, "atom_epsilon")
         if not self.atom_epsilon > 0:
             raise ConfigurationError(f"atom_epsilon must be positive, got {self.atom_epsilon!r}")
@@ -135,9 +142,15 @@ class Scenario:
         elif self.window.get("mode") == "optimal":
             raise ConfigurationError("window mode 'optimal' needs mu_star")
         if self.true_intensity is not None:
-            unknown = set(self.true_intensity) - _TRUE_KEYS
+            kind = self.true_intensity.get("kind")
+            if not isinstance(kind, str) or kind not in _TRUE_KEYS:
+                raise ConfigurationError(f"unknown true_intensity kind {kind!r}")
+            unknown = set(self.true_intensity) - _TRUE_KEYS[kind] - {"kind"}
             if unknown:
-                raise ConfigurationError(f"unknown true_intensity keys: {sorted(unknown)}")
+                raise ConfigurationError(f"true_intensity kind {kind!r} reads only "
+                                         f"{sorted(_TRUE_KEYS[kind])}, got {sorted(unknown)}")
+            if kind == "constant_shift" and "h" not in self.true_intensity:
+                raise ConfigurationError("true_intensity kind 'constant_shift' needs h")
             for key in sorted(set(self.true_intensity) - {"kind"}):
                 _check_number(self.true_intensity[key], f"true_intensity.{key}")
 
@@ -176,19 +189,16 @@ class Scenario:
         spec = self.true_intensity
         if spec is None:
             return TrueIntensity.from_model(model, self.theta0)
-        kind = spec.get("kind")
-        if kind == "constant_shift":
+        if spec["kind"] == "constant_shift":
             h = float(spec["h"])
             return TrueIntensity.contaminated(
                 model, self.theta0, lambda t: np.full_like(t, h), h_max=h,
                 description=f"{self.model}@{self.theta0:g}+{h:g}")
-        if kind == "changepoint":
-            if not isinstance(model, ChangePointModel):
-                raise ConfigurationError("changepoint contamination needs the CHANGEPOINT model")
-            return TrueIntensity.changepoint(
-                model.g1, model.g2, float(spec.get("h1", 0.0)), float(spec.get("h2", 0.0)),
-                self.theta0, model.horizon)
-        raise ConfigurationError(f"unknown true_intensity kind {kind!r}")
+        if not isinstance(model, ChangePointModel):
+            raise ConfigurationError("changepoint contamination needs the CHANGEPOINT model")
+        return TrueIntensity.changepoint(
+            model.g1, model.g2, float(spec.get("h1", 0.0)), float(spec.get("h2", 0.0)),
+            self.theta0, model.horizon)
 
     def build_settings(self) -> estimators.EstimatorSettings:
         cfg = dict(self.estimator)

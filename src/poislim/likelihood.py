@@ -52,14 +52,24 @@ class LikelihoodEvaluator:
 
     @cached_property
     def breaks(self) -> np.ndarray:
-        """The events' theta-breakpoints inside Theta, sorted and distinct.
-
-        Whether the curve jumps or only kinks there is the family's
-        ``event_breakpoints_are_jumps``.
-        """
+        """The events' theta-breakpoints inside Theta, sorted and distinct."""
         iv = self.model.theta_interval
         br = np.unique(self.model.event_theta_breakpoints(self.events))
         return br[(br > iv.alpha) & (br < iv.beta)]
+
+    @cached_property
+    def sides(self) -> tuple[np.ndarray, np.ndarray]:
+        """(left, right) limits of log L at ``breaks``.
+
+        Where the family's curve only kinks (``event_breakpoints_are_jumps``
+        false) one side-0 array serves as both.
+        """
+        if not self.breaks.size:
+            return self.breaks, self.breaks
+        if not self.model.event_breakpoints_are_jumps:
+            both = self.values(self.breaks)
+            return both, both
+        return self.values(self.breaks, theta_side=-1), self.values(self.breaks, theta_side=1)
 
     def values(self, thetas, theta_side=0) -> np.ndarray:
         thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
@@ -128,12 +138,7 @@ def likelihood_curve(model: IntensityModel, sample: Sample, grid_size: int,
         raise DomainError(f"grid_size must be >= 3, got {grid_size}")
     ev = LikelihoodEvaluator(model, sample, window)
     grid = curve_grid(model, grid_size)
-    breaks = ev.breaks
-    full = np.union1d(grid, breaks)
-    values = ev.values(full)
-    if model.event_breakpoints_are_jumps:
-        left, right = (ev.values(breaks, theta_side=side) for side in (-1, 1))
-    else:  # the curve only kinks there
-        left = right = values[np.searchsorted(full, breaks)]
-    return LogLikelihoodCurve(thetas=full, values=values,
-                              break_thetas=breaks, break_left=left, break_right=right)
+    full = np.union1d(grid, ev.breaks)
+    left, right = ev.sides
+    return LogLikelihoodCurve(thetas=full, values=ev.values(full),
+                              break_thetas=ev.breaks, break_left=left, break_right=right)

@@ -311,7 +311,8 @@ class JumpParams(RegimeLimit):
     N(u) the signed count of events from 0 to u, at rate lam_left for u > 0, lam_right for u < 0.
 
     Z's natural scale is 1 / (lam (ln rho)^2), rho = lam_right / lam_left, so u_halfwidth
-    defaults to max(60, 50 / (min(lam_left, lam_right) (ln rho)^2)).
+    defaults to max(60, 50 / (min(lam_left, lam_right) (ln rho)^2)).  A window whose
+    expected event count per draw exceeds _JUMP_MAX_EVENTS fails here, before any draw.
     """
 
     regime, rate_exponent = "jump", 1.0
@@ -328,6 +329,12 @@ class JumpParams(RegimeLimit):
             log_ratio = math.log(self.lam_right / self.lam_left)
             scale = min(self.lam_left, self.lam_right) * log_ratio ** 2
             object.__setattr__(self, "u_halfwidth", max(60.0, 50.0 / scale))
+        events = (self.lam_left + self.lam_right) * self.u_halfwidth
+        if not events <= _JUMP_MAX_EVENTS:
+            raise ConfigurationError(
+                f"the jump window holds {events:.6g} expected events per draw, more than "
+                f"the {_JUMP_MAX_EVENTS} a draw may hold (rates {self.lam_left:.10g} and "
+                f"{self.lam_right:.10g}, halfwidth {self.u_halfwidth:.6g})")
 
     @classmethod
     def from_model(cls, model, theta0, true_intensity, prior):
@@ -507,6 +514,9 @@ def _grid_posterior_mean(u, log_z, scratch=None):
 
 
 _JUMP_BLOCK = 1024  # draws per uniform call in the jump sampler; bounds its memory
+# expected events per jump draw, (lam_left + lam_right) u_halfwidth, at most: one
+# block of _JUMP_BLOCK draws then holds about 2^26 event times (512 MiB)
+_JUMP_MAX_EVENTS = 2 ** 16
 
 
 def _jump_groups(times, starts, counts):

@@ -122,6 +122,17 @@ ALL_FAIL = {"model": "SUFFWIN_LINEAR", "theta0": 0.5, "window": {"mode": "suffic
     (TINY, ["--seed", "-1"], cli.EXIT_CONFIG),
     (TINY, ["--seed", str(2 ** 64)], cli.EXIT_CONFIG),
     (dict(TINY, seed=2 ** 64 - 1), [], cli.EXIT_OK),
+    # a true_intensity kind takes exactly the keys it reads, and theta_interval two numbers
+    (dict(TINY, true_intensity={"kind": "constant_shift"}), [], cli.EXIT_CONFIG),
+    (dict(TINY, true_intensity={"kind": "constant_shift", "h": 0.5, "h1": 3}), [],
+     cli.EXIT_CONFIG),
+    ({"model": "CHANGEPOINT", "theta0": 0.5, "n": [5], "replicates": 2, "seed": 1,
+      "true_intensity": {"kind": "changepoint", "h": 0.5}}, [], cli.EXIT_CONFIG),
+    (dict(TINY, true_intensity={"kind": "shift", "h": 0.5}), [], cli.EXIT_CONFIG),
+    (dict(TINY, theta_interval=[0]), [], cli.EXIT_CONFIG),
+    (dict(TINY, theta_interval=[0, 1, 2]), [], cli.EXIT_CONFIG),
+    ({"model": "CHANGEPOINT", "theta0": 0.5, "n": [5], "replicates": 2, "seed": 1,
+      "true_intensity": {"kind": "changepoint", "h1": 0.5, "h2": 1.0}}, [], cli.EXIT_OK),
 ])
 def test_experiment_exit_codes(tmp_path, capsys, doc, extra, code):
     scenario = write_scenario(tmp_path, doc)
@@ -171,6 +182,8 @@ def test_experiment_rejects_optimal_window_without_mu_star(tmp_path):
     ("jump", ["lam_left=3", "lam_right=3", "halfwidth=2"], cli.EXIT_OK),
     # linspace puts this grid's centre at -1.1e-16, not 0.0
     ("cusp", ["kappa=0.25", "gamma_sq=1.5", "halfwidth=1", "grid_points=99"], cli.EXIT_OK),
+    # the default window of rates this close holds about 1e16 events per draw
+    ("jump", ["lam_left=1", "lam_right=1.0000001"], cli.EXIT_CONFIG),
 ])
 def test_limits_set_exit_codes(tmp_path, regime, pairs, code):
     out = tmp_path / "draws.csv"
@@ -262,6 +275,7 @@ def test_windows_exit_codes(tmp_path, params, mu_star, code):
     ("2", "0:1", cli.EXIT_CONFIG),
     ("a", "0:0.5:2", cli.EXIT_CONFIG),
     ("0.5", "0:0.5:2", cli.EXIT_CONFIG),
+    ("2", "0:0.5:0", cli.EXIT_CONFIG),
 ])
 def test_region_map_exit_codes(tmp_path, x, h1, code):
     out = tmp_path / "map.csv"
@@ -272,3 +286,21 @@ def test_region_map_exit_codes(tmp_path, x, h1, code):
         lines = out.read_text().splitlines()
         assert lines[0] == "x,h1,h2,kl_consistent,predicted"
         assert len(lines) == 1 + 2 * 2
+
+
+@pytest.mark.parametrize("extra", [
+    ["--grid-size", "1"],
+    ["--grid-size", "-5"],
+    ["--grid-size", "0"],
+    # the change-point Theta is (0.1, 0.9)
+    ["--theta0", "0.05"],
+    ["--theta0", "0.9"],
+    ["--theta0", "nan"],
+])
+def test_region_map_rejects_bad_bounds(tmp_path, capsys, extra):
+    out = tmp_path / "map.csv"
+    argv = ["region-map", "--x", "2", "--h1", "0:0.5:2", "--h2", "0:0.5:2", "--grid-size", "201",
+            "--out", str(out), *extra]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()

@@ -188,6 +188,9 @@ def test_bayes_matches_per_segment_reference(case, monkeypatch):
     # one-sided values at the jump cuts only, and none on side 0 there
     assert np.array_equal(thetas[-1], jumps) and np.array_equal(thetas[1], jumps), name
     assert not np.isin(jumps, thetas[0]).any(), name
+    # a kink family's breakpoints once each, on side 0
+    if not model.event_breakpoints_are_jumps:
+        assert np.isin(breaks, thetas[0]).all(), name
 
 
 def test_bayes_prior_must_be_positive():
@@ -290,6 +293,32 @@ def test_mle_attains_the_likelihood_maximum(family, seed):
     curve = likelihood_curve(model, s, 4001)
     best = max(curve.values.max(), curve.break_left.max(), curve.break_right.max())
     assert mle(model, s).objective_at_value == best
+
+
+def test_mle_evaluates_each_breakpoint_once_per_side(monkeypatch):
+    # the zoom rounds read the breakpoints inside their windows off
+    # LikelihoodEvaluator.sides instead of evaluating them again
+    cusp = pl.make_model("CUSP")
+    s = simulate_sample((cusp, 0.5), 400, RngStream(30, 0))
+    calls = []
+    values = LikelihoodEvaluator.values
+
+    def counted(self, thetas, theta_side=0):
+        calls.append((theta_side, np.atleast_1d(thetas).copy()))
+        return values(self, thetas, theta_side)
+
+    monkeypatch.setattr(LikelihoodEvaluator, "values", counted)
+    mle(cusp, s, EstimatorSettings(grid_size=257, zoom_rounds=3))
+    monkeypatch.undo()
+    breaks = LikelihoodEvaluator(cusp, s).breaks
+    fine = [th for _, th in calls if th.size == 129]
+    assert len(fine) == 3
+    inside = [np.sum((breaks > th[0]) & (breaks < th[-1])) for th in fine]
+    assert inside[0] > 0, inside
+    for side in (-1, 0, 1):
+        seen = np.sort(np.concatenate([th for sd, th in calls if sd == side] or [np.empty(0)]))
+        hits = np.searchsorted(seen, breaks, side="right") - np.searchsorted(seen, breaks)
+        assert hits.max() <= 1, side
 
 
 def test_cusp_zoom_refines():

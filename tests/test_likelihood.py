@@ -143,6 +143,35 @@ def test_likelihood_curve_sides_at_jumps():
     assert np.all(gaps > 1e-12)
 
 
+@pytest.mark.parametrize("family, sides", [("CUSP", [0]), ("CHANGEPOINT", [-1, 1]),
+                                           ("REGULAR_EXP", [])])
+def test_sides_evaluates_each_breakpoint_once_per_side(family, sides, monkeypatch):
+    # a kink family's one side-0 array serves both sides; a family without
+    # breakpoints makes no call
+    model = pl.make_model(family)
+    s = simulate_sample((model, model.theta_interval.midpoint), 20, RngStream(12, 0))
+    ev = LikelihoodEvaluator(model, s)
+    calls = []
+    values = LikelihoodEvaluator.values
+
+    def counted(self, thetas, theta_side=0):
+        calls.append((theta_side, np.atleast_1d(thetas)))
+        return values(self, thetas, theta_side)
+
+    monkeypatch.setattr(LikelihoodEvaluator, "values", counted)
+    left, right = ev.sides
+    assert ev.sides[0] is left
+    assert [side for side, _ in calls] == sides
+    assert all(np.array_equal(th, ev.breaks) for _, th in calls)
+    assert left.shape == right.shape == ev.breaks.shape
+    if family == "CUSP":
+        assert left is right
+        assert np.array_equal(left, values(ev, ev.breaks))
+    monkeypatch.undo()
+    curve = likelihood_curve(model, s, 101)
+    assert np.array_equal(curve.break_left, left) and np.array_equal(curve.break_right, right)
+
+
 def test_grid_size_validation():
     c = pl.make_model("CONSTANT")
     s = one_event_sample(0.5)

@@ -352,6 +352,17 @@ def test_jump_halfwidth_scales_with_the_rates():
     assert np.any(np.abs(sample_limit_batch(fixed, RngStream(1, 0), "mle", 400)) >= 0.99 * 60.0)
 
 
+def test_jump_window_cap_raises_before_any_draw():
+    # the default window grows as 1 / (ln rho)^2: at r = 0.01 it would hold about
+    # 6.3 million events per draw
+    with pytest.raises(ConfigurationError, match="6.28756e\\+06 expected events per draw"):
+        limit_params("jump", pl.make_model("JUMP_SHIFT", params={"r": 0.01}), 0.5)
+    # (lam_left + lam_right) u_halfwidth may reach 2^16, not pass it
+    assert JumpParams(lam_left=1.0, lam_right=3.0, u_halfwidth=2.0 ** 14).u_halfwidth == 2.0 ** 14
+    with pytest.raises(ConfigurationError, match="more than the 65536"):
+        JumpParams(lam_left=1.0, lam_right=3.0, u_halfwidth=2.0 ** 14 + 1.0)
+
+
 def test_jump_sampler_against_dense_oracle():
     log_ratio = math.log(4.5 / 2.5)
     drift = 2.0
