@@ -155,30 +155,98 @@ def integrate_window(fn, window, horizon, breakpoints=()) -> float:
     )
 
 
-def golden_section_min(fn, a: float, b: float, tol: float = 1e-11, max_iter: int = 200):
-    """Golden-section minimum of a unimodal scalar function on [a, b].
+def lookahead_tree(root, split, levels):
+    """The nodes a search reaches from ``root`` in ``levels`` steps, breadth
+    first, and kids[i], the indices of node i's two children (None where
+    ``split`` gives None, the search having stopped).  ``split(node)`` gives the
+    children after each outcome of node i's comparison; the nodes of the last
+    level have no kids entry."""
+    nodes, kids, start = [root], [], 0
+    for _ in range(levels - 1):
+        end = len(nodes)
+        for node in nodes[start:end]:
+            first, second = split(node)
+            i = len(nodes)
+            if first is not None:
+                nodes.append(first)
+            if second is not None:
+                nodes.append(second)
+            kids.append((None if first is None else i, None if second is None else len(nodes) - 1))
+        start = end
+    return nodes, kids
 
-    Returns (x, fn(x)); deterministic, ties resolve toward the left by the
-    final midpoint-of-bracket convention.
+
+def _golden_step(a, b, c, d, left):
+    """One golden-section step from the bracket [a, b] with inner points c < d:
+    keep [a, d] (``left``) or [c, b].  Returns the new (a, b, c, d, left, point),
+    ``point`` the one new inner point whose value the next comparison needs."""
+    if left:
+        b, d = d, c
+        c = b - _INV_PHI * (b - a)
+        return a, b, c, d, left, c
+    a, c = c, d
+    d = a + _INV_PHI * (b - a)
+    return a, b, c, d, left, d
+
+
+def golden_search(values, a: float, b: float, tol: float, max_iter: int = 200,
+                  depth: int = 1) -> float:
+    """Golden-section minimizer of a unimodal function on [a, b]: the midpoint of
+    the last bracket, after at most ``max_iter`` steps or once it is ``tol`` wide.
+
+    ``values`` maps an array of points to their values.  The first call takes
+    the two inner points; each later call takes every point that the next
+    ``depth`` steps can reach, 2^depth - 1 of them (fewer where the search
+    stops), and the steps then walk that tree.  Points, comparisons and ties
+    (toward the left) are those of the one-point-at-a-time search, so where a
+    point's value does not depend on the other points of its call the result
+    does not depend on ``depth``.
     """
     a, b = float(a), float(b)
     if b <= a:
-        return a, float(fn(a))
+        return a
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
-    fc, fd = float(fn(c)), float(fn(d))
-    for _ in range(max_iter):
-        if b - a <= tol:
-            break
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = float(fn(c))
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = float(fn(d))
-    x = 0.5 * (a + b)
+    fc, fd = values(np.array([c, d])).tolist()
+
+    def split(s):
+        if s[1] - s[0] <= tol:
+            return None, None
+        return _golden_step(*s[:4], True), _golden_step(*s[:4], False)
+
+    steps = 0
+    while steps < max_iter and b - a > tol:
+        # the first step's branch is known; the tree holds its new point and
+        # those of the steps after it
+        states, kids = lookahead_tree(_golden_step(a, b, c, d, fc <= fd), split,
+                                      min(depth, max_iter - steps))
+        vals = values(np.array([s[5] for s in states])).tolist()
+        i = 0
+        while True:
+            a, b, c, d, left, _ = states[i]
+            if left:
+                fc, fd = vals[i], fc
+            else:
+                fc, fd = fd, vals[i]
+            steps += 1
+            if i >= len(kids) or kids[i][0] is None:
+                break
+            i = kids[i][0 if fc <= fd else 1]
+    return 0.5 * (a + b)
+
+
+def _pointwise(fn):
+    """``values`` of a scalar function, called on one point after another."""
+    return lambda points: np.array([float(fn(x)) for x in points])
+
+
+def golden_section_min(fn, a: float, b: float, tol: float = 1e-11, max_iter: int = 200):
+    """Golden-section minimum of a unimodal scalar function on [a, b].
+
+    Returns (x, fn(x)), x the midpoint of the final bracket (``golden_search``
+    one point per call); deterministic, ties resolve toward the left.
+    """
+    x = golden_search(_pointwise(fn), a, b, tol, max_iter)
     return x, float(fn(x))
 
 
@@ -365,8 +433,8 @@ def theta_star(true_intensity: TrueIntensity, model: IntensityModel,
         return float(grid[i])
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, grid_size - 1)]
-    x, _ = golden_section_min(lambda th: kl_objective(true_intensity, model, th), lo, hi)
-    return float(x)
+    return golden_search(_pointwise(lambda th: kl_objective(true_intensity, model, th)),
+                         lo, hi, tol=1e-11)
 
 
 # ---------------------------------------------------------------------------

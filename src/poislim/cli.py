@@ -93,6 +93,9 @@ def _cmd_limits(args) -> int:
     if args.scenario:
         scenario = _load_scenario(args.scenario, args)
         model = scenario.build_model()
+        why = limits.REGIMES[args.regime].misfit(type(model))
+        if why:
+            raise ConfigurationError(f"model {scenario.model} does not fit --regime: {why}")
         true_int = scenario.build_true_intensity(model)
         limit = limits.limit_params(args.regime, model, scenario.theta0,
                                     true_intensity=true_int,

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import _panel_counts, _simpson_layout, golden_section_max, segment_sums
+from .analysis import (_panel_counts, _simpson_layout, golden_search, lookahead_tree,
+                       segment_sums)
 from .errors import (
     CapabilityError,
     ConfigurationError,
@@ -30,6 +31,12 @@ __all__ = ["EstimatorSettings", "Estimate", "mle", "bayes", "moments_preliminary
 _DEGENERATE_WIDTH = 1e-11
 # Simpson panels of ``bayes``, spread over the segments between breakpoints
 _BAYES_PANELS = 4096
+# the fixed cost of one ``values`` call in (theta, event) pairs of a generic
+# event sum: about 30 us against about 7 ns a pair (2-vCPU x86-64, numpy 2.4).
+# Past depth 5 (31 points) a lookahead tree's Python bookkeeping costs more
+# than the calls it saves.  See ``_lookahead``.
+_CALL_PAIRS = 4096
+_MAX_LOOKAHEAD = 5
 
 
 @dataclass(frozen=True)
@@ -150,7 +157,12 @@ def mle(model: IntensityModel, sample: Sample, settings: EstimatorSettings | Non
 
 def _golden_refine(ev, grid, best_theta, best_val):
     """Golden-section inside the bracketing cell of ``grid``, never across a
-    declared kink."""
+    declared kink, then score bisection where the family is theta-smooth.
+
+    Both searches evaluate a lookahead tree per ``values`` call
+    (``_lookahead``); their points and results are those of one point (one
+    score) per call.
+    """
     i = int(np.searchsorted(grid, best_theta))
     i = min(max(i, 0), grid.size - 1)
     if not math.isclose(grid[i], best_theta, rel_tol=0, abs_tol=1e-15):
@@ -165,24 +177,46 @@ def _golden_refine(ev, grid, best_theta, best_val):
             segments.append((a, b))
 
     iv = ev.model.theta_interval
+    golden_depth, score_depth = _lookahead(ev)
     best = (best_theta, best_val)
     for a, b in segments:
-        x, v = golden_section_max(ev.value, a, b, tol=1e-8)
+        x = golden_search(lambda t: -ev.values(t), a, b, tol=1e-8, depth=golden_depth)
         if ev.model.is_theta_smooth:
-            x = _score_bisect(ev.value, x, iv.alpha, iv.beta)
+            x = _score_bisect(ev.values, x, iv.alpha, iv.beta, score_depth)
             x = min(max(x, a), b)
-            v = ev.value(x)
+        v = ev.value(x)
         if v > best[1]:
             best = (x, v)
     return best
 
 
-def _score_bisect(f, x, lo, hi, iters=64):
+def _lookahead(ev):
+    """(golden, score) lookahead depths of ``_golden_refine``: the depth d
+    whose values call per d steps costs least per step.
+
+    A call costs _CALL_PAIRS (theta, event) pairs of overhead plus its thetas'
+    event sums, ``ev.events.size`` pairs each, or one each where the family's
+    event sums are closed-form; a tree of depth d holds 2^d - 1 golden points
+    or score midpoints, and a midpoint is two thetas.
+    """
+    pairs = 1 if ev.model.event_sums_are_closed_form else max(1, ev.events.size)
+
+    def best(thetas_per_point):
+        return min(range(1, _MAX_LOOKAHEAD + 1),
+                   key=lambda d: (_CALL_PAIRS + (2 ** d - 1) * thetas_per_point * pairs) / d)
+
+    return best(1), best(2)
+
+
+def _score_bisect(values, x, lo, hi, depth=1, iters=64):
     """Bisection on the central-difference score around a golden-section point.
 
     Value comparisons alone localize a smooth argmax only to about
     sqrt(eps * |logL| / curvature); the differenced score pushes that to
-    ~1e-10, which the closed-form estimator oracles require.
+    ~1e-10, which the closed-form estimator oracles require.  ``values`` maps
+    thetas to log L; each call after the first takes the midpoints of the next
+    ``depth`` bisection steps, 2^depth - 1 of them (fewer where the search
+    stops), each as t + h and t - h, and the steps then walk that tree.
     """
     h = 1e-5 * max(1.0, abs(x))
     a = max(lo, x - 64.0 * h)
@@ -190,23 +224,38 @@ def _score_bisect(f, x, lo, hi, iters=64):
     if a - h < lo or b + h > hi or a >= b:
         return x
 
-    def score(t):
-        return f(t + h) - f(t - h)
-
-    da, db = score(a), score(b)
-    if da <= 0.0 or db >= 0.0:
+    fa_hi, fa_lo, fb_hi, fb_lo = values(np.array([a + h, a - h, b + h, b - h])).tolist()
+    if fa_hi - fa_lo <= 0.0 or fb_hi - fb_lo >= 0.0:
         return x
-    for _ in range(iters):
-        mid = 0.5 * (a + b)
-        dm = score(mid)
-        if dm > 0.0:
-            a = mid
-        elif dm < 0.0:
-            b = mid
-        else:
-            return mid
-        if b - a <= 1e-13 * max(1.0, abs(mid)):
-            break
+
+    def split(node):  # (a, b, mid): the brackets after a positive and a negative score
+        na, nb, mid = node
+        stop = 1e-13 * max(1.0, abs(mid))
+        return (None if nb - mid <= stop else (mid, nb, 0.5 * (mid + nb)),
+                None if mid - na <= stop else (na, mid, 0.5 * (na + mid)))
+
+    steps = 0
+    while steps < iters:
+        nodes, kids = lookahead_tree((a, b, 0.5 * (a + b)), split, min(depth, iters - steps))
+        mids = np.array([node[2] for node in nodes])
+        up, down = np.split(values(np.concatenate([mids + h, mids - h])), 2)
+        scores = (up - down).tolist()
+        i = 0
+        while True:
+            mid = nodes[i][2]
+            dm = scores[i]
+            steps += 1
+            if dm > 0.0:
+                a = mid
+            elif dm < 0.0:
+                b = mid
+            else:
+                return mid
+            if b - a <= 1e-13 * max(1.0, abs(mid)):
+                return 0.5 * (a + b)
+            if i >= len(kids):
+                break
+            i = kids[i][0 if dm > 0.0 else 1]
     return 0.5 * (a + b)
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import analysis, estimators, limits
 from .errors import ConfigurationError, DomainError, PoislimError
-from .intensity import ChangePointModel, IntensityModel, TrueIntensity, make_model
+from .intensity import CATALOG, ChangePointModel, IntensityModel, TrueIntensity, make_model
 from .limits import ks_two_sample
 from .simulate import RngStream, simulate_sample
 
@@ -126,8 +126,13 @@ class Scenario:
         # one stream per (n, replicate), all below the limit-draw stream
         if len(ns) * self.replicates > _LIMIT_STREAM_BASE:
             raise ConfigurationError(f"len(n) * replicates must be at most {_LIMIT_STREAM_BASE}")
-        if self.regime is not None and self.regime not in limits.REGIMES:
-            raise ConfigurationError(f"unknown regime {self.regime!r}")
+        if self.regime is not None:
+            if self.regime not in limits.REGIMES:
+                raise ConfigurationError(f"unknown regime {self.regime!r}")
+            family = CATALOG.get(self.model)  # an unknown model fails in build_model
+            why = family and limits.REGIMES[self.regime].misfit(family)
+            if why:
+                raise ConfigurationError(f"model {self.model} does not fit its regime: {why}")
         unknown = set(self.estimator) - {f.name for f in fields(estimators.EstimatorSettings)}
         if unknown:
             raise ConfigurationError(f"unknown estimator keys: {sorted(unknown)}")
@@ -505,11 +510,13 @@ class RegionScanResult:
 def region_scan(x_grid, h1_grid, h2_grid, theta0: float = 0.5, g1: float = 1.0,
                 horizon: float = 1.0, grid_size: int = 20001,
                 tol_cells: float = 3.0) -> RegionScanResult:
-    """Mark (x, h1, h2) cells where the KL minimizer stays at theta0.
+    """Mark (x, h1, h2) cells where the KL minimizer stays at theta0, within
+    ``tol_cells`` cells of the theta grid.
 
     h grids are in units of g1.  The scan recomputes theta* through the
     generic KL machinery; the closed-form predicate is attached for
-    comparison, not used in the scan.
+    comparison, not used in the scan.  A tolerance that reaches an edge of
+    Theta from theta0 raises ConfigurationError: every cell would pass.
     """
     x_grid = tuple(float(x) for x in x_grid)
     h1_grid = tuple(float(h) for h in h1_grid)
@@ -522,7 +529,13 @@ def region_scan(x_grid, h1_grid, h2_grid, theta0: float = 0.5, g1: float = 1.0,
     for ix, x in enumerate(x_grid):
         model = ChangePointModel(g1=g1, g2=x * g1, horizon=horizon)
         h1_max, h2_min = analysis.consistency_region(x)
-        tol = tol_cells * model.theta_interval.width / (grid_size - 1)
+        iv = model.theta_interval
+        tol = tol_cells * iv.width / (grid_size - 1)
+        if tol >= min(theta0 - iv.alpha, iv.beta - theta0):
+            raise ConfigurationError(
+                f"the tolerance of {tol_cells:g} cells of a {grid_size}-point grid, {tol:.6g}, "
+                f"reaches an edge of Theta ({iv.alpha:g}, {iv.beta:g}) from theta0 = {theta0:g}, "
+                "so every cell would count as consistent")
         for i1, h1 in enumerate(h1_grid):
             for i2, h2 in enumerate(h2_grid):
                 true_int = TrueIntensity.changepoint(g1, x * g1, h1 * g1, h2 * g1,

@@ -78,7 +78,9 @@ class IntensityModel:
     implements the hooks ``_lambda_bound``, ``_value`` and ``integral_hint``.
     ``theta_kinks`` lists the theta values where the family loses
     theta-smoothness; ``event_breakpoints_are_jumps`` says whether the
-    log-likelihood jumps (not only kinks) at ``event_theta_breakpoints``.
+    log-likelihood jumps (not only kinks) at ``event_theta_breakpoints``;
+    ``event_sums_are_closed_form`` says whether ``event_log_sums`` costs a few
+    operations per theta (a sufficient statistic) rather than one per event.
     Construction runs a positivity/bound grid scan.
     """
 
@@ -86,6 +88,7 @@ class IntensityModel:
     smoothness_order: ClassVar[int]
     theta_kinks: ClassVar[tuple] = ()
     event_breakpoints_are_jumps: ClassVar[bool] = True
+    event_sums_are_closed_form: ClassVar[bool] = False
 
     theta_interval: ParameterInterval = ParameterInterval(0.0, 1.0)
     horizon: float = 1.0
@@ -209,6 +212,7 @@ class ConstantModel(IntensityModel):
 
     catalog_id = "CONSTANT"
     smoothness_order = 3
+    event_sums_are_closed_form = True
 
     theta_interval: ParameterInterval = ParameterInterval(0.1, 10.0)
 
@@ -238,6 +242,7 @@ class RegularExpModel(IntensityModel):
 
     catalog_id = "REGULAR_EXP"
     smoothness_order = 3
+    event_sums_are_closed_form = True
 
     theta_interval: ParameterInterval = ParameterInterval(-1.0, 1.0)
 

@@ -4,7 +4,8 @@ Each regime has one shape (Ibragimov-Khasminskii): a rate n^rate_exponent, a lim
 likelihood-ratio process Z(u), and two functionals of it, argmax Z (the MLE) and
 integral u Z / integral Z (the Bayes estimator).  ``REGIMES`` maps each regime name
 to one frozen ``RegimeLimit`` class whose fields are the sampler parameters: it
-computes them at theta0 (``from_model``) or reads them from ``limits --set`` values
+computes them at theta0 (``from_model``, for the families ``misfit`` accepts) or
+reads them from ``limits --set`` values
 (``set_keys``; the keys of fields without defaults are required), validates them,
 and ``draw(g, size)`` draws Z once per chunk of draws and yields both functionals;
 ``compare`` gives the summary entries of estimates of theta0 against those draws.
@@ -37,6 +38,18 @@ class RegimeLimit:
     rate_exponent: ClassVar[float]
     set_keys: ClassVar[dict] = {}  # limits --set key -> field; empty: no direct form
     signed: ClassVar[tuple] = ()  # the set_keys fields that need not be positive
+    family: ClassVar[type | None] = None  # the one intensity family of the regime
+    theta_order: ClassVar[int] = 0  # the theta-derivative order from_model reads
+
+    @classmethod
+    def misfit(cls, family: type) -> str | None:
+        """Why the intensity family (a class) cannot have this regime, or None."""
+        if cls.family is not None and not issubclass(family, cls.family):
+            return f"{cls.regime} regime is defined for the {cls.family.catalog_id} family"
+        if family.smoothness_order < cls.theta_order:
+            return (f"{cls.regime} regime needs order-{cls.theta_order} theta-derivatives; "
+                    f"{family.catalog_id} has smoothness_order {family.smoothness_order}")
+        return None
 
     def __post_init__(self):
         for key, name in self.set_keys.items():
@@ -77,6 +90,7 @@ class RegularParams(RegimeLimit):
 
     regime, rate_exponent = "regular", 0.5
     set_keys = {"I": "fisher_information"}
+    theta_order = 1
     fisher_information: float
 
     @classmethod
@@ -97,6 +111,7 @@ class MisspecifiedParams(RegimeLimit):
 
     regime, rate_exponent = "misspecified", 0.5
     set_keys = {"D2": "d_big_sq"}
+    theta_order = 2
     d_big_sq: float
     theta_star: float | None = None
     d_star_sq: float | None = None
@@ -124,17 +139,21 @@ class NonidentParams(RegimeLimit):
     density at theta_k."""
 
     regime, rate_exponent = "nonidentifiable", 0.5
+    theta_order = 1
     roots: list
     informations: list
     rho: list
     prior_weights: list
 
     @classmethod
+    def misfit(cls, family):
+        if not hasattr(family, "nonident_roots"):
+            return f"{family.catalog_id} does not declare coinciding roots"
+        return super().misfit(family)
+
+    @classmethod
     def from_model(cls, model, theta0, true_intensity, prior):
-        roots_fn = getattr(model, "nonident_roots", None)
-        if roots_fn is None:
-            raise CapabilityError(f"{model.catalog_id} does not declare coinciding roots")
-        cov = analysis.nonident_covariance(model, roots_fn())
+        cov = analysis.nonident_covariance(model, model.nonident_roots())
         weights = _prior_weights(prior, np.asarray(cov.roots, dtype=float))
         return cls(list(cov.roots), list(cov.informations), cov.rho.tolist(), weights.tolist())
 
@@ -159,6 +178,7 @@ class NullFisherParams(RegimeLimit):
 
     regime, rate_exponent = "null-fisher", 1.0 / 6.0
     set_keys = {"I3": "i3"}
+    theta_order = 3
     i3: float
 
     @classmethod
@@ -183,6 +203,7 @@ class DiscFisherParams(RegimeLimit):
     regime, rate_exponent = "disc-fisher", 0.5
     set_keys = {"I_left": "info_left", "I_right": "info_right", "corr": "corr"}
     signed = ("corr",)
+    theta_order = 1
     info_left: float
     info_right: float
     corr: float
@@ -220,6 +241,7 @@ class BoundaryParams(RegimeLimit):
     regime, rate_exponent = "boundary", 0.5
     set_keys = {"I": "fisher_information", "orientation": "orientation"}
     signed = ("orientation",)
+    theta_order = 1
     fisher_information: float
     orientation: float = 1.0
 
@@ -256,6 +278,7 @@ class CuspParams(RegimeLimit):
     """Z(u) = exp(Gamma W(u) - Gamma^2 |u|^2H / 2) on a grid, W two-sided fBm, H = kappa + 1/2."""
 
     regime = "cusp"
+    family = CuspModel
     set_keys = {"kappa": "kappa", "gamma_sq": "gamma_sq", "halfwidth": "grid_halfwidth",
                 "grid_points": "grid_points"}
     kappa: float
@@ -284,8 +307,6 @@ class CuspParams(RegimeLimit):
 
     @classmethod
     def from_model(cls, model, theta0, true_intensity, prior):
-        if not isinstance(model, CuspModel):
-            raise CapabilityError("cusp regime is defined for the CUSP family")
         gamma_sq = cusp_gamma_sq(model.a, model.lam0, model.kappa)
         return cls(kappa=model.kappa, hurst=model.hurst, gamma_sq=gamma_sq)
 
@@ -316,6 +337,7 @@ class JumpParams(RegimeLimit):
     """
 
     regime, rate_exponent = "jump", 1.0
+    family = JumpShiftModel
     set_keys = {"lam_left": "lam_left", "lam_right": "lam_right", "halfwidth": "u_halfwidth"}
     lam_left: float
     lam_right: float
@@ -338,8 +360,6 @@ class JumpParams(RegimeLimit):
 
     @classmethod
     def from_model(cls, model, theta0, true_intensity, prior):
-        if not isinstance(model, JumpShiftModel):
-            raise CapabilityError("jump regime is defined for the JUMP_SHIFT family")
         return cls(*model.jump_values())
 
     def draw(self, g, size):
@@ -368,15 +388,14 @@ REGIMES = {cls.regime: cls for cls in (
 
 def cusp_gamma_sq(a: float, lam0: float, kappa: float) -> float:
     """(a^2 / lam0) integral of (|v - 1|^kappa - |v|^kappa)^2 dv over the real line,
-    in closed form 2 a^2 (1 - cos(pi kappa)) B(1+kappa, 1+kappa) / (lam0 cos(pi kappa))."""
-    # scipy is imported inside the functions that use it (here, _mills and
-    # _split_gaussian_mean): at module level scipy.special costs about 0.45 s of import
-    # time in every process, and the regular and jump regimes and ``poislim simulate``
-    # do not use it
-    from scipy import special
-
-    return (2.0 * a ** 2 * (1.0 - math.cos(math.pi * kappa))
-            * special.beta(1.0 + kappa, 1.0 + kappa)
+    in closed form 2 a^2 (1 - cos(pi kappa)) B(1+kappa, 1+kappa) / (lam0 cos(pi kappa)),
+    B(1+kappa, 1+kappa) = Gamma(1+kappa)^2 / Gamma(2+2kappa)."""
+    # math.gamma, not scipy.special.beta: scipy is imported only inside the functions
+    # that need it (_mills and _split_gaussian_mean), since at module level
+    # scipy.special costs about 0.45 s of import time in every process, and no cusp
+    # run, the regular and jump regimes and ``poislim simulate`` use it
+    beta = math.gamma(1.0 + kappa) ** 2 / math.gamma(2.0 + 2.0 * kappa)
+    return (2.0 * a ** 2 * (1.0 - math.cos(math.pi * kappa)) * beta
             / (lam0 * math.cos(math.pi * kappa)))
 
 
@@ -387,6 +406,9 @@ def limit_params(regime: str, model, theta0: float, true_intensity=None, prior="
     """
     if regime not in REGIMES:
         raise DomainError(f"unknown regime {regime!r}; known: {tuple(REGIMES)}")
+    why = REGIMES[regime].misfit(type(model))
+    if why is not None:
+        raise CapabilityError(why)
     return REGIMES[regime].from_model(model, float(theta0), true_intensity, prior)
 
 

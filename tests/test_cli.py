@@ -133,11 +133,23 @@ ALL_FAIL = {"model": "SUFFWIN_LINEAR", "theta0": 0.5, "window": {"mode": "suffic
     (dict(TINY, theta_interval=[0, 1, 2]), [], cli.EXIT_CONFIG),
     ({"model": "CHANGEPOINT", "theta0": 0.5, "n": [5], "replicates": 2, "seed": 1,
       "true_intensity": {"kind": "changepoint", "h1": 0.5, "h2": 1.0}}, [], cli.EXIT_OK),
+    # a regime that its model does not fit: the wrong family, no coinciding
+    # roots, or too few theta-derivatives
+    ({"model": "CHANGEPOINT", "theta0": 0.5, "regime": "jump", "n": [5], "replicates": 2,
+      "seed": 1}, [], cli.EXIT_CONFIG),
+    (dict(TINY, regime="cusp"), [], cli.EXIT_CONFIG),
+    (dict(TINY, regime="nonidentifiable"), [], cli.EXIT_CONFIG),
+    ({"model": "JUMP_SHIFT", "theta0": 0.5, "regime": "regular", "n": [5], "replicates": 2,
+      "seed": 1}, [], cli.EXIT_CONFIG),
+    ({"model": "CUSP", "theta0": 0.5, "regime": "misspecified", "n": [5], "replicates": 2,
+      "seed": 1}, [], cli.EXIT_CONFIG),
 ])
 def test_experiment_exit_codes(tmp_path, capsys, doc, extra, code):
     scenario = write_scenario(tmp_path, doc)
     prefix = tmp_path / "out"
     assert cli.main(["experiment", scenario, "--out-prefix", str(prefix), *extra]) == code
+    if code == cli.EXIT_CONFIG:
+        assert not (tmp_path / "out.table.csv").exists()
     if doc.get("long_record"):
         expect = f"long_record: {doc['model']} on one record of n*tau = {doc['n'][0]}"
         assert expect in capsys.readouterr().err
@@ -147,6 +159,23 @@ def test_experiment_exit_codes(tmp_path, capsys, doc, extra, code):
         summary = json.loads((tmp_path / "out.summary.json").read_text())
         assert summary["failures"] == 2
         assert len((tmp_path / "out.table.csv").read_text().splitlines()) == 3
+
+
+def test_regime_its_model_does_not_fit_fails_at_load(tmp_path, capsys):
+    doc = {"model": "CHANGEPOINT", "theta0": 0.5, "regime": "jump", "n": [5],
+           "replicates": 2, "seed": 1}
+    argv = ["experiment", write_scenario(tmp_path, doc), "--out-prefix", str(tmp_path / "out")]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert "jump regime is defined for the JUMP_SHIFT family" in err
+    # the same through ``limits --scenario``, whose --regime the scenario does not name
+    doc.pop("regime")
+    argv = ["limits", "--regime", "cusp", "--scenario", write_scenario(tmp_path, doc),
+            "--out", str(tmp_path / "draws.csv")]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert "cusp regime is defined for the CUSP family" in capsys.readouterr().err
+    assert not (tmp_path / "draws.csv").exists()
 
 
 def test_experiment_rejects_optimal_window_without_mu_star(tmp_path):
@@ -296,6 +325,10 @@ def test_region_map_exit_codes(tmp_path, x, h1, code):
     ["--theta0", "0.05"],
     ["--theta0", "0.9"],
     ["--theta0", "nan"],
+    # a tolerance of 3 grid cells that reaches an edge of Theta from theta0
+    ["--grid-size", "3"],
+    ["--grid-size", "5"],
+    ["--theta0", "0.11"],
 ])
 def test_region_map_rejects_bad_bounds(tmp_path, capsys, extra):
     out = tmp_path / "map.csv"
