@@ -93,7 +93,7 @@ def _cmd_limits(args) -> int:
     if args.scenario:
         scenario = _load_scenario(args.scenario, args)
         model = scenario.build_model()
-        why = limits.REGIMES[args.regime].misfit(type(model))
+        why = limits.REGIMES[args.regime].misfit(type(model), scenario.theta0)
         if why:
             raise ConfigurationError(f"model {scenario.model} does not fit --regime: {why}")
         true_int = scenario.build_true_intensity(model)

@@ -2,17 +2,24 @@
 
 Replicates are the unit of parallelism.  ``run_scenario`` turns a scenario
 into one job list (one limit-draw job, then one job per (n-index, replicate)
-pair), lets a process pool work through it, and puts the results back in
-index order.  Each (n-index, replicate) pair draws its sample from its own RNG
-stream and the limit draws of every estimator come from one shared stream, so
-the table and the summary are reproducible bit-for-bit for any worker count.
+pair), lets forked workers claim its jobs one at a time, and puts the
+results back in index order.  Each (n-index, replicate) pair draws its sample
+from its own RNG stream and the limit draws of every estimator come from one
+shared stream, so the table and the summary are reproducible bit-for-bit for
+any worker count.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
+import multiprocessing
+import multiprocessing.sharedctypes  # noqa: F401  the first Value loads these two lazily,
+import multiprocessing.synchronize  # noqa: F401  about 5 ms, on the clock of a run
+import os
+import pickle
+import select
+import signal
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -130,7 +137,7 @@ class Scenario:
             if self.regime not in limits.REGIMES:
                 raise ConfigurationError(f"unknown regime {self.regime!r}")
             family = CATALOG.get(self.model)  # an unknown model fails in build_model
-            why = family and limits.REGIMES[self.regime].misfit(family)
+            why = family and limits.REGIMES[self.regime].misfit(family, self.theta0)
             if why:
                 raise ConfigurationError(f"model {self.model} does not fit its regime: {why}")
         unknown = set(self.estimator) - {f.name for f in fields(estimators.EstimatorSettings)}
@@ -310,22 +317,9 @@ def _estimate_row(scenario: Scenario, model, true_int, settings, n, n_index, r):
     return row
 
 
-# (scenario, model, true intensity, settings, limit), set once in each pool
-# worker by _init_worker; the serial path passes its context explicitly
-_WORKER_CONTEXT = None
-
-
-def _init_worker(doc, limit):
-    global _WORKER_CONTEXT
-    scenario = Scenario.from_dict(doc)
-    model = scenario.build_model()
-    _WORKER_CONTEXT = (scenario, model, scenario.build_true_intensity(model),
-                       scenario.build_settings(), limit)
-
-
-def _run_job(job, context=None):
+def _run_job(job, context):
     """One job: "limits" draws the limit laws, (n_index, r) is one row."""
-    scenario, model, true_int, settings, limit = context or _WORKER_CONTEXT
+    scenario, model, true_int, settings, limit = context
     if job == "limits":
         # one call draws each limit process once and gives one row per
         # estimator; all draws stay in it, because the normal sampler consumes
@@ -335,6 +329,91 @@ def _run_job(job, context=None):
                                          scenario.limit_draws)
     n_index, r = job
     return _estimate_row(scenario, model, true_int, settings, scenario.n[n_index], n_index, r)
+
+
+def _claim_jobs(jobs, context, counter, fd, cpu):
+    """Body of a forked worker: run jobs by index until none is left, then write
+    ``{index: result or exception}`` to ``fd`` in one pickle.  Never returns."""
+    code = 1
+    try:
+        if cpu is not None:
+            os.sched_setaffinity(0, {cpu})
+        out = {}
+        while True:
+            with counter.get_lock():
+                index = counter.value
+                counter.value = index + 1
+            if index >= len(jobs):
+                break
+            try:
+                out[index] = _run_job(jobs[index], context)
+            except Exception as exc:
+                out[index] = exc
+                with counter.get_lock():  # no worker claims another job
+                    counter.value = len(jobs)
+                break
+        with open(fd, "wb") as fh:
+            pickle.dump(out, fh, protocol=pickle.HIGHEST_PROTOCOL)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _run_jobs(jobs, context, workers):
+    """``{job: result}`` of every job, from min(workers, len(jobs)) processes.
+
+    One worker runs the jobs in this process.  More are forked once, after the
+    context is built, and each claims the next job index from a shared counter.
+    When the workers are at least as many as this process's CPUs, child k pins
+    itself to the k-th of them: the kernel otherwise leaves short runs of two
+    children on one CPU.  A job's exception is raised as one worker would raise
+    it: the first in job order, after which no job is claimed.  A worker that
+    dies without a result stops the others.  Every child is reaped on return.
+    """
+    size = min(workers, len(jobs))
+    if size <= 1:
+        return {job: _run_job(job, context) for job in jobs}
+    # a "fork" lock needs no resource-tracker process, whatever the default start method
+    counter = multiprocessing.get_context("fork").Value("q", 0)
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
+    pin = bool(cpus) and size >= len(cpus)
+    pending = {}  # read end -> (worker, pid, chunks)
+    poller = select.poll()
+    results = {}
+    try:
+        for k in range(size):
+            rfd, wfd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(rfd)
+                _claim_jobs(jobs, context, counter, wfd, cpus[k % len(cpus)] if pin else None)
+            os.close(wfd)
+            pending[rfd] = (k, pid, [])
+            poller.register(rfd, select.POLLIN)
+        while pending:
+            for fd, _ in poller.poll():
+                chunk = os.read(fd, 1 << 16)
+                if chunk:
+                    pending[fd][2].append(chunk)
+                    continue
+                k, pid, chunks = pending[fd]
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                del pending[fd]
+                poller.unregister(fd)
+                os.close(fd)
+                if code:
+                    why = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+                    raise PoislimError(f"worker {k} (pid {pid}) ended without a result: {why}")
+                results.update(pickle.loads(b"".join(chunks)))
+    finally:
+        for fd, (_, pid, _) in pending.items():  # after a failure: stop the others
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(fd)
+    for index in sorted(results):
+        if isinstance(results[index], Exception):
+            raise results[index]
+    return {jobs[index]: result for index, result in results.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -393,9 +472,9 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> ExperimentReport:
     replicate), largest n first.  The limit-draw job draws each limit process
     once from stream 2^52 and applies every estimator's functional to it
     (``limits.sample_limit_batch`` with ``settings.estimators``).  With
-    ``workers`` > 1 a pool of min(workers, len(jobs)) processes works through
-    the list, each building the scenario context once; with one worker the
-    jobs run in this process.  Results are put back by index, rows in
+    ``workers`` > 1, min(workers, len(jobs)) processes forked once from this
+    one, context and all, claim the jobs by index (``_run_jobs``); with one
+    worker the jobs run in this process.  Results are put back by index, rows in
     (n_index, replicate) order and draws by estimator.  Every replicate owns
     one stream and the limit draws own another, so the report is identical
     for every worker count.
@@ -422,14 +501,7 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> ExperimentReport:
     draw_jobs = ["limits"] if limit is not None else []
     by_size = sorted(range(len(scenario.n)), key=lambda k: -scenario.n[k])
     jobs = draw_jobs + [(k, r) for k in by_size for r in range(scenario.replicates)]
-    size = min(workers, len(jobs))
-    if size > 1:
-        with ProcessPoolExecutor(max_workers=size, initializer=_init_worker,
-                                 initargs=(scenario.to_dict(), limit)) as pool:
-            results = dict(zip(jobs, pool.map(_run_job, jobs)))
-    else:
-        context = (scenario, model, true_int, settings, limit)
-        results = {job: _run_job(job, context) for job in jobs}
+    results = _run_jobs(jobs, (scenario, model, true_int, settings, limit), workers)
     draws = dict(zip(settings.estimators, results["limits"])) if draw_jobs else {}
 
     all_rows = []

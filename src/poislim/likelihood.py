@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import numpy.ma  # noqa: F401  np.unique loads it lazily; load it before a pool forks
+import numpy.ma  # noqa: F401  np.unique loads it lazily; load it before workers fork
 
 from . import analysis
 from .errors import DomainError

@@ -40,15 +40,19 @@ class RegimeLimit:
     signed: ClassVar[tuple] = ()  # the set_keys fields that need not be positive
     family: ClassVar[type | None] = None  # the one intensity family of the regime
     theta_order: ClassVar[int] = 0  # the theta-derivative order from_model reads
+    two_sided: ClassVar[bool] = False  # from_model reads two-sided derivatives at theta0
 
     @classmethod
-    def misfit(cls, family: type) -> str | None:
-        """Why the intensity family (a class) cannot have this regime, or None."""
+    def misfit(cls, family: type, theta0: float) -> str | None:
+        """Why the intensity family (a class) cannot have this regime at theta0, or None."""
         if cls.family is not None and not issubclass(family, cls.family):
             return f"{cls.regime} regime is defined for the {cls.family.catalog_id} family"
         if family.smoothness_order < cls.theta_order:
             return (f"{cls.regime} regime needs order-{cls.theta_order} theta-derivatives; "
                     f"{family.catalog_id} has smoothness_order {family.smoothness_order}")
+        if cls.two_sided and theta0 in family.theta_kinks:
+            return (f"{cls.regime} regime needs two-sided theta-derivatives at theta0, but "
+                    f"{family.catalog_id} has a kink at theta0 = {theta0:g}")
         return None
 
     def __post_init__(self):
@@ -90,7 +94,7 @@ class RegularParams(RegimeLimit):
 
     regime, rate_exponent = "regular", 0.5
     set_keys = {"I": "fisher_information"}
-    theta_order = 1
+    theta_order, two_sided = 1, True
     fisher_information: float
 
     @classmethod
@@ -111,7 +115,7 @@ class MisspecifiedParams(RegimeLimit):
 
     regime, rate_exponent = "misspecified", 0.5
     set_keys = {"D2": "d_big_sq"}
-    theta_order = 2
+    theta_order, two_sided = 2, True
     d_big_sq: float
     theta_star: float | None = None
     d_star_sq: float | None = None
@@ -146,10 +150,10 @@ class NonidentParams(RegimeLimit):
     prior_weights: list
 
     @classmethod
-    def misfit(cls, family):
+    def misfit(cls, family, theta0):
         if not hasattr(family, "nonident_roots"):
             return f"{family.catalog_id} does not declare coinciding roots"
-        return super().misfit(family)
+        return super().misfit(family, theta0)
 
     @classmethod
     def from_model(cls, model, theta0, true_intensity, prior):
@@ -178,7 +182,7 @@ class NullFisherParams(RegimeLimit):
 
     regime, rate_exponent = "null-fisher", 1.0 / 6.0
     set_keys = {"I3": "i3"}
-    theta_order = 3
+    theta_order, two_sided = 3, True
     i3: float
 
     @classmethod
@@ -406,7 +410,7 @@ def limit_params(regime: str, model, theta0: float, true_intensity=None, prior="
     """
     if regime not in REGIMES:
         raise DomainError(f"unknown regime {regime!r}; known: {tuple(REGIMES)}")
-    why = REGIMES[regime].misfit(type(model))
+    why = REGIMES[regime].misfit(type(model), float(theta0))
     if why is not None:
         raise CapabilityError(why)
     return REGIMES[regime].from_model(model, float(theta0), true_intensity, prior)

@@ -56,6 +56,10 @@ ALL_FAIL = {"model": "SUFFWIN_LINEAR", "theta0": 0.5, "window": {"mode": "suffic
             "n": [4], "replicates": 2, "seed": 3}
 
 
+KINK = {"model": "DISCFI_KINK", "theta0": 1.0, "n": [5], "replicates": 2, "seed": 1,
+        "limit_draws": 200}
+
+
 @pytest.mark.parametrize("doc, extra, code", [
     (TINY, ["--workers", "0"], cli.EXIT_CONFIG),
     (TINY, ["--workers", "-3"], cli.EXIT_CONFIG),
@@ -143,6 +147,13 @@ ALL_FAIL = {"model": "SUFFWIN_LINEAR", "theta0": 0.5, "window": {"mode": "suffic
       "seed": 1}, [], cli.EXIT_CONFIG),
     ({"model": "CUSP", "theta0": 0.5, "regime": "misspecified", "n": [5], "replicates": 2,
       "seed": 1}, [], cli.EXIT_CONFIG),
+    # theta0 on a declared kink: the regimes that read two-sided theta-derivatives
+    # there do not fit, the disc-fisher regime of that kink does
+    (dict(KINK, regime="regular"), [], cli.EXIT_CONFIG),
+    (dict(KINK, regime="misspecified", true_intensity={"kind": "constant_shift", "h": 0.5}), [],
+     cli.EXIT_CONFIG),
+    (dict(KINK, regime="null-fisher"), [], cli.EXIT_CONFIG),
+    (dict(KINK, regime="disc-fisher"), [], cli.EXIT_OK),
 ])
 def test_experiment_exit_codes(tmp_path, capsys, doc, extra, code):
     scenario = write_scenario(tmp_path, doc)
@@ -175,6 +186,16 @@ def test_regime_its_model_does_not_fit_fails_at_load(tmp_path, capsys):
             "--out", str(tmp_path / "draws.csv")]
     assert cli.main(argv) == cli.EXIT_CONFIG
     assert "cusp regime is defined for the CUSP family" in capsys.readouterr().err
+    assert not (tmp_path / "draws.csv").exists()
+    # theta0 on the family's kink, where the regular regime needs two-sided derivatives
+    argv = ["experiment", write_scenario(tmp_path, dict(KINK, regime="regular")),
+            "--out-prefix", str(tmp_path / "out")]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert "DISCFI_KINK has a kink at theta0 = 1" in capsys.readouterr().err
+    argv = ["limits", "--regime", "regular", "--scenario", write_scenario(tmp_path, KINK),
+            "--out", str(tmp_path / "draws.csv")]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert "DISCFI_KINK has a kink at theta0 = 1" in capsys.readouterr().err
     assert not (tmp_path / "draws.csv").exists()
 
 

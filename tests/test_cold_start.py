@@ -1,5 +1,5 @@
 """What a fresh process loads: no scipy for the command line, the regular, jump and
-cusp regimes, and numpy's lazy submodules before a pool forks."""
+cusp regimes, and numpy's lazy submodules before workers fork."""
 
 import json
 import math

@@ -1,11 +1,14 @@
 import csv
 import math
+import os
+import signal
+import time
 
 import numpy as np
 import pytest
 
-from poislim import limits
-from poislim.errors import ConfigurationError
+from poislim import estimators, experiments, limits
+from poislim.errors import ConfigurationError, NumericalError, PoislimError
 from poislim.experiments import (Scenario, _estimate_row, _replicate_stream_base,
                                  ks_two_sample, run_scenario)
 from poislim.limits import _kolmogorov_sf
@@ -149,3 +152,115 @@ def test_scenario_without_regime_has_no_limit_comparison():
         for entry in block["by_n"].values():
             assert entry["count"] == 3
             assert not any(key.startswith("ks_") for key in entry)
+
+
+def test_rows_call_the_layers_through_module_attributes(monkeypatch):
+    # perfbench/tracer.py times the layers by replacing these attributes; a row
+    # that bound them at import would leave a traced run without their spans
+    calls = []
+    for owner, name in ((experiments, "simulate_sample"), (estimators, "mle"),
+                        (estimators, "bayes")):
+        def counted(*args, _real=getattr(owner, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    run_scenario(Scenario.from_dict(dict(TINY, replicates=2)))
+    assert sorted(calls) == ["bayes"] * 4 + ["mle"] * 4 + ["simulate_sample"] * 4
+
+
+@pytest.fixture
+def reaped():
+    """Stops the test after 60 s, and fails it if it leaves a child process of
+    this one, running or not."""
+    def timeout(signum, frame):
+        raise TimeoutError("the test ran for 60 s")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(60)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_every_job_runs_once_with_more_workers_than_cpus(monkeypatch, tmp_path, reaped):
+    # each job appends its index to one file; a lost update of the shared job
+    # counter would run a job twice or skip one
+    path = tmp_path / "claims"
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+    monkeypatch.setattr(experiments, "_run_job",
+                        lambda job, context: os.write(fd, b"%d\n" % job))
+    jobs = list(range(3000))
+    try:
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 2
+        results = experiments._run_jobs(jobs, None, cpus + 2)
+    finally:
+        os.close(fd)
+    assert sorted(results) == jobs
+    assert sorted(int(line) for line in path.read_text().split()) == jobs
+
+
+def test_job_error_is_raised_as_one_worker_raises_it(monkeypatch, reaped):
+    real = experiments._estimate_row
+
+    def row(scenario, model, true_int, settings, n, n_index, r):
+        if r == 1:
+            raise NumericalError(f"no row for replicate {r} at n = {n}")
+        return real(scenario, model, true_int, settings, n, n_index, r)
+
+    # patched before the fork, so the workers inherit it
+    monkeypatch.setattr(experiments, "_estimate_row", row)
+    scenario = Scenario.from_dict(dict(TINY, replicates=4))
+    errors = []
+    for workers in (1, 2, 3):
+        with pytest.raises(NumericalError) as info:
+            run_scenario(scenario, workers=workers)
+        errors.append((type(info.value), str(info.value)))
+    # jobs run largest n first, so replicate 1 at n = 40 is the first to fail
+    assert errors == [(NumericalError, "no row for replicate 1 at n = 40")] * 3
+
+
+def test_killed_worker_fails_the_run_promptly(monkeypatch, reaped):
+    parent = os.getpid()
+
+    def row(scenario, model, true_int, settings, n, n_index, r):
+        if r == 0 and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        time.sleep(0.5)
+        return {}
+
+    monkeypatch.setattr(experiments, "_estimate_row", row)
+    scenario = Scenario.from_dict(dict(TINY, n=[20], replicates=40))
+    start = time.perf_counter()
+    with pytest.raises(PoislimError, match=r"worker \d \(pid \d+\) ended without a "
+                                           r"result: killed by signal 9"):
+        run_scenario(scenario, workers=2)
+    # the surviving worker alone would need 39 * 0.5 s for the rest of the jobs
+    assert time.perf_counter() - start < 5.0
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity calls")
+@pytest.mark.parametrize("extra, pinned", [(0, True), (1, False)],
+                         ids=["as-many-cpus-as-workers", "more-cpus-than-workers"])
+def test_workers_pin_one_cpu_each_only_when_they_fill_the_cpus(monkeypatch, reaped,
+                                                                 extra, pinned):
+    real = os.sched_getaffinity
+    own = sorted(real(0))
+    if len(own) < 2:
+        pytest.skip("needs two CPUs")
+    # two of this process's CPUs, plus ``extra`` that a pinned worker would never use
+    cpus = own[:2] + [max(own) + 1 + i for i in range(extra)]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus))
+    # each job outlasts the fork of the other worker, so each worker runs one
+    monkeypatch.setattr(experiments, "_run_job",
+                        lambda job, context: (time.sleep(0.5), os.getpid(), real(0))[1:])
+    seen = experiments._run_jobs([0, 1], None, 2)
+    assert len({pid for pid, _ in seen.values()}) == 2
+    if pinned:
+        assert sorted(cpu for _, mask in seen.values() for cpu in mask) == own[:2]
+    else:
+        assert all(mask == set(own) for _, mask in seen.values())
