@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import (_panel_counts, _simpson_layout, golden_search, lookahead_tree,
-                       segment_sums)
+from .analysis import (_panel_counts, _simpson_layout, _window_intervals, golden_search,
+                       lookahead_tree, segment_sums)
 from .errors import (
     CapabilityError,
     ConfigurationError,
@@ -22,7 +22,7 @@ from .errors import (
     EstimationError,
     PreconditionError,
 )
-from .intensity import IntensityModel, SuffWinLinearModel
+from .intensity import _U, IntensityModel, SuffWinLinearModel
 from .likelihood import LikelihoodEvaluator, curve_grid
 from .simulate import Sample
 
@@ -112,27 +112,77 @@ def _eval_candidates(ev, grid):
     """(theta, side, value) candidate arrays of one search pass over ``grid``.
 
     The candidates are the grid on side 0 and the sample's breakpoints strictly
-    inside it on sides -1 and +1, their values read off ``ev.sides``.
+    inside it on sides -1 and +1, their values read off ``ev.sides``.  Grid
+    points that ``_may_win`` rules out are not evaluated and take -inf.
     """
     inside = (ev.breaks > grid[0]) & (ev.breaks < grid[-1])
     breaks = ev.breaks[inside]
     left, right = (v[inside] for v in ev.sides)
+    keep = _may_win(ev, grid, breaks, left, right)
+    vals = np.full(grid.size, -np.inf)
+    vals[keep] = ev.values(grid[keep])
     thetas = np.concatenate([grid, breaks, breaks])
     sides = np.repeat([0, -1, 1], [grid.size, breaks.size, breaks.size])
-    return thetas, sides, np.concatenate([ev.values(grid), left, right])
+    return thetas, sides, np.concatenate([vals, left, right])
+
+
+def _may_win(ev, grid, breaks, left, right):
+    """Mask of the grid points whose log L may reach the best one-sided value.
+
+    With the family's ``log_lik_slope_bound`` (slope L, rounding R), a point at
+    distances d_a, d_b from the ends a, b of its segment between ``breaks``
+    has log L <= min(f(a+) + L*d_a, f(b-) + L*d_b), the one-sided limits read
+    off ``sides``.  A point is dropped when that cap plus the margin
+    2R + 8u*(|cap| + 2L*(b - a)) stays below the best one-sided value: the
+    margin covers the rounding of the point's value, of the limit and of the
+    cap, so a dropped point computes strictly below the best and can be
+    neither the argmax nor tied with it.  The grid ends are always kept (a
+    side-0 value there need not be a limit from inside), and every point is
+    kept where the family declares no bound.
+    """
+    keep = np.ones(grid.size, dtype=bool)
+    bound = ev.model.log_lik_slope_bound(ev.n, ev.events.size, ev.intervals)
+    if bound is None or not breaks.size:
+        return keep
+    slope, rounding = bound
+    best = max(left.max(), right.max())
+    j = np.searchsorted(breaks, grid)
+    a = np.concatenate([grid[:1], breaks])[j]
+    b = np.concatenate([breaks, grid[-1:]])[j]
+    fa = np.concatenate([[np.inf], right])[j]
+    fb = np.concatenate([left, [np.inf]])[j]
+    cap = np.minimum(fa + slope * (grid - a), fb + slope * (b - grid))
+    size = np.abs(np.where(np.isfinite(cap), cap, 0.0)) + 2.0 * slope * (b - a)
+    keep[1:-1] = ~(cap + (2.0 * rounding + 8.0 * _U * size) < best)[1:-1]
+    return keep
+
+
+def _evaluator(model, sample, window, evaluator):
+    """``evaluator``, checked against (model, sample, window), or a new one."""
+    if evaluator is None:
+        return LikelihoodEvaluator(model, sample, window)
+    if (evaluator.model is not model or evaluator.n != sample.n
+            or evaluator.intervals != _window_intervals(window, model.horizon)):
+        raise PreconditionError("evaluator belongs to another model, sample or window")
+    return evaluator
 
 
 def mle(model: IntensityModel, sample: Sample, settings: EstimatorSettings | None = None,
-        window=None) -> Estimate:
+        window=None, evaluator: LikelihoodEvaluator | None = None) -> Estimate:
     """Maximum-likelihood estimate over Theta's closure.
 
-    One exact search serves every sample: the grid and both one-sided values
-    at each breakpoint (``LikelihoodEvaluator.sides``), G + 2B evaluations for
-    G grid points and B breakpoints (G + B where the curve only kinks).  Ties
-    break toward the smaller theta; at sample-dependent discontinuities both
-    one-sided limits compete for the sup.
+    One exact search serves every sample.  Its candidates are the grid and
+    both one-sided values at each breakpoint (``LikelihoodEvaluator.sides``),
+    G + 2B for G grid points and B breakpoints.  The sides are evaluated
+    first; a grid point is then evaluated only where the family's slope bound
+    does not rule it out (``_may_win``), so a family with no bound costs
+    G + 2B evaluations (G + B where the curve only kinks).  Ties break toward
+    the smaller theta; at sample-dependent discontinuities both one-sided
+    limits compete for the sup.
     Zoom rounds then refine cusp-type likelihoods, and golden-section and score
-    refinement run where the family is theta-smooth.
+    refinement run where the family is theta-smooth.  ``evaluator`` is the
+    sample's ``LikelihoodEvaluator``, shared with ``bayes`` so that its
+    ``sides`` are computed once; it is built here when None.
     """
     if sample.n < 1:
         raise PreconditionError("sample must contain at least one trajectory")
@@ -141,7 +191,7 @@ def mle(model: IntensityModel, sample: Sample, settings: EstimatorSettings | Non
     if iv.width < _DEGENERATE_WIDTH:
         return Estimate(iv.midpoint, float("nan"), "mle")
 
-    ev = LikelihoodEvaluator(model, sample, window)
+    ev = _evaluator(model, sample, window, evaluator)
     grid = curve_grid(model, settings.grid_size)
     th, sd, vals = _eval_candidates(ev, grid)
     best_theta, best_val = _candidate_argmax(th, sd, vals)
@@ -296,7 +346,7 @@ def _prior_weights(prior, nodes):
 
 
 def bayes(model: IntensityModel, sample: Sample, settings: EstimatorSettings | None = None,
-          window=None) -> Estimate:
+          window=None, evaluator: LikelihoodEvaluator | None = None) -> Estimate:
     """Posterior-mean estimate under the quadratic loss.
 
     Composite Simpson over Theta, split at declared kinks and at the
@@ -305,7 +355,8 @@ def bayes(model: IntensityModel, sample: Sample, settings: EstimatorSettings | N
     nodes of a sample breakpoint take ``ev.sides``, and the two nodes of a
     declared kink share one side-0 value.  Log-likelihood values are
     max-subtracted before exponentiation; each segment is summed as np.sum sums
-    it, and the segment sums are added in order.
+    it, and the segment sums are added in order.  ``evaluator`` is as in
+    ``mle``.
     """
     if sample.n < 1:
         raise PreconditionError("sample must contain at least one trajectory")
@@ -314,7 +365,7 @@ def bayes(model: IntensityModel, sample: Sample, settings: EstimatorSettings | N
     if iv.width < _DEGENERATE_WIDTH:
         return Estimate(iv.midpoint, float("nan"), "bayes")
 
-    ev = LikelihoodEvaluator(model, sample, window)
+    ev = _evaluator(model, sample, window, evaluator)
     cuts = np.unique(np.concatenate([
         ev.breaks,
         np.array([k for k in model.theta_kinks if iv.alpha < k < iv.beta]),

@@ -27,6 +27,7 @@ import numpy as np
 from . import analysis, estimators, limits
 from .errors import ConfigurationError, DomainError, PoislimError
 from .intensity import CATALOG, ChangePointModel, IntensityModel, TrueIntensity, make_model
+from .likelihood import LikelihoodEvaluator
 from .limits import ks_two_sample
 from .simulate import RngStream, simulate_sample
 
@@ -292,14 +293,16 @@ def _estimate_row(scenario: Scenario, model, true_int, settings, n, n_index, r):
     sample = simulate_sample(true_int, size, base)
     row = {"n": n, "replicate": r, "stream_base": base.stream_index,
            "events": sample.total_events(), "status": "ok"}
+    # one evaluator, so the estimators share its breakpoint values
+    ev = LikelihoodEvaluator(est_model, sample) if mode == "none" else None
     errors = []
     for which in settings.estimators:
         try:
             if mode == "none":
                 if which == "mle":
-                    est = estimators.mle(est_model, sample, settings)
+                    est = estimators.mle(est_model, sample, settings, evaluator=ev)
                 else:
-                    est = estimators.bayes(est_model, sample, settings)
+                    est = estimators.bayes(est_model, sample, settings, evaluator=ev)
             elif mode == "optimal":
                 est = estimators.two_stage(est_model, sample, settings,
                                            stage="optimal-window", mu_star=mu_star,

@@ -36,6 +36,8 @@ __all__ = [
 _POSITIVITY_GRID = 50
 # (theta, event) pairs per event_log_sums block; see its docstring
 _BLOCK_PAIRS = 16_000
+# unit roundoff of float64
+_U = 2.0 ** -53
 
 
 @dataclass(frozen=True)
@@ -81,7 +83,8 @@ class IntensityModel:
     log-likelihood jumps (not only kinks) at ``event_theta_breakpoints``;
     ``event_sums_are_closed_form`` says whether ``event_log_sums`` costs a few
     operations per theta (a sufficient statistic) rather than one per event.
-    Construction runs a positivity/bound grid scan.
+    A family may bound the slope of log L between breakpoints
+    (``log_lik_slope_bound``).  Construction runs a positivity/bound grid scan.
     """
 
     catalog_id: ClassVar[str]
@@ -122,6 +125,21 @@ class IntensityModel:
     def integral_hint(self, thetas, lo: float, hi: float):
         """Closed-form integral of lambda(theta, .) over [lo, hi], vectorized over ``thetas``."""
         raise NotImplementedError
+
+    def log_lik_slope_bound(self, n, n_events, intervals):
+        """(slope, rounding) of log L on a sample of ``n`` trajectories with
+        ``n_events`` events in the window ``intervals``, or None.
+
+        ``slope`` bounds |d/dtheta log L| on every open segment between
+        consecutive ``event_theta_breakpoints`` (or log L is -inf throughout
+        the segment), where ``event_log_sums`` with ``theta_side`` -1 and +1
+        at a breakpoint give the limits from inside its two segments.
+        ``rounding`` bounds how far one ``LikelihoodEvaluator.values`` entry
+        lies from that exact log L before its last subtraction (the event
+        sum minus the integral term), up to one constant on each segment.
+        None, the default, declares no bound.
+        """
+        return None
 
     # ---- shared surface ----------------------------------------------------
 
@@ -349,6 +367,22 @@ class DiscFisherKinkModel(IntensityModel):
         return (th - 1.0) * np.where(th < 1.0, low_branch, high_branch) + 15.0 * (hi - lo)
 
 
+def _values_rounding(n, intervals, horizon, scale, event_sum=0.0):
+    """Rounding bound of ``log_lik_slope_bound``: ``event_sum`` for the event
+    sum plus n*32u*(k + 1)^2*(scale + horizon) for the integral term over k
+    window intervals, where ``scale`` bounds every intermediate of one
+    ``integral_hint`` call times the factors applied to it afterwards (so a
+    call rounds by at most 16u*scale) and the window lies in [0, horizon].
+
+    ``event_sum`` defaults to 0 for families whose log lambda is piecewise
+    constant in theta: their event sum is then the same float at every theta
+    of a segment and at its two limits from inside, so its rounding is one
+    constant per segment and does not move log L within it.
+    """
+    k = len(intervals)
+    return event_sum + 32.0 * _U * n * (k + 1) ** 2 * (scale + horizon)
+
+
 def _abs_pow(x, kappa):
     # |x|**kappa with fast paths for the common exponents
     ax = np.abs(x)
@@ -454,9 +488,12 @@ class JumpShiftModel(IntensityModel):
         return base + max(self.r, 0.0)
 
     def _value(self, theta, t, theta_side=0):
-        y = t + theta
-        above = y > self.s_star if theta_side < 0 else y >= self.s_star
-        return self.c0 + self.c1 * y + self.r * above
+        # the side test compares theta with the breakpoint s_star - t exactly as
+        # event_theta_breakpoints computes it, so the values at a breakpoint on
+        # sides -1 and +1 are the limits from inside its two segments
+        cut = self.s_star - t
+        above = theta > cut if theta_side < 0 else theta >= cut
+        return self.c0 + self.c1 * (t + theta) + self.r * above
 
     def t_breakpoints(self, theta):
         tj = self.s_star - float(theta)
@@ -477,6 +514,33 @@ class JumpShiftModel(IntensityModel):
         smooth = self.c0 * (hi - lo) + self.c1 * (0.5 * (hi ** 2 - lo ** 2) + th * (hi - lo))
         cross = np.clip(self.s_star - th, lo, hi)
         return smooth + self.r * (hi - cross)
+
+    def log_lik_slope_bound(self, n, n_events, intervals):
+        """slope = N*|c1|/lam_min + n*(|c1|*measure + k*|r|) for N events in k
+        window intervals, with lam_min = min(c0 + c1*alpha, c0 + c1*(T + beta))
+        + min(r, 0) the least intensity over Theta x [0, T].
+
+        None where lam_min is not positive by more than 64u*C (u the unit
+        roundoff, C = |c0| + |c1|*Y + |r|, Y = T + max|theta|): a computed
+        intensity is within 4u*C of exact, so each log term is then within
+        8u*(Lambda + C/lam_min) (Lambda = max|log lambda|), and the pairwise
+        event sum adds at most N^2*u*(Lambda + 1).
+        """
+        iv = self.theta_interval
+        lam_min = min(self.c0 + self.c1 * iv.alpha,
+                      self.c0 + self.c1 * (self.horizon + iv.beta)) + min(self.r, 0.0)
+        y = self.horizon + max(abs(iv.alpha), abs(iv.beta))
+        coeff = abs(self.c0) + abs(self.c1) * y + abs(self.r)
+        if not lam_min > 64.0 * _U * coeff:
+            return None
+        measure = sum(hi - lo for lo, hi in intervals)
+        slope = (n_events * abs(self.c1) / lam_min
+                 + n * (abs(self.c1) * measure + len(intervals) * abs(self.r)))
+        log_max = max(abs(math.log(lam_min)), abs(math.log(self.lambda_max)))
+        event_sum = (n_events * 8.0 * _U * (log_max + coeff / lam_min)
+                     + n_events ** 2 * _U * (log_max + 1.0))
+        scale = (abs(self.c0) + abs(self.c1) + abs(self.r)) * (1.0 + y) ** 2
+        return slope, _values_rounding(n, intervals, self.horizon, scale, event_sum)
 
 
 @dataclass(frozen=True)
@@ -509,6 +573,13 @@ class ChangePointModel(_BreakAtTheta):
         th = np.asarray(thetas, dtype=float)
         cut = np.clip(th, lo, hi)
         return self.g1 * (cut - lo) + self.g2 * (hi - cut)
+
+    def log_lik_slope_bound(self, n, n_events, intervals):
+        """slope = n*k*(g2 - g1) over k window intervals: log lambda is piecewise
+        constant in theta, so only the integral term has a slope."""
+        return (n * len(intervals) * (self.g2 - self.g1),
+                _values_rounding(n, intervals, self.horizon,
+                                 (self.g1 + self.g2) * (1.0 + self.horizon)))
 
 
 @dataclass(frozen=True)
@@ -597,6 +668,13 @@ class SuffWinLinearModel(_BreakAtTheta):
         th = np.asarray(thetas, dtype=float)
         cut = np.clip(th, lo, hi)
         return self.a * (hi ** 2 - lo ** 2) + self.b * (hi - cut)
+
+    def log_lik_slope_bound(self, n, n_events, intervals):
+        """slope = n*k*b over k window intervals: log lambda is piecewise
+        constant in theta, so only the integral term has a slope."""
+        return (n * len(intervals) * self.b,
+                _values_rounding(n, intervals, self.horizon,
+                                 (self.a + self.b) * (1.0 + self.horizon) ** 2))
 
 
 @dataclass(frozen=True)

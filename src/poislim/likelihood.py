@@ -140,5 +140,11 @@ def likelihood_curve(model: IntensityModel, sample: Sample, grid_size: int,
     grid = curve_grid(model, grid_size)
     full = np.union1d(grid, ev.breaks)
     left, right = ev.sides
-    return LogLikelihoodCurve(thetas=full, values=ev.values(full),
+    values = np.empty(full.size)
+    fresh = np.ones(full.size, dtype=bool)
+    if left is right:  # the curve only kinks: sides holds the side-0 values
+        at = np.searchsorted(full, ev.breaks)
+        values[at], fresh[at] = left, False
+    values[fresh] = ev.values(full[fresh])
+    return LogLikelihoodCurve(thetas=full, values=values,
                               break_thetas=ev.breaks, break_left=left, break_right=right)

@@ -331,3 +331,174 @@ def test_cusp_zoom_refines():
     ev = LikelihoodEvaluator(cusp, s)
     dense = np.linspace(cusp.theta_interval.alpha, cusp.theta_interval.beta, 20001)
     assert fine.objective_at_value >= ev.values(dense).max() - 1e-6
+
+
+def _exhaustive_mle(model, sample, settings=DEFAULT, window=None):
+    # every grid point on side 0 and both sides of every breakpoint, G + 2B
+    # candidates; the first maximum in (theta, side) order wins
+    ev = LikelihoodEvaluator(model, sample, window)
+    iv = model.theta_interval
+    grid = np.linspace(iv.alpha, iv.beta, settings.grid_size)
+    br = ev.breaks
+    thetas = np.concatenate([grid, br, br])
+    sides = np.repeat([0, -1, 1], [grid.size, br.size, br.size])
+    vals = np.concatenate([ev.values(grid), ev.values(br, theta_side=-1),
+                           ev.values(br, theta_side=1)])
+    order = np.lexsort((sides, thetas))
+    i = int(np.argmax(vals[order]))
+    return float(thetas[order][i]), float(vals[order][i])
+
+
+_BOUNDED = {
+    "JUMP_SHIFT": pl.make_model("JUMP_SHIFT"),
+    "JUMP_SHIFT c1<0": pl.make_model("JUMP_SHIFT", {"c0": 3.0, "c1": -0.5}),
+    "JUMP_SHIFT r<0": pl.make_model("JUMP_SHIFT", {"r": -1.0}),
+    "CHANGEPOINT": pl.make_model("CHANGEPOINT"),
+    "SUFFWIN_LINEAR": pl.make_model("SUFFWIN_LINEAR"),
+}
+
+
+@pytest.mark.parametrize("name", list(_BOUNDED))
+@pytest.mark.parametrize("n", [20, 100, 400, 1600])
+def test_bounded_mle_equals_exhaustive_search(name, n, monkeypatch):
+    # the slope bound skips grid points but returns the exhaustive argmax and
+    # value bit for bit
+    model = _BOUNDED[name]
+    assert model.log_lik_slope_bound(n, 10, [(0.0, model.horizon)]) is not None
+    iv = model.theta_interval
+    evaluated = []
+    values = LikelihoodEvaluator.values
+
+    def counted(self, thetas, theta_side=0):
+        if theta_side == 0:
+            evaluated.append(np.size(thetas))
+        return values(self, thetas, theta_side)
+
+    for seed in range(4):
+        s = simulate_sample((model, iv.alpha + 0.45 * iv.width), n, RngStream(300 + seed, n))
+        expected = _exhaustive_mle(model, s)
+        with monkeypatch.context() as m:
+            m.setattr(LikelihoodEvaluator, "values", counted)
+            est = mle(model, s)
+        assert (est.value, est.objective_at_value) == expected, (name, n, seed)
+    if n >= 400:
+        # most of the grid is ruled out
+        assert sum(evaluated) < DEFAULT.grid_size, (name, n, evaluated)
+
+
+def test_bounded_mle_finds_an_interior_grid_maximum():
+    # a small jump on a steep ramp: on these samples log L peaks inside a
+    # segment, at a grid point, which the bound must keep
+    model = pl.make_model("JUMP_SHIFT", {"r": 0.05, "c1": 2.0})
+    for seed in (4, 5, 15, 20):
+        s = simulate_sample((model, 0.5), 5, RngStream(seed, 0))
+        expected = _exhaustive_mle(model, s)
+        assert expected[0] not in LikelihoodEvaluator(model, s).breaks, seed
+        est = mle(model, s)
+        assert (est.value, est.objective_at_value) == expected, seed
+
+
+@pytest.mark.parametrize("family", ["JUMP_SHIFT", "SUFFWIN_LINEAR"])
+def test_bounded_mle_in_a_sufficient_window(family):
+    # two_stage's final search runs on a window of Theta's neighbourhood
+    model = pl.make_model(family)
+    settings = EstimatorSettings(grid_size=1001, estimators=("mle",))
+    n = 900
+    n1 = math.isqrt(n)
+    for seed in range(4):
+        s = simulate_sample((model, 0.5), n, RngStream(400 + seed, 0))
+        if family == "SUFFWIN_LINEAR":
+            prelim = moments_preliminary(model, s[:n1])
+        else:
+            prelim = mle(model, s[:n1], settings)
+        win = pl.sufficient_window(prelim, n, model.horizon)
+        est = two_stage(model, s, settings, stage="sufficient-window")
+        assert est.value == _exhaustive_mle(model, s[n1:], settings, win)[0], (family, seed)
+
+
+def test_jump_shift_bound_falls_back_without_a_positive_floor(monkeypatch):
+    # c0 + c1*alpha + min(r, 0) < 0: no slope bound, so mle evaluates the whole grid
+    model = pl.make_model("JUMP_SHIFT", {"c0": 0.3, "c1": 0.5, "r": -0.5})
+    assert model.log_lik_slope_bound(100, 300, [(0.0, model.horizon)]) is None
+    s = simulate_sample((model, 0.5), 100, RngStream(7, 0))
+    calls = []
+    values = LikelihoodEvaluator.values
+
+    def counted(self, thetas, theta_side=0):
+        calls.append((theta_side, np.atleast_1d(thetas).size))
+        return values(self, thetas, theta_side)
+
+    monkeypatch.setattr(LikelihoodEvaluator, "values", counted)
+    est = mle(model, s)
+    monkeypatch.undo()
+    assert (est.value, est.objective_at_value) == _exhaustive_mle(model, s)
+    assert (0, DEFAULT.grid_size) in calls
+
+
+@pytest.mark.parametrize("name", list(_BOUNDED))
+def test_slope_bound_holds_inside_segments(name):
+    # log L moves by at most slope * dtheta between two thetas of one segment
+    model = _BOUNDED[name]
+    s = simulate_sample((model, model.theta_interval.midpoint), 200, RngStream(12, 0))
+    ev = LikelihoodEvaluator(model, s)
+    slope, rounding = model.log_lik_slope_bound(ev.n, ev.events.size, ev.intervals)
+    assert 0.0 < rounding < 1e-6
+    br = ev.breaks
+    lo, hi = br[:-1] + 0.1 * np.diff(br), br[1:] - 0.1 * np.diff(br)
+    step = np.abs(ev.values(hi) - ev.values(lo))
+    assert np.all(step <= slope * (hi - lo) + 1e-9), name
+
+
+def test_jump_shift_sides_are_the_limits_from_inside():
+    # for some events t + (s_star - t) rounds away from s_star, yet the
+    # one-sided values at each breakpoint are the limits of log L from inside
+    # its two segments (a side test on t + theta read one jump off there)
+    model = pl.make_model("JUMP_SHIFT", {"s_star": 2.9}, theta_interval=(0.0, 2.5), horizon=3.0)
+    s = simulate_sample((model, 1.2), 30, RngStream(5, 0))
+    ev = LikelihoodEvaluator(model, s)
+    br = ev.breaks
+    assert np.any(ev.events + (model.s_star - ev.events) != model.s_star)
+    gap = 0.01 * np.min(np.diff(br))
+    left, right = ev.sides
+    assert np.allclose(left, ev.values(br - gap), rtol=0, atol=1e-3)
+    assert np.allclose(right, ev.values(br + gap), rtol=0, atol=1e-3)
+    est = mle(model, s)
+    assert (est.value, est.objective_at_value) == _exhaustive_mle(model, s)
+
+
+def test_estimators_of_one_sample_share_its_evaluator(monkeypatch):
+    # one row evaluates each breakpoint once per side across mle and bayes
+    from poislim.experiments import Scenario, _estimate_row
+
+    scenario = Scenario.from_dict({"model": "JUMP_SHIFT", "theta0": 0.5, "n": [200],
+                                   "replicates": 1, "seed": 3})
+    model = scenario.build_model()
+    true_int = scenario.build_true_intensity(model)
+    seen = {-1: [], 0: [], 1: []}
+    values = LikelihoodEvaluator.values
+    built = []
+
+    def counted(self, thetas, theta_side=0):
+        seen[theta_side].append(np.atleast_1d(thetas))
+        built.append(self)
+        return values(self, thetas, theta_side)
+
+    monkeypatch.setattr(LikelihoodEvaluator, "values", counted)
+    row = _estimate_row(scenario, model, true_int, scenario.build_settings(), 200, 0, 0)
+    monkeypatch.undo()
+    assert row["status"] == "ok"
+    assert len({id(ev) for ev in built}) == 1
+    breaks = built[0].breaks
+    assert breaks.size > 0
+    for side in (-1, 1):
+        assert np.array_equal(np.concatenate(seen[side]), breaks), side
+
+
+def test_evaluator_must_match_its_sample():
+    model = pl.make_model("JUMP_SHIFT")
+    s = simulate_sample((model, 0.5), 50, RngStream(8, 0))
+    other = LikelihoodEvaluator(model, s[:10])
+    with pytest.raises(PreconditionError):
+        mle(model, s, evaluator=other)
+    with pytest.raises(PreconditionError):
+        bayes(model, s, window=[(0.0, 0.5)], evaluator=LikelihoodEvaluator(model, s))

@@ -172,6 +172,32 @@ def test_sides_evaluates_each_breakpoint_once_per_side(family, sides, monkeypatc
     assert np.array_equal(curve.break_left, left) and np.array_equal(curve.break_right, right)
 
 
+@pytest.mark.parametrize("family", ["CUSP", "CHANGEPOINT"])
+def test_likelihood_curve_evaluates_each_theta_once(family, monkeypatch):
+    # a kink family's curve takes its breakpoint values from sides; a jump
+    # family evaluates its breakpoints on side 0 as well as on both sides
+    model = pl.make_model(family)
+    s = simulate_sample((model, model.theta_interval.midpoint), 30, RngStream(13, 0))
+    calls = []
+    values = LikelihoodEvaluator.values
+
+    def counted(self, thetas, theta_side=0):
+        calls.append((theta_side, np.atleast_1d(thetas).size))
+        return values(self, thetas, theta_side)
+
+    monkeypatch.setattr(LikelihoodEvaluator, "values", counted)
+    curve = likelihood_curve(model, s, 101)
+    monkeypatch.undo()
+    breaks = curve.break_thetas.size
+    assert breaks > 0
+    if family == "CUSP":
+        assert calls == [(0, breaks), (0, curve.thetas.size - breaks)]
+    else:
+        assert calls == [(-1, breaks), (1, breaks), (0, curve.thetas.size)]
+    ev = LikelihoodEvaluator(model, s)
+    assert np.array_equal(curve.values, ev.values(curve.thetas))
+
+
 def test_grid_size_validation():
     c = pl.make_model("CONSTANT")
     s = one_event_sample(0.5)
