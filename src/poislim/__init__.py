@@ -30,7 +30,8 @@ from .errors import (
     PreconditionError,
     SingularityError,
 )
-from .estimators import Estimate, EstimatorSettings, bayes, mle, moments_preliminary, two_stage
+from .estimators import (Estimate, EstimatorSettings, bayes, mle, moments_preliminary,
+                         two_stage_window)
 from .experiments import (
     ExperimentReport,
     Scenario,

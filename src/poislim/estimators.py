@@ -1,4 +1,5 @@
-"""MLE, Bayesian (posterior-mean), method-of-moments, and two-stage estimators.
+"""MLE, Bayesian (posterior-mean) and method-of-moments estimators, and the
+window of two-stage estimation.
 
 Optimization is grid-first everywhere: the same candidate machinery serves
 smooth, kinked, and jumpy likelihoods.  One-sided values at sample-dependent
@@ -25,8 +26,10 @@ from .errors import (
 from .intensity import _U, IntensityModel, SuffWinLinearModel
 from .likelihood import LikelihoodEvaluator, curve_grid
 from .simulate import Sample
+from .windows import Window, optimal_window, sufficient_window
 
-__all__ = ["EstimatorSettings", "Estimate", "mle", "bayes", "moments_preliminary", "two_stage"]
+__all__ = ["EstimatorSettings", "Estimate", "mle", "bayes", "moments_preliminary",
+           "two_stage_window"]
 
 _DEGENERATE_WIDTH = 1e-11
 # Simpson panels of ``bayes``, spread over the segments between breakpoints
@@ -416,43 +419,31 @@ def moments_preliminary(model: IntensityModel, sample: Sample) -> Estimate:
     return Estimate(_clamp(raw, model.theta_interval), float("nan"), "moments")
 
 
-def two_stage(model: IntensityModel, sample: Sample, settings: EstimatorSettings | None = None,
-              stage: str = "sufficient-window", mu_star: float | None = None,
-              final: str = "mle") -> Estimate:
-    """Split-sample estimation: preliminary value picks the window, rest re-estimates.
+def two_stage_window(model: IntensityModel, sample: Sample,
+                     settings: EstimatorSettings | None, mode: str,
+                     mu_star: float | None = None) -> tuple[Window, Sample]:
+    """(window, rest) of split-sample estimation.
 
-    ``stage`` is "optimal-window" (level-set window of measure mu_star) or
-    "sufficient-window" (shrinking interval of halfwidth n^{-1/8} around the
-    preliminary value).  The first floor(sqrt(n)) trajectories feed the
-    preliminary estimator and are excluded afterwards, preserving independence.
+    The first floor(sqrt(n)) trajectories give a preliminary estimate (the
+    method of moments on ``SUFFWIN_LINEAR``, ``mle`` elsewhere) that picks the
+    window: ``mode`` "optimal" is the level set of the Fisher integrand of
+    measure ``mu_star``, "sufficient" the interval of halfwidth n^{-1/8}
+    around the preliminary value.  The remaining trajectories, independent of
+    the window, are the sample of the final estimators.
     """
-    from .windows import optimal_window, sufficient_window
-
-    settings = settings or DEFAULT_SETTINGS
+    if mode not in ("optimal", "sufficient"):
+        raise DomainError(f"unknown window mode {mode!r}")
+    if mode == "optimal" and mu_star is None:
+        raise ConfigurationError("window mode 'optimal' needs mu_star")
     n = sample.n
     if n < 9:
         raise PreconditionError(f"two-stage estimation needs n >= 9, got {n}")
     n1 = math.isqrt(n)
     first, rest = sample[:n1], sample[n1:]
-
     if isinstance(model, SuffWinLinearModel):
         prelim = moments_preliminary(model, first)
     else:
         prelim = mle(model, first, settings)
-
-    if stage == "optimal-window":
-        if mu_star is None:
-            raise ConfigurationError("optimal-window two-stage estimation needs mu_star")
-        win = optimal_window(model, prelim.value, mu_star)
-    elif stage == "sufficient-window":
-        win = sufficient_window(prelim, n, model.horizon)
-    else:
-        raise DomainError(f"unknown two-stage variant {stage!r}")
-
-    if final == "mle":
-        est = mle(model, rest, settings, window=win)
-    elif final == "bayes":
-        est = bayes(model, rest, settings, window=win)
-    else:
-        raise DomainError(f"unknown final estimator {final!r}")
-    return Estimate(est.value, est.objective_at_value, "two-stage")
+    if mode == "optimal":
+        return optimal_window(model, prelim.value, mu_star), rest
+    return sufficient_window(prelim, n, model.horizon), rest

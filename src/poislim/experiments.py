@@ -134,10 +134,10 @@ class Scenario:
         # one stream per (n, replicate), all below the limit-draw stream
         if len(ns) * self.replicates > _LIMIT_STREAM_BASE:
             raise ConfigurationError(f"len(n) * replicates must be at most {_LIMIT_STREAM_BASE}")
+        family = CATALOG.get(self.model)  # an unknown model fails in build_model
         if self.regime is not None:
             if self.regime not in limits.REGIMES:
                 raise ConfigurationError(f"unknown regime {self.regime!r}")
-            family = CATALOG.get(self.model)  # an unknown model fails in build_model
             why = family and limits.REGIMES[self.regime].misfit(family, self.theta0)
             if why:
                 raise ConfigurationError(f"model {self.model} does not fit its regime: {why}")
@@ -148,12 +148,21 @@ class Scenario:
         unknown = set(self.window) - _WINDOW_KEYS
         if unknown:
             raise ConfigurationError(f"unknown window keys: {sorted(unknown)}")
-        if self.window.get("mode", "none") not in ("none", "optimal", "sufficient"):
-            raise ConfigurationError(f"unknown window mode {self.window.get('mode')!r}")
+        mode = self.window.get("mode", "none")
+        if mode not in ("none", "optimal", "sufficient"):
+            raise ConfigurationError(f"unknown window mode {mode!r}")
         if self.window.get("mu_star") is not None:
             _check_number(self.window["mu_star"], "window.mu_star")
-        elif self.window.get("mode") == "optimal":
+        elif mode == "optimal":
             raise ConfigurationError("window mode 'optimal' needs mu_star")
+        # windows that every replicate would fail to choose: the first floor(sqrt(n))
+        # trajectories choose one and the rest estimate
+        if mode != "none" and (self.long_record or min(ns) < 9):
+            got = "one long_record" if self.long_record else f"n = {min(ns)}"
+            raise ConfigurationError(f"window mode {mode!r} needs n >= 9 trajectories, got {got}")
+        if mode == "optimal" and family and family.smoothness_order < 1:
+            raise ConfigurationError(f"window mode 'optimal' needs a theta-derivative; "
+                                     f"{self.model} has smoothness_order {family.smoothness_order}")
         if self.true_intensity is not None:
             kind = self.true_intensity.get("kind")
             if not isinstance(kind, str) or kind not in _TRUE_KEYS:
@@ -283,7 +292,6 @@ def _estimate_row(scenario: Scenario, model, true_int, settings, n, n_index, r):
     A pure function of the scenario: replicate r only reads its own stream.
     """
     mode = scenario.window.get("mode", "none")
-    mu_star = scenario.window.get("mu_star")
     base = RngStream(scenario.seed, _replicate_stream_base(n_index, r, scenario.replicates))
     est_model, size = model, n
     if scenario.long_record:
@@ -293,23 +301,24 @@ def _estimate_row(scenario: Scenario, model, true_int, settings, n, n_index, r):
     sample = simulate_sample(true_int, size, base)
     row = {"n": n, "replicate": r, "stream_base": base.stream_index,
            "events": sample.total_events(), "status": "ok"}
-    # one evaluator, so the estimators share its breakpoint values
-    ev = LikelihoodEvaluator(est_model, sample) if mode == "none" else None
+    # one window and one evaluator per replicate, so the estimators share its
+    # breakpoint values; an error in building them fails every estimator
+    window, est_sample, failed = None, sample, None
+    try:
+        if mode != "none":
+            window, est_sample = estimators.two_stage_window(
+                est_model, sample, settings, mode, scenario.window.get("mu_star"))
+        ev = LikelihoodEvaluator(est_model, est_sample, window)
+    except PoislimError as exc:
+        failed = exc
     errors = []
     for which in settings.estimators:
         try:
-            if mode == "none":
-                if which == "mle":
-                    est = estimators.mle(est_model, sample, settings, evaluator=ev)
-                else:
-                    est = estimators.bayes(est_model, sample, settings, evaluator=ev)
-            elif mode == "optimal":
-                est = estimators.two_stage(est_model, sample, settings,
-                                           stage="optimal-window", mu_star=mu_star,
-                                           final=which)
-            else:
-                est = estimators.two_stage(est_model, sample, settings,
-                                           stage="sufficient-window", final=which)
+            if failed is not None:
+                raise failed
+            # through the module attribute, which perfbench/tracer.py wraps
+            est = getattr(estimators, which)(est_model, est_sample, settings,
+                                             window=window, evaluator=ev)
             row[which] = est.value
         except PoislimError as exc:
             row[which] = float("nan")

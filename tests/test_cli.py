@@ -51,8 +51,11 @@ def test_experiment_outputs_identical_for_any_worker_count(tmp_path, doc):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
-# two-stage estimation needs n >= 9, so both estimators fail on every replicate
-ALL_FAIL = {"model": "SUFFWIN_LINEAR", "theta0": 0.5, "window": {"mode": "sufficient"},
+# with c0 = c1 = 0 the model intensity is 0 before s* - theta at every theta, where
+# the shifted truth has events, so log L = -inf over Theta and both estimators
+# fail on every replicate
+ALL_FAIL = {"model": "JUMP_SHIFT", "theta0": 0.5, "params": {"c0": 0, "c1": 0},
+            "true_intensity": {"kind": "constant_shift", "h": 5},
             "n": [4], "replicates": 2, "seed": 3}
 
 
@@ -154,6 +157,21 @@ KINK = {"model": "DISCFI_KINK", "theta0": 1.0, "n": [5], "replicates": 2, "seed"
      cli.EXIT_CONFIG),
     (dict(KINK, regime="null-fisher"), [], cli.EXIT_CONFIG),
     (dict(KINK, regime="disc-fisher"), [], cli.EXIT_OK),
+    # windows that every replicate would fail to choose: the first floor(sqrt(n))
+    # trajectories choose one, so it needs n >= 9 trajectories and no long_record,
+    # and an optimal window needs a theta-derivative of the family
+    ({"model": "SUFFWIN_LINEAR", "theta0": 0.5, "window": {"mode": "sufficient"},
+      "n": [4], "replicates": 2, "seed": 3}, [], cli.EXIT_CONFIG),
+    ({"model": "SUFFWIN_LINEAR", "theta0": 0.5, "window": {"mode": "sufficient"},
+      "n": [100, 8], "replicates": 2, "seed": 3}, [], cli.EXIT_CONFIG),
+    ({"model": "WINDOW_SINE", "theta0": 0.5, "window": {"mode": "optimal", "mu_star": 0.5},
+      "n": [4], "replicates": 2, "seed": 3}, [], cli.EXIT_CONFIG),
+    ({"model": "SUFFWIN_LINEAR", "theta0": 0.5, "window": {"mode": "sufficient"},
+      "n": [100], "replicates": 2, "seed": 3, "long_record": True}, [], cli.EXIT_CONFIG),
+    ({"model": "JUMP_SHIFT", "theta0": 0.5, "window": {"mode": "optimal", "mu_star": 0.5},
+      "n": [100], "replicates": 2, "seed": 3}, [], cli.EXIT_CONFIG),
+    ({"model": "JUMP_SHIFT", "theta0": 0.5, "window": {"mode": "sufficient"},
+      "n": [9], "replicates": 2, "seed": 3}, [], cli.EXIT_OK),
 ])
 def test_experiment_exit_codes(tmp_path, capsys, doc, extra, code):
     scenario = write_scenario(tmp_path, doc)
@@ -162,7 +180,8 @@ def test_experiment_exit_codes(tmp_path, capsys, doc, extra, code):
     if code == cli.EXIT_CONFIG:
         assert not (tmp_path / "out.table.csv").exists()
     if doc.get("long_record"):
-        expect = f"long_record: {doc['model']} on one record of n*tau = {doc['n'][0]}"
+        expect = ("got one long_record" if "window" in doc else
+                  f"long_record: {doc['model']} on one record of n*tau = {doc['n'][0]}")
         assert expect in capsys.readouterr().err
         assert not prefix.with_suffix(".table.csv").exists()
     if code == cli.EXIT_RUNTIME:

@@ -5,9 +5,10 @@ import pytest
 from scipy import stats
 
 import poislim as pl
-from poislim.errors import CapabilityError, ConfigurationError, PreconditionError
+from poislim.errors import CapabilityError, ConfigurationError, DomainError, PreconditionError
 from poislim import estimators
-from poislim.estimators import EstimatorSettings, bayes, mle, moments_preliminary, two_stage
+from poislim.estimators import (EstimatorSettings, bayes, mle, moments_preliminary,
+                                two_stage_window)
 from poislim.intensity import ParameterInterval
 from poislim.likelihood import LikelihoodEvaluator, likelihood_curve
 from poislim.simulate import RngStream, Sample, simulate_sample
@@ -238,7 +239,7 @@ def test_two_stage_needs_nine():
     sw = pl.make_model("SUFFWIN_LINEAR")
     s = simulate_sample((sw, 0.5), 8, RngStream(8, 0))
     with pytest.raises(PreconditionError):
-        two_stage(sw, s, stage="sufficient-window")
+        two_stage_window(sw, s, None, "sufficient")
 
 
 def test_two_stage_sufficient_window_improves_on_preliminary():
@@ -250,8 +251,10 @@ def test_two_stage_sufficient_window_improves_on_preliminary():
     for r in range(reps):
         s = simulate_sample((sw, theta0), n, RngStream(1000 + r, 0))
         prelim = moments_preliminary(sw, s[:n1])
-        final = two_stage(sw, s, settings, stage="sufficient-window")
-        win = pl.sufficient_window(prelim.value, n, sw.horizon)
+        win, rest = two_stage_window(sw, s, settings, "sufficient")
+        assert win == pl.sufficient_window(prelim, n, sw.horizon)
+        assert np.array_equal(rest.events, s[n1:].events)
+        final = mle(sw, rest, settings, window=win)
         assert win.intervals[0][0] <= final.value <= win.intervals[0][1]
         if abs(final.value - theta0) <= abs(prelim.value - theta0):
             better += 1
@@ -262,11 +265,15 @@ def test_two_stage_optimal_window_runs():
     ws = pl.make_model("WINDOW_SINE")
     s = simulate_sample((ws, 0.5), 100, RngStream(9, 0))
     settings = EstimatorSettings(grid_size=801)
-    est = two_stage(ws, s, settings, stage="optimal-window", mu_star=0.5)
-    assert est.method == "two-stage"
-    assert abs(est.value - 0.5) < 0.5
+    win, rest = two_stage_window(ws, s, settings, "optimal", mu_star=0.5)
+    assert win == pl.optimal_window(ws, mle(ws, s[:10], settings).value, 0.5)
+    assert rest.n == 90
+    for final in (mle, bayes):
+        assert abs(final(ws, rest, settings, window=win).value - 0.5) < 0.5
     with pytest.raises(ConfigurationError):
-        two_stage(ws, s, settings, stage="optimal-window")
+        two_stage_window(ws, s, settings, "optimal")
+    with pytest.raises(DomainError):
+        two_stage_window(ws, s, settings, "optimal-window", mu_star=0.5)
 
 
 def test_disc_fisher_kink_can_return_exact_kink():
@@ -400,7 +407,7 @@ def test_bounded_mle_finds_an_interior_grid_maximum():
 
 @pytest.mark.parametrize("family", ["JUMP_SHIFT", "SUFFWIN_LINEAR"])
 def test_bounded_mle_in_a_sufficient_window(family):
-    # two_stage's final search runs on a window of Theta's neighbourhood
+    # the final search of two-stage estimation runs on a window of Theta's neighbourhood
     model = pl.make_model(family)
     settings = EstimatorSettings(grid_size=1001, estimators=("mle",))
     n = 900
@@ -411,8 +418,9 @@ def test_bounded_mle_in_a_sufficient_window(family):
             prelim = moments_preliminary(model, s[:n1])
         else:
             prelim = mle(model, s[:n1], settings)
-        win = pl.sufficient_window(prelim, n, model.horizon)
-        est = two_stage(model, s, settings, stage="sufficient-window")
+        win, rest = two_stage_window(model, s, settings, "sufficient")
+        assert win == pl.sufficient_window(prelim, n, model.horizon)
+        est = mle(model, rest, settings, window=win)
         assert est.value == _exhaustive_mle(model, s[n1:], settings, win)[0], (family, seed)
 
 

@@ -48,8 +48,11 @@ def test_status_keeps_every_error():
 
 
 def test_failed_rows_stay_one_csv_field(tmp_path):
-    # two-stage estimation needs n >= 9, so both estimators fail on every replicate
-    doc = {"model": "SUFFWIN_LINEAR", "theta0": 0.5, "window": {"mode": "sufficient"},
+    # with c0 = c1 = 0 the model intensity is 0 before s* - theta at every theta,
+    # where the shifted truth has events: log L = -inf over Theta, so both
+    # estimators fail on every replicate
+    doc = {"model": "JUMP_SHIFT", "theta0": 0.5, "params": {"c0": 0, "c1": 0},
+           "true_intensity": {"kind": "constant_shift", "h": 5},
            "n": [4], "replicates": 2, "seed": 3}
     report = run_scenario(Scenario.from_dict(doc))
     assert report.summary["failures"] == 2
@@ -60,7 +63,7 @@ def test_failed_rows_stay_one_csv_field(tmp_path):
     assert len(rows) == 2
     for row in rows:
         assert None not in row  # no status overflowed into extra columns
-        assert row["status"] == "mle-error: PreconditionError; bayes-error: PreconditionError"
+        assert row["status"] == "mle-error: EstimationError; bayes-error: EstimationError"
 
 
 def test_replicate_stream_blocks_cannot_overlap():
@@ -154,12 +157,19 @@ def test_scenario_without_regime_has_no_limit_comparison():
             assert not any(key.startswith("ks_") for key in entry)
 
 
+_SUFFWIN = {"model": "SUFFWIN_LINEAR", "theta0": 0.5, "window": {"mode": "sufficient"},
+            "n": [100], "replicates": 2, "seed": 7}
+_WINSINE = {"model": "WINDOW_SINE", "theta0": 0.5,
+            "window": {"mode": "optimal", "mu_star": 0.5},
+            "n": [100], "replicates": 2, "seed": 7}
+
+
 def test_rows_call_the_layers_through_module_attributes(monkeypatch):
     # perfbench/tracer.py times the layers by replacing these attributes; a row
     # that bound them at import would leave a traced run without their spans
     calls = []
     for owner, name in ((experiments, "simulate_sample"), (estimators, "mle"),
-                        (estimators, "bayes")):
+                        (estimators, "bayes"), (estimators, "two_stage_window")):
         def counted(*args, _real=getattr(owner, name), _name=name, **kwargs):
             calls.append(_name)
             return _real(*args, **kwargs)
@@ -167,6 +177,61 @@ def test_rows_call_the_layers_through_module_attributes(monkeypatch):
         monkeypatch.setattr(owner, name, counted)
     run_scenario(Scenario.from_dict(dict(TINY, replicates=2)))
     assert sorted(calls) == ["bayes"] * 4 + ["mle"] * 4 + ["simulate_sample"] * 4
+    # a windowed row also chooses its window through the attribute; off
+    # SUFFWIN_LINEAR the window's preliminary estimate is one more mle
+    for doc, mle_calls in ((_SUFFWIN, 2), (_WINSINE, 4)):
+        calls.clear()
+        run_scenario(Scenario.from_dict(doc))
+        assert sorted(calls) == (["bayes"] * 2 + ["mle"] * mle_calls
+                                 + ["simulate_sample"] * 2 + ["two_stage_window"] * 2)
+
+
+@pytest.mark.parametrize("doc", [_SUFFWIN, _WINSINE], ids=["sufficient", "optimal"])
+def test_windowed_row_chooses_one_window_and_builds_one_evaluator(monkeypatch, doc):
+    scenario = Scenario.from_dict(dict(doc, replicates=1))
+    model = scenario.build_model()
+    true_int = scenario.build_true_intensity(model)
+    settings = scenario.build_settings()
+    chosen, built, used = [], [], []
+    real_window, real_evaluator = estimators.two_stage_window, experiments.LikelihoodEvaluator
+
+    def two_stage_window(*args, **kwargs):
+        chosen.append(real_window(*args, **kwargs))
+        return chosen[-1]
+
+    def evaluator(*args, **kwargs):
+        built.append(real_evaluator(*args, **kwargs))
+        return built[-1]
+
+    def final(name):
+        real = getattr(estimators, name)
+
+        def run(*args, **kwargs):
+            if kwargs.get("evaluator") is not None:  # not the preliminary mle
+                used.append((name, kwargs["window"], kwargs["evaluator"]))
+            return real(*args, **kwargs)
+        return run
+
+    monkeypatch.setattr(estimators, "two_stage_window", two_stage_window)
+    monkeypatch.setattr(experiments, "LikelihoodEvaluator", evaluator)
+    for name in ("mle", "bayes"):
+        monkeypatch.setattr(estimators, name, final(name))
+    row = _estimate_row(scenario, model, true_int, settings, 100, 0, 0)
+    assert row["status"] == "ok"
+    assert len(chosen) == len(built) == 1
+    window, rest = chosen[0]
+    assert [name for name, _, _ in used] == ["mle", "bayes"]
+    assert all(w is window and ev is built[0] for _, w, ev in used)
+    assert built[0].n == rest.n == 100 - 10
+    monkeypatch.undo()
+    # the row's values are those of direct calls on (window, rest), bit for bit
+    sample = simulate_sample(true_int, 100, RngStream(scenario.seed, 0))
+    window, rest = estimators.two_stage_window(model, sample, settings,
+                                               scenario.window["mode"],
+                                               scenario.window.get("mu_star"))
+    assert window == chosen[0][0]
+    assert row["mle"] == estimators.mle(model, rest, settings, window=window).value
+    assert row["bayes"] == estimators.bayes(model, rest, settings, window=window).value
 
 
 @pytest.fixture
