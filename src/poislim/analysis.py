@@ -25,7 +25,6 @@ __all__ = [
     "MisspecAsymptotics",
     "NonIdentCovariance",
     "integrate",
-    "golden_section_min",
     "golden_section_max",
     "fisher_information",
     "higher_order_information",
@@ -240,19 +239,15 @@ def _pointwise(fn):
     return lambda points: np.array([float(fn(x)) for x in points])
 
 
-def golden_section_min(fn, a: float, b: float, tol: float = 1e-11, max_iter: int = 200):
-    """Golden-section minimum of a unimodal scalar function on [a, b].
-
-    Returns (x, fn(x)), x the midpoint of the final bracket (``golden_search``
-    one point per call); deterministic, ties resolve toward the left.
-    """
-    x = golden_search(_pointwise(fn), a, b, tol, max_iter)
-    return x, float(fn(x))
-
-
 def golden_section_max(fn, a: float, b: float, tol: float = 1e-11, max_iter: int = 200):
-    x, v = golden_section_min(lambda s: -fn(s), a, b, tol=tol, max_iter=max_iter)
-    return x, -v
+    """Golden-section maximum of a unimodal scalar function on [a, b].
+
+    Returns (x, fn(x)), x the midpoint of the final bracket of
+    ``golden_search`` on -fn, one point per call; deterministic, ties resolve
+    toward the left.
+    """
+    x = golden_search(_pointwise(lambda s: -fn(s)), a, b, tol, max_iter)
+    return x, float(fn(x))
 
 
 # ---------------------------------------------------------------------------

@@ -111,17 +111,20 @@ def _candidate_argmax(thetas, sides, values):
     return float(thetas[order][i]), float(vals[i])
 
 
-def _eval_candidates(ev, grid):
+def _eval_candidates(ev, grid, bounded=True):
     """(theta, side, value) candidate arrays of one search pass over ``grid``.
 
     The candidates are the grid on side 0 and the sample's breakpoints strictly
-    inside it on sides -1 and +1, their values read off ``ev.sides``.  Grid
-    points that ``_may_win`` rules out are not evaluated and take -inf.
+    inside it on sides -1 and +1, their values read off ``ev.sides``.  Where
+    ``bounded``, grid points that ``_may_win`` rules out are not evaluated and
+    take -inf.
     """
     inside = (ev.breaks > grid[0]) & (ev.breaks < grid[-1])
     breaks = ev.breaks[inside]
     left, right = (v[inside] for v in ev.sides)
-    keep = _may_win(ev, grid, breaks, left, right)
+    keep = np.ones(grid.size, dtype=bool)
+    if bounded and breaks.size:
+        keep = _may_win(ev, grid, max(left.max(), right.max()))
     vals = np.full(grid.size, -np.inf)
     vals[keep] = ev.values(grid[keep])
     thetas = np.concatenate([grid, breaks, breaks])
@@ -129,35 +132,32 @@ def _eval_candidates(ev, grid):
     return thetas, sides, np.concatenate([vals, left, right])
 
 
-def _may_win(ev, grid, breaks, left, right):
-    """Mask of the grid points whose log L may reach the best one-sided value.
+def _may_win(ev, grid, best):
+    """Mask of the grid points whose log L may reach ``best``.
 
-    With the family's ``log_lik_slope_bound`` (slope L, rounding R), a point at
-    distances d_a, d_b from the ends a, b of its segment between ``breaks``
-    has log L <= min(f(a+) + L*d_a, f(b-) + L*d_b), the one-sided limits read
-    off ``sides``.  A point is dropped when that cap plus the margin
-    2R + 8u*(|cap| + 2L*(b - a)) stays below the best one-sided value: the
-    margin covers the rounding of the point's value, of the limit and of the
-    cap, so a dropped point computes strictly below the best and can be
-    neither the argmax nor tied with it.  The grid ends are always kept (a
-    side-0 value there need not be a limit from inside), and every point is
-    kept where the family declares no bound.
+    A point in the segment k that the breakpoints cut Theta into has log L
+    <= C_k + I(theta), where C_k is the segment's cap on the event sum
+    (``ev.caps``) and I(theta) = ``ev.integral_terms(theta)`` the rest of
+    log L, computed at the point itself (closed-form, no event sum).  A point
+    is dropped when that bound plus the margin 2R + 8u*(|C_k| + |I(theta)|)
+    stays below ``best`` (R the family's ``event_sum_rounding``, u the unit
+    roundoff): the margin covers the rounding of the point's event sum, of
+    the cap and of the two additions, so a dropped point computes strictly
+    below ``best`` and can be neither the argmax nor tied with it.  A point
+    on a breakpoint is always kept (a side-0 value there need not be a limit
+    from inside a segment), and every point is kept where the family states
+    no caps or ``best`` is -inf.
     """
-    keep = np.ones(grid.size, dtype=bool)
-    bound = ev.model.log_lik_slope_bound(ev.n, ev.events.size, ev.intervals)
-    if bound is None or not breaks.size:
-        return keep
-    slope, rounding = bound
-    best = max(left.max(), right.max())
-    j = np.searchsorted(breaks, grid)
-    a = np.concatenate([grid[:1], breaks])[j]
-    b = np.concatenate([breaks, grid[-1:]])[j]
-    fa = np.concatenate([[np.inf], right])[j]
-    fb = np.concatenate([left, [np.inf]])[j]
-    cap = np.minimum(fa + slope * (grid - a), fb + slope * (b - grid))
-    size = np.abs(np.where(np.isfinite(cap), cap, 0.0)) + 2.0 * slope * (b - a)
-    keep[1:-1] = ~(cap + (2.0 * rounding + 8.0 * _U * size) < best)[1:-1]
-    return keep
+    caps = ev.caps
+    if caps is None or not best > -np.inf:
+        return np.ones(grid.size, dtype=bool)
+    j = np.searchsorted(ev.breaks, grid)
+    cap = caps[j]
+    integral = ev.integral_terms(grid)
+    size = np.abs(np.where(np.isfinite(cap), cap, 0.0)) + np.abs(integral)
+    margin = 2.0 * ev.model.event_sum_rounding(ev.events.size) + 8.0 * _U * size
+    on_break = ev.breaks[np.minimum(j, ev.breaks.size - 1)] == grid
+    return ~(cap + integral + margin < best) | on_break
 
 
 def _evaluator(model, sample, window, evaluator):
@@ -177,9 +177,10 @@ def mle(model: IntensityModel, sample: Sample, settings: EstimatorSettings | Non
     One exact search serves every sample.  Its candidates are the grid and
     both one-sided values at each breakpoint (``LikelihoodEvaluator.sides``),
     G + 2B for G grid points and B breakpoints.  The sides are evaluated
-    first; a grid point is then evaluated only where the family's slope bound
-    does not rule it out (``_may_win``), so a family with no bound costs
-    G + 2B evaluations (G + B where the curve only kinks).  Ties break toward
+    first, with the per-segment caps (``LikelihoodEvaluator.caps``); a grid
+    point is then evaluated only where its segment's cap does not rule it out
+    (``_may_win``), so a family with no caps costs G + 2B evaluations (G + B
+    where the curve only kinks).  Ties break toward
     the smaller theta; at sample-dependent discontinuities both one-sided
     limits compete for the sup.
     Zoom rounds then refine cusp-type likelihoods, and golden-section and score
@@ -317,7 +318,9 @@ def _zoom_refine(ev, theta, val, width, rounds):
 
     Each round searches 129 points over theta +- width clipped to Theta, the
     sample's breakpoints inside (from ``ev.sides``, not evaluated again), and
-    the incumbent; the next width is four of its grid steps.
+    the incumbent; the next width is four of its grid steps.  The 129 points
+    are all evaluated: this close to the incumbent the caps of ``_may_win``
+    rule out almost none of them.
     """
     iv = ev.model.theta_interval
     for _ in range(rounds):
@@ -325,7 +328,7 @@ def _zoom_refine(ev, theta, val, width, rounds):
         if hi <= lo:
             break
         fine = np.linspace(lo, hi, 129)
-        th, sd, vals = _eval_candidates(ev, fine)
+        th, sd, vals = _eval_candidates(ev, fine, bounded=False)
         theta, val = _candidate_argmax(np.append(th, theta), np.append(sd, 0),
                                        np.append(vals, val))
         width = 4.0 * (fine[1] - fine[0])

@@ -82,9 +82,12 @@ class IntensityModel:
     theta-smoothness; ``event_breakpoints_are_jumps`` says whether the
     log-likelihood jumps (not only kinks) at ``event_theta_breakpoints``;
     ``event_sums_are_closed_form`` says whether ``event_log_sums`` costs a few
-    operations per theta (a sufficient statistic) rather than one per event.
-    A family may bound the slope of log L between breakpoints
-    (``log_lik_slope_bound``).  Construction runs a positivity/bound grid scan.
+    operations per theta (a sufficient statistic) rather than one per event;
+    ``event_terms_are_monotone`` says whether every term log lambda(theta, t_i)
+    is monotone in theta on each open segment between consecutive
+    ``event_theta_breakpoints`` (with ``event_sum_rounding``, it caps the
+    event sum on each segment).  Construction runs a positivity/bound grid
+    scan.
     """
 
     catalog_id: ClassVar[str]
@@ -92,6 +95,7 @@ class IntensityModel:
     theta_kinks: ClassVar[tuple] = ()
     event_breakpoints_are_jumps: ClassVar[bool] = True
     event_sums_are_closed_form: ClassVar[bool] = False
+    event_terms_are_monotone: ClassVar[bool] = False
 
     theta_interval: ParameterInterval = ParameterInterval(0.0, 1.0)
     horizon: float = 1.0
@@ -126,18 +130,16 @@ class IntensityModel:
         """Closed-form integral of lambda(theta, .) over [lo, hi], vectorized over ``thetas``."""
         raise NotImplementedError
 
-    def log_lik_slope_bound(self, n, n_events, intervals):
-        """(slope, rounding) of log L on a sample of ``n`` trajectories with
-        ``n_events`` events in the window ``intervals``, or None.
+    def event_sum_rounding(self, n_events):
+        """Rounding bound R of the event sums of a family with monotone event
+        terms, on ``n_events`` events, or None.
 
-        ``slope`` bounds |d/dtheta log L| on every open segment between
-        consecutive ``event_theta_breakpoints`` (or log L is -inf throughout
-        the segment), where ``event_log_sums`` with ``theta_side`` -1 and +1
-        at a breakpoint give the limits from inside its two segments.
-        ``rounding`` bounds how far one ``LikelihoodEvaluator.values`` entry
-        lies from that exact log L before its last subtraction (the event
-        sum minus the integral term), up to one constant on each segment.
-        None, the default, declares no bound.
+        R bounds how far a computed ``event_log_sums`` entry at a theta inside
+        a segment between breakpoints lies from its exact value, and how far
+        the sum of the elementwise maxima of the terms of the segment's two
+        limits from inside lies from its exact value, up to one constant on
+        each segment.  None, the default, states no bound, and the segments
+        then have no cap.
         """
         return None
 
@@ -153,7 +155,7 @@ class IntensityModel:
         with np.errstate(divide="ignore"):
             return np.log(v)
 
-    def event_log_sums(self, thetas, events, theta_side=0):
+    def event_log_sums(self, thetas, events, theta_side=0, rows=None):
         """sum_i log lambda(theta, t_i) for each theta in ``thetas``.
 
         Broadcast over blocks of whole theta rows, at most ``_BLOCK_PAIRS``
@@ -164,18 +166,23 @@ class IntensityModel:
         heap instead of being mapped, page-faulted, zeroed and unmapped again
         on every block (a 1M-pair block would fault in about 50 MB each
         time); they also fit in L2.  Every row is summed whole, so the values
-        do not depend on the block size.  Families with a closed-form
-        sufficient statistic override this (same values up to rounding).
+        do not depend on the block size.  ``rows``, if given, is called with
+        each block's (thetas x events) array of log terms, in order, before
+        the block is summed.  Families with a closed-form sufficient statistic
+        override this (same values up to rounding, and no ``rows``).
         """
         thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
         events = np.asarray(events, dtype=float)
         if events.size == 0:
             return np.zeros(thetas.shape)
         out = np.empty(thetas.shape)
-        rows = max(1, _BLOCK_PAIRS // events.size)
-        for lo in range(0, thetas.size, rows):
-            block = thetas[lo:lo + rows, None]
-            out[lo:lo + rows] = self.log_value(block, events[None, :], theta_side).sum(axis=1)
+        step = max(1, _BLOCK_PAIRS // events.size)
+        for lo in range(0, thetas.size, step):
+            terms = self.log_value(thetas[lo:lo + step, None], events[None, :], theta_side)
+            if rows is not None:
+                rows(terms)
+            out[lo:lo + step] = terms.sum(axis=1)
+            del terms  # freed before the next block, so the heap reuses it
         return out
 
     def dtheta(self, theta, t, order, side=None):
@@ -367,20 +374,14 @@ class DiscFisherKinkModel(IntensityModel):
         return (th - 1.0) * np.where(th < 1.0, low_branch, high_branch) + 15.0 * (hi - lo)
 
 
-def _values_rounding(n, intervals, horizon, scale, event_sum=0.0):
-    """Rounding bound of ``log_lik_slope_bound``: ``event_sum`` for the event
-    sum plus n*32u*(k + 1)^2*(scale + horizon) for the integral term over k
-    window intervals, where ``scale`` bounds every intermediate of one
-    ``integral_hint`` call times the factors applied to it afterwards (so a
-    call rounds by at most 16u*scale) and the window lies in [0, horizon].
-
-    ``event_sum`` defaults to 0 for families whose log lambda is piecewise
-    constant in theta: their event sum is then the same float at every theta
-    of a segment and at its two limits from inside, so its rounding is one
-    constant per segment and does not move log L within it.
+def _event_sum_rounding(n_events, log_max, cond):
+    """``event_sum_rounding`` of N = ``n_events`` terms whose computed log
+    lambda lies within 8u*(``log_max`` + ``cond``) of the exact one, where
+    ``log_max`` bounds |log lambda| (u the unit roundoff): N times that, plus
+    N^2*u*(``log_max`` + 1) for the summation of the N terms.
     """
-    k = len(intervals)
-    return event_sum + 32.0 * _U * n * (k + 1) ** 2 * (scale + horizon)
+    return (n_events * 8.0 * _U * (log_max + cond)
+            + n_events ** 2 * _U * (log_max + 1.0))
 
 
 def _abs_pow(x, kappa):
@@ -416,8 +417,11 @@ class CuspModel(_BreakAtTheta):
 
     catalog_id = "CUSP"
     smoothness_order = 0
-    # |t-theta|^kappa is continuous in theta; events only kink the curve
+    # |t-theta|^kappa is continuous in theta; events only kink the curve.  Each
+    # term is monotone between the events: it grows with theta for the events
+    # left of a segment and falls for those right of it
     event_breakpoints_are_jumps = False
+    event_terms_are_monotone = True
 
     a: float = 1.0
     lam0: float = 2.0
@@ -453,6 +457,13 @@ class CuspModel(_BreakAtTheta):
 
         return self.lam0 * (hi - lo) + self.a * (anti(hi) - anti(lo))
 
+    def event_sum_rounding(self, n_events):
+        """lambda = a*|t - theta|^kappa + lam0 adds positive terms, so a computed
+        intensity is within 5u of exact relative to it, and its log within
+        8u*(Lambda + 1) (Lambda = max|log lambda| over [lam0, lambda_max])."""
+        log_max = max(abs(math.log(self.lam0)), abs(math.log(self.lambda_max)))
+        return _event_sum_rounding(n_events, log_max, 1.0)
+
 
 @dataclass(frozen=True)
 class JumpShiftModel(IntensityModel):
@@ -464,6 +475,7 @@ class JumpShiftModel(IntensityModel):
 
     catalog_id = "JUMP_SHIFT"
     smoothness_order = 0
+    event_terms_are_monotone = True
 
     c0: float = 2.0
     c1: float = 0.5
@@ -515,16 +527,15 @@ class JumpShiftModel(IntensityModel):
         cross = np.clip(self.s_star - th, lo, hi)
         return smooth + self.r * (hi - cross)
 
-    def log_lik_slope_bound(self, n, n_events, intervals):
-        """slope = N*|c1|/lam_min + n*(|c1|*measure + k*|r|) for N events in k
-        window intervals, with lam_min = min(c0 + c1*alpha, c0 + c1*(T + beta))
-        + min(r, 0) the least intensity over Theta x [0, T].
+    def event_sum_rounding(self, n_events):
+        """None where lam_min = min(c0 + c1*alpha, c0 + c1*(T + beta)) + min(r, 0),
+        the least intensity over Theta x [0, T], is not positive by more than
+        64u*C (u the unit roundoff, C = |c0| + |c1|*Y + |r|, Y = T + max|theta|).
 
-        None where lam_min is not positive by more than 64u*C (u the unit
-        roundoff, C = |c0| + |c1|*Y + |r|, Y = T + max|theta|): a computed
-        intensity is within 4u*C of exact, so each log term is then within
-        8u*(Lambda + C/lam_min) (Lambda = max|log lambda|), and the pairwise
-        event sum adds at most N^2*u*(Lambda + 1).
+        Otherwise every term is the log of a positive affine function of theta
+        between breakpoints, so monotone; a computed intensity is within 4u*C
+        of exact, and its log within 8u*(Lambda + C/lam_min) (Lambda =
+        max|log lambda|).
         """
         iv = self.theta_interval
         lam_min = min(self.c0 + self.c1 * iv.alpha,
@@ -533,14 +544,8 @@ class JumpShiftModel(IntensityModel):
         coeff = abs(self.c0) + abs(self.c1) * y + abs(self.r)
         if not lam_min > 64.0 * _U * coeff:
             return None
-        measure = sum(hi - lo for lo, hi in intervals)
-        slope = (n_events * abs(self.c1) / lam_min
-                 + n * (abs(self.c1) * measure + len(intervals) * abs(self.r)))
         log_max = max(abs(math.log(lam_min)), abs(math.log(self.lambda_max)))
-        event_sum = (n_events * 8.0 * _U * (log_max + coeff / lam_min)
-                     + n_events ** 2 * _U * (log_max + 1.0))
-        scale = (abs(self.c0) + abs(self.c1) + abs(self.r)) * (1.0 + y) ** 2
-        return slope, _values_rounding(n, intervals, self.horizon, scale, event_sum)
+        return _event_sum_rounding(n_events, log_max, coeff / lam_min)
 
 
 @dataclass(frozen=True)
@@ -549,6 +554,7 @@ class ChangePointModel(_BreakAtTheta):
 
     catalog_id = "CHANGEPOINT"
     smoothness_order = 0
+    event_terms_are_monotone = True
 
     g1: float = 1.0
     g2: float = 2.0
@@ -574,12 +580,12 @@ class ChangePointModel(_BreakAtTheta):
         cut = np.clip(th, lo, hi)
         return self.g1 * (cut - lo) + self.g2 * (hi - cut)
 
-    def log_lik_slope_bound(self, n, n_events, intervals):
-        """slope = n*k*(g2 - g1) over k window intervals: log lambda is piecewise
-        constant in theta, so only the integral term has a slope."""
-        return (n * len(intervals) * (self.g2 - self.g1),
-                _values_rounding(n, intervals, self.horizon,
-                                 (self.g1 + self.g2) * (1.0 + self.horizon)))
+    def event_sum_rounding(self, n_events):
+        """0: log lambda is piecewise constant in theta, so the event terms are
+        the same floats at every theta of a segment and at its two limits from
+        inside, and every computed event sum of a segment, its cap included,
+        is the same float."""
+        return 0.0
 
 
 @dataclass(frozen=True)
@@ -640,6 +646,7 @@ class SuffWinLinearModel(_BreakAtTheta):
 
     catalog_id = "SUFFWIN_LINEAR"
     smoothness_order = 0
+    event_terms_are_monotone = True
 
     a: float = 1.0
     b: float = 2.0
@@ -669,12 +676,10 @@ class SuffWinLinearModel(_BreakAtTheta):
         cut = np.clip(th, lo, hi)
         return self.a * (hi ** 2 - lo ** 2) + self.b * (hi - cut)
 
-    def log_lik_slope_bound(self, n, n_events, intervals):
-        """slope = n*k*b over k window intervals: log lambda is piecewise
-        constant in theta, so only the integral term has a slope."""
-        return (n * len(intervals) * self.b,
-                _values_rounding(n, intervals, self.horizon,
-                                 (self.a + self.b) * (1.0 + self.horizon) ** 2))
+    def event_sum_rounding(self, n_events):
+        """0, as for ``ChangePointModel``: log lambda is piecewise constant in
+        theta."""
+        return 0.0
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,10 @@ from .errors import DomainError
 from .intensity import IntensityModel
 from .simulate import Sample
 
+# (theta, event) pairs of one-sided terms that ``LikelihoodEvaluator._limits``
+# holds at once on a jump family: 1 MiB of float64
+_HELD_PAIRS = 1 << 17
+
 __all__ = [
     "LogLikelihoodCurve",
     "LikelihoodEvaluator",
@@ -49,6 +53,9 @@ class LikelihoodEvaluator:
         for lo, hi in self.intervals:
             inside |= (events >= lo) & (events <= hi)
         self.events = events[inside]
+        # while ``_limits`` or ``caps`` evaluates: takes each block of event
+        # log terms (the ``rows`` of ``event_log_sums``)
+        self._rows = None
 
     @cached_property
     def breaks(self) -> np.ndarray:
@@ -57,25 +64,133 @@ class LikelihoodEvaluator:
         br = np.unique(self.model.event_theta_breakpoints(self.events))
         return br[(br > iv.alpha) & (br < iv.beta)]
 
-    @cached_property
+    @property
     def sides(self) -> tuple[np.ndarray, np.ndarray]:
         """(left, right) limits of log L at ``breaks``.
 
         Where the family's curve only kinks (``event_breakpoints_are_jumps``
         false) one side-0 array serves as both.
         """
-        if not self.breaks.size:
-            return self.breaks, self.breaks
-        if not self.model.event_breakpoints_are_jumps:
-            both = self.values(self.breaks)
-            return both, both
-        return self.values(self.breaks, theta_side=-1), self.values(self.breaks, theta_side=1)
+        return self._limits[:2]
+
+    @cached_property
+    def caps(self) -> np.ndarray | None:
+        """Caps on the event sum of log L over the segments that ``breaks``
+        cut Theta into, or None where the family states none.
+
+        Entry k caps the segment that ends at breaks[k] (k = 0 starts at
+        Theta's lower edge, k = B ends at its upper edge): the sum over the
+        events of the larger of the two limits of log lambda(theta, t_i) from
+        inside the segment, which bounds the term on the whole segment where
+        the family's terms are monotone (``event_terms_are_monotone``).  The
+        limits at the breakpoints come with ``sides``; those at the two edges
+        are their side-0 terms, from one more ``values`` call (an outer
+        segment whose edge is itself an event's breakpoint is capped by +inf).
+        """
+        bounds = self._limits[2]
+        if bounds is None:
+            return None
+        inner, first, last = bounds
+        iv = self.model.theta_interval
+        edges = []
+        self._rows = edges.append
+        try:
+            self.values(np.array([iv.alpha, iv.beta]))
+        finally:
+            self._rows = None
+        at_alpha, at_beta = np.concatenate(edges)
+        plain = ~np.isin([iv.alpha, iv.beta], self.model.event_theta_breakpoints(self.events))
+        return np.concatenate([
+            [np.maximum(at_alpha, first).sum() if plain[0] else np.inf], inner,
+            [np.maximum(last, at_beta).sum() if plain[1] else np.inf]])
+
+    @cached_property
+    def _limits(self):
+        """(left, right, bounds) of ``sides`` and ``caps``, from the ``values``
+        calls of the breakpoints.
+
+        ``bounds`` is None or (the caps of the B - 1 segments between
+        breakpoints, the terms of the limit from the left at the first
+        breakpoint, those of the limit from the right at the last).  They
+        take the terms of the calls block by block as ``event_log_sums``
+        computes them (``_rows``), so they cost no log evaluation of their
+        own.  Where the curve only kinks, one side-0 call streams the rows in
+        order.  On a jump family the limit from the right at one breakpoint
+        pairs with the limit from the left at the next, so the breakpoints go
+        in chunks of at most ``_HELD_PAIRS`` (theta, event) pairs: each chunk
+        is evaluated from the left, its rows held, then from the right.
+        """
+        br, model = self.breaks, self.model
+        if not br.size:
+            return br, br, None
+        capped = (model.event_terms_are_monotone
+                  and model.event_sum_rounding(self.events.size) is not None)
+        inner = np.empty(br.size - 1)
+        first = last = None
+        at = 0
+
+        def pair(lower, upper, out=None):
+            # the terms of the limits from the right (lower) and from the left
+            # (upper) at the next breakpoints: a segment runs from a lower row
+            # to the next upper row and takes the sum of their maxima
+            nonlocal first, last, at
+            if last is None:
+                first = upper[0].copy()
+            else:
+                inner[at - 1] = np.maximum(last, upper[0]).sum()
+            inner[at:at + len(upper) - 1] = np.maximum(lower[:-1], upper[1:], out=out).sum(axis=1)
+            # a copy: a view would keep the whole block alive past the call
+            last, at = lower[-1].copy(), at + len(upper)
+
+        if not model.event_breakpoints_are_jumps:
+            self._rows = (lambda terms: pair(terms, terms)) if capped else None
+            try:
+                both = self.values(br)
+            finally:
+                self._rows = None
+            return both, both, (inner, first, last) if capped else None
+        if not capped:
+            return self.values(br, theta_side=-1), self.values(br, theta_side=1), None
+
+        step = max(1, _HELD_PAIRS // self.events.size)
+        held = np.empty((min(step, br.size), self.events.size))
+        left, right = np.empty(br.size), np.empty(br.size)
+        filled = 0
+
+        def hold(terms):
+            nonlocal filled
+            held[filled:filled + len(terms)] = terms
+            filled += len(terms)
+
+        def pair_held(terms):
+            # the held rows are summed already and may take the maxima
+            nonlocal filled
+            upper = held[filled:filled + len(terms)]
+            pair(terms, upper, upper[1:])
+            filled += len(terms)
+
+        try:
+            for lo in range(0, br.size, step):
+                chunk = br[lo:lo + step]
+                filled, self._rows = 0, hold
+                left[lo:lo + step] = self.values(chunk, theta_side=-1)
+                filled, self._rows = 0, pair_held
+                right[lo:lo + step] = self.values(chunk, theta_side=1)
+        finally:
+            self._rows = None
+        return left, right, (inner, first, last)
+
+    def integral_terms(self, thetas) -> np.ndarray:
+        """-n * (integral of lambda(theta, .) - 1 over the window): log L less its
+        event sum."""
+        integ = sum(self.model.integral_hint(thetas, lo, hi) for lo, hi in self.intervals)
+        return -self.n * (integ - self.measure)
 
     def values(self, thetas, theta_side=0) -> np.ndarray:
         thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-        term = self.model.event_log_sums(thetas, self.events, theta_side=theta_side)
-        integ = sum(self.model.integral_hint(thetas, lo, hi) for lo, hi in self.intervals)
-        vals = term - self.n * (integ - self.measure)
+        extra = {} if self._rows is None else {"rows": self._rows}
+        term = self.model.event_log_sums(thetas, self.events, theta_side=theta_side, **extra)
+        vals = term + self.integral_terms(thetas)
         return np.where(np.isnan(vals), -np.inf, vals)
 
     def value(self, theta, theta_side=0) -> float:

@@ -6,7 +6,7 @@ from scipy import stats
 
 import poislim as pl
 from poislim.errors import CapabilityError, ConfigurationError, DomainError, PreconditionError
-from poislim import estimators
+from poislim import estimators, intensity, likelihood
 from poislim.estimators import (EstimatorSettings, bayes, mle, moments_preliminary,
                                 two_stage_window)
 from poislim.intensity import ParameterInterval
@@ -291,10 +291,11 @@ def test_disc_fisher_kink_can_return_exact_kink():
 
 
 @pytest.mark.parametrize("family, seed", [("JUMP_SHIFT", 78), ("CHANGEPOINT", 8),
-                                          ("SUFFWIN_LINEAR", 19)])
+                                          ("SUFFWIN_LINEAR", 19), ("CUSP", 7)])
 def test_mle_attains_the_likelihood_maximum(family, seed):
     # on these samples a higher mode lies well away from the grid argmax, so a
-    # search confined to a window around the grid argmax would miss it
+    # search confined to a window around the grid argmax would miss it (on the
+    # CUSP sample a second mode, 0.042 below the maximum, lies 0.05 or more away)
     model = pl.make_model(family)
     s = simulate_sample((model, model.theta_interval.midpoint), 400, RngStream(seed, 0))
     curve = likelihood_curve(model, s, 4001)
@@ -340,20 +341,39 @@ def test_cusp_zoom_refines():
     assert fine.objective_at_value >= ev.values(dense).max() - 1e-6
 
 
-def _exhaustive_mle(model, sample, settings=DEFAULT, window=None):
-    # every grid point on side 0 and both sides of every breakpoint, G + 2B
-    # candidates; the first maximum in (theta, side) order wins
-    ev = LikelihoodEvaluator(model, sample, window)
-    iv = model.theta_interval
-    grid = np.linspace(iv.alpha, iv.beta, settings.grid_size)
-    br = ev.breaks
+def _exhaustive_argmax(ev, grid, incumbent=None):
+    # every point of the grid on side 0, both sides of every breakpoint strictly
+    # inside it and the incumbent (theta, value); the first maximum in
+    # (theta, side) order wins
+    br = ev.breaks[(ev.breaks > grid[0]) & (ev.breaks < grid[-1])]
     thetas = np.concatenate([grid, br, br])
     sides = np.repeat([0, -1, 1], [grid.size, br.size, br.size])
     vals = np.concatenate([ev.values(grid), ev.values(br, theta_side=-1),
                            ev.values(br, theta_side=1)])
+    if incumbent is not None:
+        thetas, sides, vals = (np.append(x, y) for x, y in zip((thetas, sides, vals),
+                                                              (incumbent[0], 0, incumbent[1])))
     order = np.lexsort((sides, thetas))
     i = int(np.argmax(vals[order]))
     return float(thetas[order][i]), float(vals[order][i])
+
+
+def _exhaustive_mle(model, sample, settings=DEFAULT, window=None):
+    # G + 2B candidates, then each zoom round's 129 points, its breakpoints on
+    # both sides and the incumbent, every one of them evaluated
+    ev = LikelihoodEvaluator(model, sample, window)
+    iv = model.theta_interval
+    grid = np.linspace(iv.alpha, iv.beta, settings.grid_size)
+    best = _exhaustive_argmax(ev, grid)
+    width = 4.0 * (grid[1] - grid[0])
+    for _ in range(settings.zoom_rounds):
+        lo, hi = max(iv.alpha, best[0] - width), min(iv.beta, best[0] + width)
+        if hi <= lo:
+            break
+        fine = np.linspace(lo, hi, 129)
+        best = _exhaustive_argmax(ev, fine, best)
+        width = 4.0 * (fine[1] - fine[0])
+    return best
 
 
 _BOUNDED = {
@@ -362,35 +382,39 @@ _BOUNDED = {
     "JUMP_SHIFT r<0": pl.make_model("JUMP_SHIFT", {"r": -1.0}),
     "CHANGEPOINT": pl.make_model("CHANGEPOINT"),
     "SUFFWIN_LINEAR": pl.make_model("SUFFWIN_LINEAR"),
+    "CUSP": pl.make_model("CUSP"),
 }
+_ZOOMED = {"CUSP zoom": ("CUSP", EstimatorSettings(zoom_rounds=3))}
 
 
-@pytest.mark.parametrize("name", list(_BOUNDED))
+@pytest.mark.parametrize("name", list(_BOUNDED) + list(_ZOOMED))
 @pytest.mark.parametrize("n", [20, 100, 400, 1600])
 def test_bounded_mle_equals_exhaustive_search(name, n, monkeypatch):
-    # the slope bound skips grid points but returns the exhaustive argmax and
-    # value bit for bit
-    model = _BOUNDED[name]
-    assert model.log_lik_slope_bound(n, 10, [(0.0, model.horizon)]) is not None
+    # the per-segment caps skip grid points but return the exhaustive argmax
+    # and value bit for bit, zoom rounds included
+    family, settings = _ZOOMED.get(name, (name, DEFAULT))
+    model = _BOUNDED[family]
+    assert model.event_terms_are_monotone and model.event_sum_rounding(10) is not None
     iv = model.theta_interval
+    grid = np.linspace(iv.alpha, iv.beta, settings.grid_size)
     evaluated = []
     values = LikelihoodEvaluator.values
 
     def counted(self, thetas, theta_side=0):
         if theta_side == 0:
-            evaluated.append(np.size(thetas))
+            evaluated.append(int(np.isin(thetas, grid).sum()))
         return values(self, thetas, theta_side)
 
     for seed in range(4):
         s = simulate_sample((model, iv.alpha + 0.45 * iv.width), n, RngStream(300 + seed, n))
-        expected = _exhaustive_mle(model, s)
+        expected = _exhaustive_mle(model, s, settings)
         with monkeypatch.context() as m:
             m.setattr(LikelihoodEvaluator, "values", counted)
-            est = mle(model, s)
+            est = mle(model, s, settings)
         assert (est.value, est.objective_at_value) == expected, (name, n, seed)
     if n >= 400:
         # most of the grid is ruled out
-        assert sum(evaluated) < DEFAULT.grid_size, (name, n, evaluated)
+        assert sum(evaluated) < settings.grid_size, (name, n, evaluated)
 
 
 def test_bounded_mle_finds_an_interior_grid_maximum():
@@ -425,10 +449,12 @@ def test_bounded_mle_in_a_sufficient_window(family):
 
 
 def test_jump_shift_bound_falls_back_without_a_positive_floor(monkeypatch):
-    # c0 + c1*alpha + min(r, 0) < 0: no slope bound, so mle evaluates the whole grid
+    # c0 + c1*alpha + min(r, 0) < 0: no rounding bound and no caps, so mle
+    # evaluates the whole grid
     model = pl.make_model("JUMP_SHIFT", {"c0": 0.3, "c1": 0.5, "r": -0.5})
-    assert model.log_lik_slope_bound(100, 300, [(0.0, model.horizon)]) is None
+    assert model.event_sum_rounding(300) is None
     s = simulate_sample((model, 0.5), 100, RngStream(7, 0))
+    assert LikelihoodEvaluator(model, s).caps is None
     calls = []
     values = LikelihoodEvaluator.values
 
@@ -445,16 +471,46 @@ def test_jump_shift_bound_falls_back_without_a_positive_floor(monkeypatch):
 
 @pytest.mark.parametrize("name", list(_BOUNDED))
 def test_slope_bound_holds_inside_segments(name):
-    # log L moves by at most slope * dtheta between two thetas of one segment
+    # inside each segment that the breakpoints cut Theta into, log L stays at
+    # or below the segment's cap on the event sum plus the integral term, to
+    # within the margin of _may_win
     model = _BOUNDED[name]
-    s = simulate_sample((model, model.theta_interval.midpoint), 200, RngStream(12, 0))
+    iv = model.theta_interval
+    s = simulate_sample((model, iv.midpoint), 200, RngStream(12, 0))
     ev = LikelihoodEvaluator(model, s)
-    slope, rounding = model.log_lik_slope_bound(ev.n, ev.events.size, ev.intervals)
-    assert 0.0 < rounding < 1e-6
-    br = ev.breaks
-    lo, hi = br[:-1] + 0.1 * np.diff(br), br[1:] - 0.1 * np.diff(br)
-    step = np.abs(ev.values(hi) - ev.values(lo))
-    assert np.all(step <= slope * (hi - lo) + 1e-9), name
+    rounding = model.event_sum_rounding(ev.events.size)
+    assert 0.0 <= rounding < 1e-6
+    caps = ev.caps
+    edges = np.concatenate([[iv.alpha], ev.breaks, [iv.beta]])
+    assert caps.shape == (edges.size - 1,) and np.all(np.isfinite(caps)), name
+    # interior points of every segment, outer segments included
+    frac = np.linspace(0.05, 0.95, 7)
+    thetas = (edges[:-1, None] + frac[None, :] * np.diff(edges)[:, None]).ravel()
+    cap = np.repeat(caps, frac.size)
+    integral = ev.integral_terms(thetas)
+    margin = 2.0 * rounding + 8.0 * 2.0 ** -53 * (np.abs(cap) + np.abs(integral))
+    assert np.all(ev.values(thetas) <= cap + integral + margin), name
+    # and so do the event sums of the inner segments' limits from inside
+    left, right = ev.sides
+    ends = np.maximum(right[:-1] - ev.integral_terms(ev.breaks[:-1]),
+                      left[1:] - ev.integral_terms(ev.breaks[1:]))
+    assert np.all(caps[1:-1] >= ends - 1e-9), name
+
+
+@pytest.mark.parametrize("name", ["CUSP", "JUMP_SHIFT c1<0", "CHANGEPOINT"])
+def test_caps_do_not_depend_on_the_blocks(name, monkeypatch):
+    # one row per event_log_sums block and three breakpoints per held chunk
+    # give the same sides and caps bit for bit
+    model = _BOUNDED[name]
+    s = simulate_sample((model, model.theta_interval.midpoint), 60, RngStream(13, 0))
+    ev = LikelihoodEvaluator(model, s)
+    expected = (*ev.sides, ev.caps)
+    monkeypatch.setattr(intensity, "_BLOCK_PAIRS", 1)
+    monkeypatch.setattr(likelihood, "_HELD_PAIRS", 3 * ev.events.size)
+    small = LikelihoodEvaluator(model, s)
+    assert ev.breaks.size > 3
+    for got, want in zip((*small.sides, small.caps), expected):
+        assert np.array_equal(got, want), name
 
 
 def test_jump_shift_sides_are_the_limits_from_inside():

@@ -164,6 +164,32 @@ _WINSINE = {"model": "WINDOW_SINE", "theta0": 0.5,
             "n": [100], "replicates": 2, "seed": 7}
 
 
+@pytest.mark.parametrize("doc", [
+    {"model": "CUSP", "theta0": 0.5, "regime": "cusp", "n": [400], "replicates": 3,
+     "seed": 5, "limit_draws": 50, "estimator": {"zoom_rounds": 3}},
+    {"model": "JUMP_SHIFT", "theta0": 0.5, "regime": "jump", "n": [100, 400],
+     "replicates": 2, "seed": 5, "limit_draws": 50},
+], ids=["CUSP", "JUMP_SHIFT"])
+def test_grid_points_ruled_out_by_the_caps_leave_the_table_unchanged(doc, monkeypatch,
+                                                                     tmp_path):
+    # mle's per-segment caps only skip work: keeping every grid point writes the
+    # same table byte for byte
+    scenario = Scenario.from_dict(doc)
+    run_scenario(scenario).write_table_csv(tmp_path / "capped.csv")
+    may_win, ruled_out = estimators._may_win, []
+
+    def keep_every_point(ev, grid, best):
+        ruled_out.append(int(np.sum(~may_win(ev, grid, best))))
+        return np.ones(grid.size, dtype=bool)
+
+    monkeypatch.setattr(estimators, "_may_win", keep_every_point)
+    run_scenario(scenario).write_table_csv(tmp_path / "every.csv")
+    assert sum(ruled_out) > 0
+    capped = (tmp_path / "capped.csv").read_bytes()
+    assert capped == (tmp_path / "every.csv").read_bytes()
+    assert capped.count(b"\n") == 1 + len(doc["n"]) * doc["replicates"]
+
+
 def test_rows_call_the_layers_through_module_attributes(monkeypatch):
     # perfbench/tracer.py times the layers by replacing these attributes; a row
     # that bound them at import would leave a traced run without their spans
