@@ -51,7 +51,7 @@ from .intensity import (
     theta_derivative,
 )
 from .likelihood import LikelihoodEvaluator, LogLikelihoodCurve, likelihood_curve, log_likelihood, normalized_lr
-from .limits import CuspParams, RegimeLimit, limit_params, sample_limit, sample_limit_batch, simulate_fbm
+from .limits import CuspParams, RegimeLimit, limit_params, sample_limit_batch, simulate_fbm
 from .simulate import RngStream, Sample, Trajectory, simulate_sample, simulate_trajectory, slice_periodic
 from .windows import Window, jump_sufficient_window, level_threshold, optimal_window, sufficient_window
 

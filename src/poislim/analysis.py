@@ -25,7 +25,6 @@ __all__ = [
     "MisspecAsymptotics",
     "NonIdentCovariance",
     "integrate",
-    "golden_section_max",
     "fisher_information",
     "higher_order_information",
     "hellinger_sq",
@@ -237,17 +236,6 @@ def golden_search(values, a: float, b: float, tol: float, max_iter: int = 200,
 def _pointwise(fn):
     """``values`` of a scalar function, called on one point after another."""
     return lambda points: np.array([float(fn(x)) for x in points])
-
-
-def golden_section_max(fn, a: float, b: float, tol: float = 1e-11, max_iter: int = 200):
-    """Golden-section maximum of a unimodal scalar function on [a, b].
-
-    Returns (x, fn(x)), x the midpoint of the final bracket of
-    ``golden_search`` on -fn, one point per call; deterministic, ties resolve
-    toward the left.
-    """
-    x = golden_search(_pointwise(lambda s: -fn(s)), a, b, tol, max_iter)
-    return x, float(fn(x))
 
 
 # ---------------------------------------------------------------------------

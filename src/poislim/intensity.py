@@ -83,11 +83,9 @@ class IntensityModel:
     log-likelihood jumps (not only kinks) at ``event_theta_breakpoints``;
     ``event_sums_are_closed_form`` says whether ``event_log_sums`` costs a few
     operations per theta (a sufficient statistic) rather than one per event;
-    ``event_terms_are_monotone`` says whether every term log lambda(theta, t_i)
-    is monotone in theta on each open segment between consecutive
-    ``event_theta_breakpoints`` (with ``event_sum_rounding``, it caps the
-    event sum on each segment).  Construction runs a positivity/bound grid
-    scan.
+    ``event_sum_rounding`` is not None only where the event terms are
+    monotone between breakpoints, which caps the event sum on each segment.
+    Construction runs a positivity/bound grid scan.
     """
 
     catalog_id: ClassVar[str]
@@ -95,7 +93,6 @@ class IntensityModel:
     theta_kinks: ClassVar[tuple] = ()
     event_breakpoints_are_jumps: ClassVar[bool] = True
     event_sums_are_closed_form: ClassVar[bool] = False
-    event_terms_are_monotone: ClassVar[bool] = False
 
     theta_interval: ParameterInterval = ParameterInterval(0.0, 1.0)
     horizon: float = 1.0
@@ -131,15 +128,18 @@ class IntensityModel:
         raise NotImplementedError
 
     def event_sum_rounding(self, n_events):
-        """Rounding bound R of the event sums of a family with monotone event
-        terms, on ``n_events`` events, or None.
+        """Rounding bound R of the event sums on ``n_events`` events, or None.
 
-        R bounds how far a computed ``event_log_sums`` entry at a theta inside
-        a segment between breakpoints lies from its exact value, and how far
-        the sum of the elementwise maxima of the terms of the segment's two
-        limits from inside lies from its exact value, up to one constant on
-        each segment.  None, the default, states no bound, and the segments
-        then have no cap.
+        A family returns R only if every term log lambda(theta, t_i) is
+        monotone in theta on each open segment between consecutive
+        ``event_theta_breakpoints``, and, where ``event_breakpoints_are_jumps``,
+        all the terms of a segment move one way (or stay constant), so that
+        the larger of its two end sums caps it.  R bounds how far a computed
+        ``event_log_sums`` entry at a theta inside a segment between
+        breakpoints lies from its exact value, and how far the segment's
+        computed cap lies from its exact value, up to one constant on each
+        segment.  None, the default, states no bound, and the segments then
+        have no cap.
         """
         return None
 
@@ -421,7 +421,6 @@ class CuspModel(_BreakAtTheta):
     # term is monotone between the events: it grows with theta for the events
     # left of a segment and falls for those right of it
     event_breakpoints_are_jumps = False
-    event_terms_are_monotone = True
 
     a: float = 1.0
     lam0: float = 2.0
@@ -475,7 +474,6 @@ class JumpShiftModel(IntensityModel):
 
     catalog_id = "JUMP_SHIFT"
     smoothness_order = 0
-    event_terms_are_monotone = True
 
     c0: float = 2.0
     c1: float = 0.5
@@ -533,9 +531,9 @@ class JumpShiftModel(IntensityModel):
         64u*C (u the unit roundoff, C = |c0| + |c1|*Y + |r|, Y = T + max|theta|).
 
         Otherwise every term is the log of a positive affine function of theta
-        between breakpoints, so monotone; a computed intensity is within 4u*C
-        of exact, and its log within 8u*(Lambda + C/lam_min) (Lambda =
-        max|log lambda|).
+        of the one slope c1 between breakpoints, so all of them move one way;
+        a computed intensity is within 4u*C of exact, and its log within
+        8u*(Lambda + C/lam_min) (Lambda = max|log lambda|).
         """
         iv = self.theta_interval
         lam_min = min(self.c0 + self.c1 * iv.alpha,
@@ -554,7 +552,6 @@ class ChangePointModel(_BreakAtTheta):
 
     catalog_id = "CHANGEPOINT"
     smoothness_order = 0
-    event_terms_are_monotone = True
 
     g1: float = 1.0
     g2: float = 2.0
@@ -646,7 +643,6 @@ class SuffWinLinearModel(_BreakAtTheta):
 
     catalog_id = "SUFFWIN_LINEAR"
     smoothness_order = 0
-    event_terms_are_monotone = True
 
     a: float = 1.0
     b: float = 2.0

@@ -23,10 +23,6 @@ from .errors import DomainError
 from .intensity import IntensityModel
 from .simulate import Sample
 
-# (theta, event) pairs of one-sided terms that ``LikelihoodEvaluator._limits``
-# holds at once on a jump family: 1 MiB of float64
-_HELD_PAIRS = 1 << 17
-
 __all__ = [
     "LogLikelihoodCurve",
     "LikelihoodEvaluator",
@@ -53,8 +49,8 @@ class LikelihoodEvaluator:
         for lo, hi in self.intervals:
             inside |= (events >= lo) & (events <= hi)
         self.events = events[inside]
-        # while ``_limits`` or ``caps`` evaluates: takes each block of event
-        # log terms (the ``rows`` of ``event_log_sums``)
+        # while ``_limits`` or ``caps`` evaluates on a kink family: takes each
+        # block of event log terms (the ``rows`` of ``event_log_sums``)
         self._rows = None
 
     @cached_property
@@ -76,125 +72,114 @@ class LikelihoodEvaluator:
     @cached_property
     def caps(self) -> np.ndarray | None:
         """Caps on the event sum of log L over the segments that ``breaks``
-        cut Theta into, or None where the family states none.
+        cut Theta into, or None where the family states no
+        ``event_sum_rounding``.
 
         Entry k caps the segment that ends at breaks[k] (k = 0 starts at
         Theta's lower edge, k = B ends at its upper edge): the sum over the
         events of the larger of the two limits of log lambda(theta, t_i) from
         inside the segment, which bounds the term on the whole segment where
-        the family's terms are monotone (``event_terms_are_monotone``).  The
-        limits at the breakpoints come with ``sides``; those at the two edges
-        are their side-0 terms, from one more ``values`` call (an outer
-        segment whose edge is itself an event's breakpoint is capped by +inf).
+        it is monotone.  Where every term moves one way on the segment (a
+        jump family), that sum is the larger of the segment's two end sums.
+        The limits at the breakpoints come with ``sides``; those at the two
+        edges are their side-0 values, from one more ``event_sums`` call (an
+        outer segment whose edge is itself an event's breakpoint is capped by
+        +inf).
         """
         bounds = self._limits[2]
         if bounds is None:
             return None
         inner, first, last = bounds
         iv = self.model.theta_interval
-        edges = []
-        self._rows = edges.append
-        try:
-            self.values(np.array([iv.alpha, iv.beta]))
-        finally:
-            self._rows = None
-        at_alpha, at_beta = np.concatenate(edges)
-        plain = ~np.isin([iv.alpha, iv.beta], self.model.event_theta_breakpoints(self.events))
+        ends = np.array([iv.alpha, iv.beta])
+        if self.model.event_breakpoints_are_jumps:
+            at_alpha, at_beta = self.event_sums(ends)
+        else:
+            rows = []
+            self._rows = rows.append
+            try:
+                self.event_sums(ends)
+            finally:
+                self._rows = None
+            at_alpha, at_beta = np.concatenate(rows)
+        plain = ~np.isin(ends, self.model.event_theta_breakpoints(self.events))
+        # sums on a jump family, rows of terms on a kink family
         return np.concatenate([
             [np.maximum(at_alpha, first).sum() if plain[0] else np.inf], inner,
             [np.maximum(last, at_beta).sum() if plain[1] else np.inf]])
 
     @cached_property
     def _limits(self):
-        """(left, right, bounds) of ``sides`` and ``caps``, from the ``values``
-        calls of the breakpoints.
+        """(left, right, bounds) of ``sides`` and ``caps``.
 
         ``bounds`` is None or (the caps of the B - 1 segments between
-        breakpoints, the terms of the limit from the left at the first
-        breakpoint, those of the limit from the right at the last).  They
-        take the terms of the calls block by block as ``event_log_sums``
-        computes them (``_rows``), so they cost no log evaluation of their
-        own.  Where the curve only kinks, one side-0 call streams the rows in
-        order.  On a jump family the limit from the right at one breakpoint
-        pairs with the limit from the left at the next, so the breakpoints go
-        in chunks of at most ``_HELD_PAIRS`` (theta, event) pairs: each chunk
-        is evaluated from the left, its rows held, then from the right.
+        breakpoints, the limit from the left at the first breakpoint, the
+        limit from the right at the last: event sums on a jump family, rows
+        of terms on a kink family).  On a jump family every term moves one way
+        on a segment, so its cap is the larger of the sum from the right at
+        one breakpoint and the sum from the left at the next.  Where the
+        curve only kinks the terms move both ways: the one side-0 call streams
+        its terms block by block as ``event_log_sums`` computes them
+        (``_rows``), and each segment sums the maxima of two consecutive rows,
+        at no log evaluation of its own.
         """
         br, model = self.breaks, self.model
         if not br.size:
             return br, br, None
-        capped = (model.event_terms_are_monotone
-                  and model.event_sum_rounding(self.events.size) is not None)
+        capped = model.event_sum_rounding(self.events.size) is not None
+        if model.event_breakpoints_are_jumps:
+            from_left, from_right = self.event_sums(br, -1), self.event_sums(br, 1)
+            integral = self.integral_terms(br)
+            bounds = (np.maximum(from_right[:-1], from_left[1:]), from_left[0], from_right[-1])
+            return (_log_l(from_left, integral), _log_l(from_right, integral),
+                    bounds if capped else None)
         inner = np.empty(br.size - 1)
         first = last = None
         at = 0
 
-        def pair(lower, upper, out=None):
-            # the terms of the limits from the right (lower) and from the left
-            # (upper) at the next breakpoints: a segment runs from a lower row
-            # to the next upper row and takes the sum of their maxima
+        def pair(terms):
+            # a segment runs from one row to the next and takes the sum of
+            # their maxima
             nonlocal first, last, at
             if last is None:
-                first = upper[0].copy()
+                first = terms[0].copy()
             else:
-                inner[at - 1] = np.maximum(last, upper[0]).sum()
-            inner[at:at + len(upper) - 1] = np.maximum(lower[:-1], upper[1:], out=out).sum(axis=1)
+                inner[at - 1] = np.maximum(last, terms[0]).sum()
+            inner[at:at + len(terms) - 1] = np.maximum(terms[:-1], terms[1:]).sum(axis=1)
             # a copy: a view would keep the whole block alive past the call
-            last, at = lower[-1].copy(), at + len(upper)
+            last, at = terms[-1].copy(), at + len(terms)
 
-        if not model.event_breakpoints_are_jumps:
-            self._rows = (lambda terms: pair(terms, terms)) if capped else None
-            try:
-                both = self.values(br)
-            finally:
-                self._rows = None
-            return both, both, (inner, first, last) if capped else None
-        if not capped:
-            return self.values(br, theta_side=-1), self.values(br, theta_side=1), None
-
-        step = max(1, _HELD_PAIRS // self.events.size)
-        held = np.empty((min(step, br.size), self.events.size))
-        left, right = np.empty(br.size), np.empty(br.size)
-        filled = 0
-
-        def hold(terms):
-            nonlocal filled
-            held[filled:filled + len(terms)] = terms
-            filled += len(terms)
-
-        def pair_held(terms):
-            # the held rows are summed already and may take the maxima
-            nonlocal filled
-            upper = held[filled:filled + len(terms)]
-            pair(terms, upper, upper[1:])
-            filled += len(terms)
-
+        self._rows = pair if capped else None
         try:
-            for lo in range(0, br.size, step):
-                chunk = br[lo:lo + step]
-                filled, self._rows = 0, hold
-                left[lo:lo + step] = self.values(chunk, theta_side=-1)
-                filled, self._rows = 0, pair_held
-                right[lo:lo + step] = self.values(chunk, theta_side=1)
+            both = self.values(br)
         finally:
             self._rows = None
-        return left, right, (inner, first, last)
+        return both, both, (inner, first, last) if capped else None
 
     def integral_terms(self, thetas) -> np.ndarray:
         """-n * (integral of lambda(theta, .) - 1 over the window): log L less its
-        event sum."""
+        event sums."""
         integ = sum(self.model.integral_hint(thetas, lo, hi) for lo, hi in self.intervals)
         return -self.n * (integ - self.measure)
 
+    def event_sums(self, thetas, theta_side=0) -> np.ndarray:
+        """sum_i log lambda(theta, t_i) over the window's events: log L less its
+        integral terms."""
+        extra = {} if self._rows is None else {"rows": self._rows}
+        return self.model.event_log_sums(thetas, self.events, theta_side=theta_side, **extra)
+
     def values(self, thetas, theta_side=0) -> np.ndarray:
         thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-        extra = {} if self._rows is None else {"rows": self._rows}
-        term = self.model.event_log_sums(thetas, self.events, theta_side=theta_side, **extra)
-        vals = term + self.integral_terms(thetas)
-        return np.where(np.isnan(vals), -np.inf, vals)
+        return _log_l(self.event_sums(thetas, theta_side), self.integral_terms(thetas))
 
     def value(self, theta, theta_side=0) -> float:
         return float(self.values(np.array([float(theta)]), theta_side)[0])
+
+
+def _log_l(event_sums, integral_terms):
+    """log L from its two parts, a NaN read as -inf."""
+    vals = event_sums + integral_terms
+    return np.where(np.isnan(vals), -np.inf, vals)
 
 
 def log_likelihood(model: IntensityModel, theta: float, sample: Sample,

@@ -27,7 +27,7 @@ from .intensity import CuspModel, JumpShiftModel
 from .simulate import RngStream
 
 __all__ = ["REGIMES", "RegimeLimit", "CuspParams", "ks_two_sample", "limit_params",
-           "sample_limit", "sample_limit_batch", "simulate_fbm"]
+           "sample_limit_batch", "simulate_fbm"]
 
 
 @dataclass(frozen=True)
@@ -701,8 +701,3 @@ def sample_limit_batch(limit: RegimeLimit, rng: RngStream, which: str | tuple | 
         for row, name in zip(out, names):
             row[draws] = functionals[name]()
     return out if isinstance(which, (list, tuple)) else out[0]
-
-
-def sample_limit(limit: RegimeLimit, rng: RngStream, which: str) -> float:
-    """One draw of the limit variable."""
-    return float(sample_limit_batch(limit, rng, which, 1)[0])

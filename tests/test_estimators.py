@@ -6,7 +6,7 @@ from scipy import stats
 
 import poislim as pl
 from poislim.errors import CapabilityError, ConfigurationError, DomainError, PreconditionError
-from poislim import estimators, intensity, likelihood
+from poislim import estimators, intensity
 from poislim.estimators import (EstimatorSettings, bayes, mle, moments_preliminary,
                                 two_stage_window)
 from poislim.intensity import ParameterInterval
@@ -170,13 +170,13 @@ def test_bayes_matches_per_segment_reference(case, monkeypatch):
     s = simulate_sample((model, iv.alpha + 0.4 * iv.width), n, RngStream(21, case))
     expected = _bayes_reference(model, s, settings, window)
     seen = {-1: [], 0: [], 1: []}
-    values = LikelihoodEvaluator.values
+    event_sums = LikelihoodEvaluator.event_sums
 
     def counted(self, thetas, theta_side=0):
         seen[theta_side].append(np.atleast_1d(thetas))
-        return values(self, thetas, theta_side)
+        return event_sums(self, thetas, theta_side)
 
-    monkeypatch.setattr(LikelihoodEvaluator, "values", counted)
+    monkeypatch.setattr(LikelihoodEvaluator, "event_sums", counted)
     est = bayes(model, s, settings, window)
     assert est.value == expected, name
     # every case cuts Theta: at sample breakpoints, or at DISCFI_KINK's declared kink
@@ -394,22 +394,22 @@ def test_bounded_mle_equals_exhaustive_search(name, n, monkeypatch):
     # and value bit for bit, zoom rounds included
     family, settings = _ZOOMED.get(name, (name, DEFAULT))
     model = _BOUNDED[family]
-    assert model.event_terms_are_monotone and model.event_sum_rounding(10) is not None
+    assert model.event_sum_rounding(10) is not None
     iv = model.theta_interval
     grid = np.linspace(iv.alpha, iv.beta, settings.grid_size)
     evaluated = []
-    values = LikelihoodEvaluator.values
+    event_sums = LikelihoodEvaluator.event_sums
 
     def counted(self, thetas, theta_side=0):
         if theta_side == 0:
             evaluated.append(int(np.isin(thetas, grid).sum()))
-        return values(self, thetas, theta_side)
+        return event_sums(self, thetas, theta_side)
 
     for seed in range(4):
         s = simulate_sample((model, iv.alpha + 0.45 * iv.width), n, RngStream(300 + seed, n))
         expected = _exhaustive_mle(model, s, settings)
         with monkeypatch.context() as m:
-            m.setattr(LikelihoodEvaluator, "values", counted)
+            m.setattr(LikelihoodEvaluator, "event_sums", counted)
             est = mle(model, s, settings)
         assert (est.value, est.objective_at_value) == expected, (name, n, seed)
     if n >= 400:
@@ -495,18 +495,27 @@ def test_slope_bound_holds_inside_segments(name):
     ends = np.maximum(right[:-1] - ev.integral_terms(ev.breaks[:-1]),
                       left[1:] - ev.integral_terms(ev.breaks[1:]))
     assert np.all(caps[1:-1] >= ends - 1e-9), name
+    # each cap is the sum over the events of the larger of the two limits of
+    # each term from inside the segment (on a jump family, the larger of the
+    # two end sums): exactly where R = 0, within R otherwise
+    br, t = ev.breaks, ev.events[None, :]
+    from_left = model.log_value(br[:, None], t, -1)
+    from_right = model.log_value(br[:, None], t, 1)
+    at_edges = model.log_value(np.array([[iv.alpha], [iv.beta]]), t)
+    expected = np.concatenate([[np.maximum(at_edges[0], from_left[0]).sum()],
+                               np.maximum(from_right[:-1], from_left[1:]).sum(axis=1),
+                               [np.maximum(from_right[-1], at_edges[1]).sum()]])
+    assert np.all(np.abs(caps - expected) <= rounding), name
 
 
 @pytest.mark.parametrize("name", ["CUSP", "JUMP_SHIFT c1<0", "CHANGEPOINT"])
 def test_caps_do_not_depend_on_the_blocks(name, monkeypatch):
-    # one row per event_log_sums block and three breakpoints per held chunk
-    # give the same sides and caps bit for bit
+    # one row per event_log_sums block gives the same sides and caps bit for bit
     model = _BOUNDED[name]
     s = simulate_sample((model, model.theta_interval.midpoint), 60, RngStream(13, 0))
     ev = LikelihoodEvaluator(model, s)
     expected = (*ev.sides, ev.caps)
     monkeypatch.setattr(intensity, "_BLOCK_PAIRS", 1)
-    monkeypatch.setattr(likelihood, "_HELD_PAIRS", 3 * ev.events.size)
     small = LikelihoodEvaluator(model, s)
     assert ev.breaks.size > 3
     for got, want in zip((*small.sides, small.caps), expected):
@@ -539,15 +548,15 @@ def test_estimators_of_one_sample_share_its_evaluator(monkeypatch):
     model = scenario.build_model()
     true_int = scenario.build_true_intensity(model)
     seen = {-1: [], 0: [], 1: []}
-    values = LikelihoodEvaluator.values
+    event_sums = LikelihoodEvaluator.event_sums
     built = []
 
     def counted(self, thetas, theta_side=0):
         seen[theta_side].append(np.atleast_1d(thetas))
         built.append(self)
-        return values(self, thetas, theta_side)
+        return event_sums(self, thetas, theta_side)
 
-    monkeypatch.setattr(LikelihoodEvaluator, "values", counted)
+    monkeypatch.setattr(LikelihoodEvaluator, "event_sums", counted)
     row = _estimate_row(scenario, model, true_int, scenario.build_settings(), 200, 0, 0)
     monkeypatch.undo()
     assert row["status"] == "ok"

@@ -152,22 +152,22 @@ def test_sides_evaluates_each_breakpoint_once_per_side(family, sides, monkeypatc
     s = simulate_sample((model, model.theta_interval.midpoint), 20, RngStream(12, 0))
     ev = LikelihoodEvaluator(model, s)
     calls = []
-    values = LikelihoodEvaluator.values
+    event_sums = LikelihoodEvaluator.event_sums
 
     def counted(self, thetas, theta_side=0):
         calls.append((theta_side, np.atleast_1d(thetas)))
-        return values(self, thetas, theta_side)
+        return event_sums(self, thetas, theta_side)
 
-    monkeypatch.setattr(LikelihoodEvaluator, "values", counted)
+    monkeypatch.setattr(LikelihoodEvaluator, "event_sums", counted)
     left, right = ev.sides
     assert ev.sides[0] is left
     assert [side for side, _ in calls] == sides
     assert all(np.array_equal(th, ev.breaks) for _, th in calls)
     assert left.shape == right.shape == ev.breaks.shape
+    monkeypatch.undo()
     if family == "CUSP":
         assert left is right
-        assert np.array_equal(left, values(ev, ev.breaks))
-    monkeypatch.undo()
+        assert np.array_equal(left, ev.values(ev.breaks))
     curve = likelihood_curve(model, s, 101)
     assert np.array_equal(curve.break_left, left) and np.array_equal(curve.break_right, right)
 
@@ -179,13 +179,13 @@ def test_likelihood_curve_evaluates_each_theta_once(family, monkeypatch):
     model = pl.make_model(family)
     s = simulate_sample((model, model.theta_interval.midpoint), 30, RngStream(13, 0))
     calls = []
-    values = LikelihoodEvaluator.values
+    event_sums = LikelihoodEvaluator.event_sums
 
     def counted(self, thetas, theta_side=0):
         calls.append((theta_side, np.atleast_1d(thetas).size))
-        return values(self, thetas, theta_side)
+        return event_sums(self, thetas, theta_side)
 
-    monkeypatch.setattr(LikelihoodEvaluator, "values", counted)
+    monkeypatch.setattr(LikelihoodEvaluator, "event_sums", counted)
     curve = likelihood_curve(model, s, 101)
     monkeypatch.undo()
     breaks = curve.break_thetas.size

@@ -22,7 +22,6 @@ from poislim.limits import (
     _jump_mle,
     cusp_gamma_sq,
     limit_params,
-    sample_limit,
     sample_limit_batch,
     simulate_fbm,
 )
@@ -118,7 +117,7 @@ def test_regular_sampler_variance():
     lim = RegularParams(fisher_information=4.0)
     d = sample_limit_batch(lim, RngStream(1, 0), "mle", 100_000)
     assert d.var() == pytest.approx(0.25, abs=0.005)
-    assert sample_limit(lim, RngStream(1, 0), "mle") == d[0]
+    assert sample_limit_batch(lim, RngStream(1, 0), "mle", 1)[0] == d[0]
 
 
 def test_boundary_sampler_atom_and_half_normal():
@@ -638,7 +637,7 @@ def test_nonidentifiable_harness_compares_bayes_with_the_prior_limit():
 def test_unsupported_which():
     lim = RegularParams(fisher_information=1.0)
     with pytest.raises(CapabilityError):
-        sample_limit(lim, RngStream(1, 0), "median")
+        sample_limit_batch(lim, RngStream(1, 0), "median", 1)
     for which in ((), ("mle", "mle"), ["mle", "median"], ("bayes", "bayes", "mle")):
         with pytest.raises(CapabilityError):
             sample_limit_batch(lim, RngStream(1, 0), which, 5)

@@ -156,19 +156,21 @@ def test_golden_refine_matches_one_point_refine(family, n, seed):
     assert _golden_refine(ev, grid, theta, val) == ref_golden_refine(ev, grid, theta, val)
 
 
-def test_golden_section_max_evaluates_the_one_point_sequence():
+def test_golden_search_evaluates_the_one_point_sequence():
     seen, ref_seen = [], []
 
-    def f(t):
-        seen.append(t)
-        return -(t - 0.7) ** 2 + 0.1 * math.sin(40 * t)
+    def f(points):
+        seen.extend(points.tolist())
+        return np.array([(t - 0.7) ** 2 - 0.1 * math.sin(40 * t) for t in points])
 
     def g(t):
         ref_seen.append(t)
         return -(t - 0.7) ** 2 + 0.1 * math.sin(40 * t)
 
-    assert analysis.golden_section_max(f, 0.0, 2.0) == ref_golden_section_max(g, 0.0, 2.0)
-    assert seen == ref_seen
+    x, _ = ref_golden_section_max(g, 0.0, 2.0)
+    assert golden_search(f, 0.0, 2.0, tol=1e-11) == x
+    # the reference also evaluates its result
+    assert seen == ref_seen[:-1]
 
 
 def test_theta_star_matches_one_point_search():
