@@ -84,7 +84,9 @@ class IntensityModel:
     ``event_sums_are_closed_form`` says whether ``event_log_sums`` costs a few
     operations per theta (a sufficient statistic) rather than one per event;
     ``event_sum_rounding`` is not None only where the event terms are
-    monotone between breakpoints, which caps the event sum on each segment.
+    monotone between breakpoints, which caps the event sum on each segment;
+    ``event_term_slope`` is not None where every term is the log of an
+    affine function of theta of one slope on each segment.
     Construction runs a positivity/bound grid scan.
     """
 
@@ -143,6 +145,19 @@ class IntensityModel:
         """
         return None
 
+    def event_term_slope(self):
+        """The slope s that every lambda(theta, t_i) has in theta on each open
+        segment between consecutive ``event_theta_breakpoints``, or None.
+
+        A family declares s only where it states ``event_sum_rounding`` R and,
+        where s != 0, where a computed intensity lies within relative R/(2N)
+        of exact on N events.  The event sum at a + delta inside a segment is
+        then S(a+) + sum_p (-1)^(p+1) M_p delta^p / p, M_p = sum_i
+        (s/lambda_i(a+))^p, which ``LikelihoodEvaluator`` reads off the rows
+        of the segment's end sums.  None, the default, declares no slope.
+        """
+        return None
+
     # ---- shared surface ----------------------------------------------------
 
     def value(self, theta, t, theta_side=0):
@@ -167,9 +182,10 @@ class IntensityModel:
         on every block (a 1M-pair block would fault in about 50 MB each
         time); they also fit in L2.  Every row is summed whole, so the values
         do not depend on the block size.  ``rows``, if given, is called with
-        each block's (thetas x events) array of log terms, in order, before
-        the block is summed.  Families with a closed-form sufficient statistic
-        override this (same values up to rounding, and no ``rows``).
+        each block's (thetas x events) arrays of log terms and of intensities
+        (which it may overwrite), in order, before the block is summed.  Families with a closed-form
+        sufficient statistic override this (same values up to rounding, and
+        no ``rows``).
         """
         thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
         events = np.asarray(events, dtype=float)
@@ -178,11 +194,13 @@ class IntensityModel:
         out = np.empty(thetas.shape)
         step = max(1, _BLOCK_PAIRS // events.size)
         for lo in range(0, thetas.size, step):
-            terms = self.log_value(thetas[lo:lo + step, None], events[None, :], theta_side)
+            lam = self.value(thetas[lo:lo + step, None], events[None, :], theta_side)
+            with np.errstate(divide="ignore"):
+                terms = np.log(lam)  # ``log_value``, keeping the intensities
             if rows is not None:
-                rows(terms)
+                rows(terms, lam)
             out[lo:lo + step] = terms.sum(axis=1)
-            del terms  # freed before the next block, so the heap reuses it
+            del terms, lam  # freed before the next block, so the heap reuses them
         return out
 
     def dtheta(self, theta, t, order, side=None):
@@ -545,6 +563,11 @@ class JumpShiftModel(IntensityModel):
         log_max = max(abs(math.log(lam_min)), abs(math.log(self.lambda_max)))
         return _event_sum_rounding(n_events, log_max, coeff / lam_min)
 
+    def event_term_slope(self):
+        """c1 where ``event_sum_rounding`` states R: a computed intensity is
+        then within relative 4u*C/lam_min <= R/(2N) of exact."""
+        return self.c1 if self.event_sum_rounding(1) is not None else None
+
 
 @dataclass(frozen=True)
 class ChangePointModel(_BreakAtTheta):
@@ -582,6 +605,10 @@ class ChangePointModel(_BreakAtTheta):
         the same floats at every theta of a segment and at its two limits from
         inside, and every computed event sum of a segment, its cap included,
         is the same float."""
+        return 0.0
+
+    def event_term_slope(self):
+        """0: the terms are constant in theta on a segment."""
         return 0.0
 
 
@@ -675,6 +702,9 @@ class SuffWinLinearModel(_BreakAtTheta):
     def event_sum_rounding(self, n_events):
         """0, as for ``ChangePointModel``: log lambda is piecewise constant in
         theta."""
+        return 0.0
+
+    def event_term_slope(self):
         return 0.0
 
 

@@ -203,3 +203,122 @@ def test_grid_size_validation():
     s = one_event_sample(0.5)
     with pytest.raises(DomainError):
         likelihood_curve(c, s, 2)
+
+
+_SLOPED = {
+    "JUMP_SHIFT": pl.make_model("JUMP_SHIFT"),
+    "JUMP_SHIFT c1<0": pl.make_model("JUMP_SHIFT", {"c0": 3.0, "c1": -0.5}),
+    "JUMP_SHIFT r<0": pl.make_model("JUMP_SHIFT", {"r": -1.0}),
+}
+
+
+def _anchor_of(ev, theta, j):
+    """(position, side) of the end row that anchor j of ``ev`` reads."""
+    iv = ev.model.theta_interval
+    edges = np.concatenate([[iv.alpha], ev.breaks, [iv.beta]])
+    segments = edges.size - 1
+    left = j < segments
+    k = j if left else j - segments
+    at = edges[k] if left else edges[k + 1]
+    on_edge = at in (iv.alpha, iv.beta)
+    return at, 0 if on_edge else (1 if left else -1)
+
+
+@pytest.mark.parametrize("name", list(_SLOPED))
+@pytest.mark.parametrize("n", [20, 100, 400, 1600])
+def test_anchor_series_stays_within_its_bound(name, n):
+    # inside a segment the event sum comes from the nearer end's row and its
+    # series in delta.  It stays within the bound that _may_win adds of the
+    # row-loop sums, and its series part within the tail after the anchor's
+    # order (plus rounding) of the exact sum of log(1 + s*delta/lambda_i)
+    model = _SLOPED[name]
+    iv = model.theta_interval
+    s = simulate_sample((model, iv.midpoint), n, RngStream(31, n))
+    ev = LikelihoodEvaluator(model, s)
+    big_n, rounding, slope = ev.events.size, model.event_sum_rounding(ev.events.size), model.c1
+    edges = np.concatenate([[iv.alpha], ev.breaks, [iv.beta]])
+    frac = np.array([0.01, 0.2, 0.45, 0.5, 0.55, 0.8, 0.99])
+    thetas = (edges[:-1, None] + frac[None, :] * np.diff(edges)[:, None]).ravel()
+    got = ev.event_sums(thetas)
+    rows = [float(model.log_value(th, ev.events).sum()) for th in thetas]
+    assert np.all(np.abs(got - rows) <= 2.0 * rounding + ev.expansion_error), name
+    anchors = ev._limits[3]
+    j, delta, served = anchors.route(thetas)
+    assert served.all(), name
+    u = 2.0 ** -53
+    every = max(1, thetas.size // 280)
+    for th, jj, d, value in zip(*(x[::every] for x in (thetas, j, delta, got))):
+        at, side = _anchor_of(ev, th, jj)
+        lam = model.value(at, ev.events, side)
+        anchor_sum = float(model.event_log_sums([at], ev.events, side)[0])
+        exact = math.fsum(np.log1p(slope * d / lam))
+        order = int(anchors.order[jj])
+        x = abs(slope * d) / lam.min()
+        tail = big_n * x ** (order + 1) / ((order + 1) * (1.0 - x))
+        rounding_of_series = 2.0 * big_n * x / (1.0 - x) * (big_n + 5 * order) * u
+        bound = tail + rounding_of_series + u * abs(value) + 4.0 * u * big_n * x
+        assert abs((value - anchor_sum) - exact) <= bound, (name, th, order)
+
+
+def test_values_do_not_depend_on_the_batch():
+    # a theta's value depends on the evaluator and the theta only: anchored
+    # thetas, thetas on breakpoints and on the edges, one by one or together
+    for name, n in [("JUMP_SHIFT", 100), ("CHANGEPOINT", 100), ("JUMP_SHIFT", 5)]:
+        model = pl.make_model(name)
+        iv = model.theta_interval
+        s = simulate_sample((model, iv.midpoint), n, RngStream(32, n))
+        ev = LikelihoodEvaluator(model, s)
+        rng = np.random.default_rng(5)
+        thetas = np.concatenate([rng.uniform(iv.alpha, iv.beta, 200), ev.breaks[::7],
+                                 [iv.alpha, iv.beta], iv.grid(101)])
+        one_by_one = np.array([ev.value(th) for th in thetas])
+        assert np.array_equal(ev.values(thetas), one_by_one), name
+        fresh = LikelihoodEvaluator(model, s)
+        assert np.array_equal(fresh.values(thetas[::-1]), one_by_one[::-1]), name
+
+
+def test_steep_ramp_falls_back_to_direct_sums():
+    # a small jump on a steep ramp, few events: near the middle of its widest
+    # segments the tail bound of the highest order exceeds R, and those
+    # thetas are evaluated directly, bit for bit
+    model = pl.make_model("JUMP_SHIFT", {"r": 0.05, "c1": 2.0})
+    iv = model.theta_interval
+    s = simulate_sample((model, 0.5), 5, RngStream(3, 5))
+    ev = LikelihoodEvaluator(model, s)
+    thetas = iv.grid(4001)
+    _, _, served = ev._limits[3].route(thetas)
+    assert 0 < np.sum(~served) < thetas.size
+    direct = model.event_log_sums(thetas, ev.events)
+    got = ev.event_sums(thetas)
+    assert np.array_equal(got[~served], direct[~served])
+    rounding = model.event_sum_rounding(ev.events.size)
+    assert np.all(np.abs(got - direct) <= 2.0 * rounding + ev.expansion_error)
+
+
+@pytest.mark.parametrize("name", ["CHANGEPOINT", "SUFFWIN_LINEAR"])
+@pytest.mark.parametrize("n", [20, 400])
+def test_slope_zero_sums_are_the_direct_sums(name, n):
+    # log lambda is constant in theta on a segment: every theta inside one
+    # takes the sum of its nearer end's row, the same float as a direct sum
+    model = pl.make_model(name)
+    iv = model.theta_interval
+    s = simulate_sample((model, iv.midpoint), n, RngStream(33, n))
+    ev = LikelihoodEvaluator(model, s)
+    thetas = np.concatenate([iv.grid(4001), ev.breaks])
+    _, _, served = ev._limits[3].route(thetas)
+    assert served.sum() == 4001 - np.isin(iv.grid(4001), ev.breaks).sum()
+    assert np.array_equal(ev.event_sums(thetas), model.event_log_sums(thetas, ev.events))
+    assert ev.expansion_error == 0.0
+
+
+def test_an_edge_on_an_event_breakpoint_is_evaluated_directly():
+    # an event at alpha: the side-0 row there is no limit from inside the first
+    # segment, so it neither anchors nor caps it
+    model = pl.make_model("CHANGEPOINT")
+    s = Sample.from_trajectories([Trajectory(np.array([0.1, 0.3, 0.5, 0.7]), 1.0)], 1.0)
+    ev = LikelihoodEvaluator(model, s)
+    thetas = np.array([0.1, 0.12, 0.19, 0.25, 0.9])
+    _, _, served = ev._limits[3].route(thetas)
+    assert served.tolist() == [False, False, False, True, True]
+    assert np.array_equal(ev.event_sums(thetas), model.event_log_sums(thetas, ev.events))
+    assert ev.caps[0] == np.inf and np.isfinite(ev.caps[1:]).all()
