@@ -119,6 +119,9 @@ def _cmd_windows(args) -> int:
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"--params: invalid JSON ({exc})") from None
     model = make_model(args.model, params=params)
+    iv = model.theta_interval
+    if not iv.contains(args.theta):
+        raise ConfigurationError(f"--theta {args.theta} outside Theta [{iv.alpha:g}, {iv.beta:g}]")
     if not 0.0 < args.mu_star < model.horizon:
         raise ConfigurationError(f"--mu-star {args.mu_star} outside (0, {model.horizon:g})")
     win = windows.optimal_window(model, args.theta, args.mu_star)

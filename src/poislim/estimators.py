@@ -137,17 +137,16 @@ def _may_win(ev, grid, best):
 
     A point in the segment k that the breakpoints cut Theta into has log L
     <= C_k + I(theta), where C_k is the segment's cap on the event sum
-    (``ev.caps``) and I(theta) = ``ev.integral_terms(theta)`` the rest of
-    log L, computed at the point itself (closed-form, no event sum).  A point
-    is dropped when that bound plus the margin 2R + E + 8u*(|C_k| + |I(theta)|)
-    stays below ``best`` (R the family's ``event_sum_rounding``, E the
-    ``ev.expansion_error`` of a point whose event sum comes from its
-    segment's end rows, u the unit roundoff): the margin covers the rounding
-    of the point's event sum, of the cap and of the two additions, so a
-    dropped point computes strictly below ``best`` and can be neither the
-    argmax nor tied with it.  A point on a breakpoint is always kept (a side-0
-    value there need not be a limit from inside a segment), and every point is
-    kept where the family states no caps or ``best`` is -inf.
+    (``ev.caps``, which only a kink family states) and I(theta) =
+    ``ev.integral_terms(theta)`` the rest of log L, computed at the point
+    itself (closed-form, no event sum).  A point is dropped when that bound
+    plus the margin 2R + 8u*(|C_k| + |I(theta)|) stays below ``best`` (R the
+    family's ``event_sum_rounding``, u the unit roundoff): the margin covers
+    the rounding of the point's event sum, of the cap and of the two
+    additions, so a dropped point computes strictly below ``best`` and can be
+    neither the argmax nor tied with it.  A point on a breakpoint is always
+    kept, and every point is kept where there are no caps or ``best`` is
+    -inf.
     """
     caps = ev.caps
     if caps is None or not best > -np.inf:
@@ -155,9 +154,8 @@ def _may_win(ev, grid, best):
     j = np.searchsorted(ev.breaks, grid)
     cap = caps[j]
     integral = ev.integral_terms(grid)
-    size = np.abs(np.where(np.isfinite(cap), cap, 0.0)) + np.abs(integral)
-    margin = (2.0 * ev.model.event_sum_rounding(ev.events.size) + ev.expansion_error
-              + 8.0 * _U * size)
+    margin = (2.0 * ev.model.event_sum_rounding(ev.events.size)
+              + 8.0 * _U * (np.abs(cap) + np.abs(integral)))
     on_break = ev.breaks[np.minimum(j, ev.breaks.size - 1)] == grid
     return ~(cap + integral + margin < best) | on_break
 
@@ -178,15 +176,17 @@ def mle(model: IntensityModel, sample: Sample, settings: EstimatorSettings | Non
 
     One exact search serves every sample.  Its candidates are the grid and
     both one-sided values at each breakpoint (``LikelihoodEvaluator.sides``),
-    G + 2B for G grid points and B breakpoints.  The sides are evaluated
-    first, with the per-segment caps (``LikelihoodEvaluator.caps``); a grid
-    point is then evaluated only where its segment's cap does not rule it out
-    (``_may_win``), so a family with no caps costs G + 2B event sums of N
-    terms each (G + B where the curve only kinks).  Where the family declares
-    ``event_term_slope`` a grid point inside a segment takes its sum from the
-    segment's end rows, and the search costs 2B (+2, the edge row) event sums
-    of N terms.  Ties break toward the smaller theta; at sample-dependent
-    discontinuities both one-sided limits compete for the sup.
+    G + 2B for G grid points and B breakpoints (G + B where the curve only
+    kinks: one side-0 value serves both sides).  Each breakpoint kind has one
+    rule that spares the grid its event sums of N terms each.  Where the
+    curve only kinks, the sides come with per-segment caps
+    (``LikelihoodEvaluator.caps``), and a grid point is evaluated only where
+    its segment's cap does not rule it out (``_may_win``).  Where it jumps
+    and the family declares ``event_term_slope``, a grid point inside a
+    segment takes its sum from the segment's end rows, and the search costs
+    2B (+2, the edge row) event sums of N terms.  Ties break toward the
+    smaller theta; at sample-dependent discontinuities both one-sided limits
+    compete for the sup.
     Zoom rounds then refine cusp-type likelihoods, and golden-section and score
     refinement run where the family is theta-smooth.  ``evaluator`` is the
     sample's ``LikelihoodEvaluator``, shared with ``bayes`` so that its

@@ -83,10 +83,11 @@ class IntensityModel:
     log-likelihood jumps (not only kinks) at ``event_theta_breakpoints``;
     ``event_sums_are_closed_form`` says whether ``event_log_sums`` costs a few
     operations per theta (a sufficient statistic) rather than one per event;
-    ``event_sum_rounding`` is not None only where the event terms are
-    monotone between breakpoints, which caps the event sum on each segment;
-    ``event_term_slope`` is not None where every term is the log of an
-    affine function of theta of one slope on each segment.
+    ``event_sum_rounding`` bounds the rounding of the event sums, which the
+    segment caps of a family whose curve only kinks read, and so do the
+    anchors of a nonzero ``event_term_slope``; ``event_term_slope`` is not
+    None where every term is the log of an affine function of theta of one
+    slope on each segment, whose end rows then give every event sum inside.
     Construction runs a positivity/bound grid scan.
     """
 
@@ -132,16 +133,14 @@ class IntensityModel:
     def event_sum_rounding(self, n_events):
         """Rounding bound R of the event sums on ``n_events`` events, or None.
 
-        A family returns R only if every term log lambda(theta, t_i) is
-        monotone in theta on each open segment between consecutive
-        ``event_theta_breakpoints``, and, where ``event_breakpoints_are_jumps``,
-        all the terms of a segment move one way (or stay constant), so that
-        the larger of its two end sums caps it.  R bounds how far a computed
-        ``event_log_sums`` entry at a theta inside a segment between
-        breakpoints lies from its exact value, and how far the segment's
-        computed cap lies from its exact value, up to one constant on each
-        segment.  None, the default, states no bound, and the segments then
-        have no cap.
+        R bounds how far a computed ``event_log_sums`` entry at a theta inside
+        a segment between consecutive ``event_theta_breakpoints`` lies from
+        its exact value.  Two things read it: the segment caps of a family
+        whose curve only kinks, which it returns R for only if every term log
+        lambda(theta, t_i) is monotone in theta on each such segment (R then
+        also bounds how far a segment's computed cap lies from its exact
+        value, up to one constant on each segment), and the anchors of a
+        nonzero ``event_term_slope``.  None, the default, states no bound.
         """
         return None
 
@@ -149,10 +148,10 @@ class IntensityModel:
         """The slope s that every lambda(theta, t_i) has in theta on each open
         segment between consecutive ``event_theta_breakpoints``, or None.
 
-        A family declares s only where it states ``event_sum_rounding`` R and,
-        where s != 0, where a computed intensity lies within relative R/(2N)
-        of exact on N events.  The event sum at a + delta inside a segment is
-        then S(a+) + sum_p (-1)^(p+1) M_p delta^p / p, M_p = sum_i
+        A family declares s != 0 only where it states ``event_sum_rounding``
+        R and a computed intensity lies within relative R/(2N) of exact on N
+        events; s = 0 needs no R.  The event sum at a + delta inside a segment
+        is then S(a+) + sum_p (-1)^(p+1) M_p delta^p / p, M_p = sum_i
         (s/lambda_i(a+))^p, which ``LikelihoodEvaluator`` reads off the rows
         of the segment's end sums.  None, the default, declares no slope.
         """
@@ -549,9 +548,9 @@ class JumpShiftModel(IntensityModel):
         64u*C (u the unit roundoff, C = |c0| + |c1|*Y + |r|, Y = T + max|theta|).
 
         Otherwise every term is the log of a positive affine function of theta
-        of the one slope c1 between breakpoints, so all of them move one way;
-        a computed intensity is within 4u*C of exact, and its log within
-        8u*(Lambda + C/lam_min) (Lambda = max|log lambda|).
+        of the one slope c1 between breakpoints; a computed intensity is
+        within 4u*C of exact, and its log within 8u*(Lambda + C/lam_min)
+        (Lambda = max|log lambda|).
         """
         iv = self.theta_interval
         lam_min = min(self.c0 + self.c1 * iv.alpha,
@@ -599,13 +598,6 @@ class ChangePointModel(_BreakAtTheta):
         th = np.asarray(thetas, dtype=float)
         cut = np.clip(th, lo, hi)
         return self.g1 * (cut - lo) + self.g2 * (hi - cut)
-
-    def event_sum_rounding(self, n_events):
-        """0: log lambda is piecewise constant in theta, so the event terms are
-        the same floats at every theta of a segment and at its two limits from
-        inside, and every computed event sum of a segment, its cap included,
-        is the same float."""
-        return 0.0
 
     def event_term_slope(self):
         """0: the terms are constant in theta on a segment."""
@@ -698,11 +690,6 @@ class SuffWinLinearModel(_BreakAtTheta):
         th = np.asarray(thetas, dtype=float)
         cut = np.clip(th, lo, hi)
         return self.a * (hi ** 2 - lo ** 2) + self.b * (hi - cut)
-
-    def event_sum_rounding(self, n_events):
-        """0, as for ``ChangePointModel``: log lambda is piecewise constant in
-        theta."""
-        return 0.0
 
     def event_term_slope(self):
         return 0.0

@@ -73,23 +73,21 @@ class LikelihoodEvaluator:
     @cached_property
     def caps(self) -> np.ndarray | None:
         """Caps on the event sum of log L over the segments that ``breaks``
-        cut Theta into, or None where the family states no
-        ``event_sum_rounding``.
+        cut Theta into, where the curve only kinks and the family states
+        ``event_sum_rounding``; None elsewhere (a jump family's segments take
+        their sums from the anchors of ``event_sums`` instead).
 
         Entry k caps the segment that ends at breaks[k] (k = 0 starts at
         Theta's lower edge, k = B ends at its upper edge): the sum over the
         events of the larger of the two limits of log lambda(theta, t_i) from
         inside the segment, which bounds the term on the whole segment where
-        it is monotone.  Where every term moves one way on the segment (a
-        jump family), that sum is the larger of the segment's two end sums.
-        The limits at the breakpoints come with ``sides``; those at the two
-        edges are their side-0 values (an outer segment whose edge is itself
-        an event's breakpoint is capped by +inf): on a jump family the edge
-        row of ``_limits``, on a kink family one more ``event_sums`` call.
+        it is monotone.  The limits at the breakpoints come with ``sides``;
+        those at the two edges are their side-0 values, from one more
+        ``event_sums`` call.
         """
         bounds = self._limits[2]
-        if bounds is None or self.model.event_breakpoints_are_jumps:
-            return bounds
+        if bounds is None:
+            return None
         inner, first, last = bounds
         rows = []
         self._rows = lambda terms, _: rows.append(terms)
@@ -98,10 +96,8 @@ class LikelihoodEvaluator:
         finally:
             self._rows = None
         at_alpha, at_beta = np.concatenate(rows)
-        plain = self._plain_edges
-        return np.concatenate([
-            [np.maximum(at_alpha, first).sum() if plain[0] else np.inf], inner,
-            [np.maximum(last, at_beta).sum() if plain[1] else np.inf]])
+        return np.concatenate([[np.maximum(at_alpha, first).sum()], inner,
+                               [np.maximum(last, at_beta).sum()]])
 
     @property
     def _edges(self) -> np.ndarray:
@@ -111,7 +107,8 @@ class LikelihoodEvaluator:
     @cached_property
     def _plain_edges(self) -> np.ndarray:
         """Whether alpha and beta are not themselves event breakpoints: there
-        the two one-sided intensities of every event agree."""
+        the two one-sided intensities of every event agree, so the edge row
+        may anchor its outer segment."""
         at = self._edges[:, None]
         return np.all(self.model.value(at, self.events, -1) == self.model.value(at, self.events, 1),
                       axis=1)
@@ -121,23 +118,22 @@ class LikelihoodEvaluator:
         """(left, right, bounds, anchors) of ``sides``, ``caps`` and
         ``event_sums``.
 
-        On a jump family ``bounds`` is ``caps``, or None: every term moves one
-        way on a segment, so its cap is the larger of the sum from the right
-        at one breakpoint and the sum from the left at the next.  Where the
-        curve only kinks the terms move both ways: the one side-0 call streams
-        its terms block by block as ``event_log_sums`` computes them
-        (``_rows``), and each segment sums the maxima of two consecutive rows,
-        at no log evaluation of its own; ``bounds`` is then None or (the caps
+        On a jump family ``bounds`` is None, and ``anchors`` (``_Anchors``)
+        is None where the family declares no ``event_term_slope``.  Where the
+        curve only kinks ``anchors`` is None and the terms move both ways on a
+        segment: where the family states ``event_sum_rounding`` the one side-0
+        call streams its terms block by block as ``event_log_sums`` computes
+        them (``_rows``), and each segment sums the maxima of two consecutive
+        rows, at no log evaluation of its own.  ``bounds`` is then (the caps
         of the B - 1 segments between breakpoints, the row at the first
-        breakpoint, the row at the last).  ``anchors`` (``_Anchors``) is None
-        where the family declares no ``event_term_slope``.
+        breakpoint, the row at the last), else None.
         """
         br, model = self.breaks, self.model
         if not br.size:
             return br, br, None, None
-        capped = model.event_sum_rounding(self.events.size) is not None
         if model.event_breakpoints_are_jumps:
-            return self._jump_limits(br, capped)
+            return self._jump_limits(br)
+        capped = model.event_sum_rounding(self.events.size) is not None
         inner = np.empty(br.size - 1)
         first = last = None
         at = 0
@@ -161,11 +157,11 @@ class LikelihoodEvaluator:
             self._rows = None
         return both, both, (inner, first, last) if capped else None, None
 
-    def _jump_limits(self, br, capped):
+    def _jump_limits(self, br):
         """``_limits`` of a jump family: one ``event_sums`` call per side over
-        the breakpoints and, where the family states caps or a slope, one
-        side-0 row at alpha and beta (the edge row), which feeds ``caps`` and
-        the anchors of the two outer segments."""
+        the breakpoints and, where the family declares a slope, one side-0 row
+        at alpha and beta (the edge row), which anchors the two outer
+        segments."""
         slope, n_events = self._slope, self.events.size
         edges = np.concatenate([self._edges[:1], br, self._edges[1:]])
         anchors = None
@@ -180,19 +176,11 @@ class LikelihoodEvaluator:
         self._rows = anchors if slope else None
         try:
             from_left, from_right = self.event_sums(br, -1), self.event_sums(br, 1)
-            if capped or slope is not None:
+            if slope is not None:
                 at_edges = self._direct(self._edges)
         finally:
             self._rows = None
         integral = self.integral_terms(br)
-        left, right = _log_l(from_left, integral), _log_l(from_right, integral)
-        caps = None
-        if capped:
-            plain = self._plain_edges
-            caps = np.concatenate([
-                [np.maximum(at_edges[0], from_left[0]) if plain[0] else np.inf],
-                np.maximum(from_right[:-1], from_left[1:]),
-                [np.maximum(from_right[-1], at_edges[1]) if plain[1] else np.inf]])
         if slope is not None:
             b = br.size
             # segment k's left anchor: alpha, then the sums from the right; its
@@ -202,7 +190,7 @@ class LikelihoodEvaluator:
             usable = np.ones(sums.size, dtype=bool)
             usable[2 * b:] = self._plain_edges
             anchors.finish(edges, sums, usable, order)
-        return left, right, caps, anchors
+        return _log_l(from_left, integral), _log_l(from_right, integral), None, anchors
 
     def integral_terms(self, thetas) -> np.ndarray:
         """-n * (integral of lambda(theta, .) - 1 over the window): log L less its
@@ -234,14 +222,6 @@ class LikelihoodEvaluator:
     def _direct(self, thetas, theta_side=0) -> np.ndarray:
         extra = {} if self._rows is None else {"rows": self._rows}
         return self.model.event_log_sums(thetas, self.events, theta_side=theta_side, **extra)
-
-    @property
-    def expansion_error(self) -> float:
-        """Bound on how far an event sum from the anchors lies from the exact
-        sum at its theta, beyond the rounding R of its anchor's own sum (0
-        where no theta takes one)."""
-        anchors = self._limits[3] if self._slope else None
-        return 0.0 if anchors is None else anchors.error
 
     def values(self, thetas, theta_side=0) -> np.ndarray:
         thetas = np.atleast_1d(np.asarray(thetas, dtype=float))

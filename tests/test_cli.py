@@ -316,23 +316,30 @@ def test_simulate_exit_codes(tmp_path, doc, code):
         assert {int(line.split(",")[0]) for line in lines[1:]} <= set(range(5))
 
 
-@pytest.mark.parametrize("params, mu_star, code", [
-    pytest.param(None, "0.3", cli.EXIT_OK, id="None-0"),
-    pytest.param("{bad", "0.3", cli.EXIT_CONFIG, id="{bad-2"),
-    pytest.param('{"zz": 1}', "0.3", cli.EXIT_CONFIG, id='{"zz": 1}-2'),
-    pytest.param("[1]", "0.3", cli.EXIT_CONFIG, id="[1]-2"),
+@pytest.mark.parametrize("params, mu_star, theta, code", [
+    pytest.param(None, "0.3", "0.5", cli.EXIT_OK, id="None-0"),
+    pytest.param("{bad", "0.3", "0.5", cli.EXIT_CONFIG, id="{bad-2"),
+    pytest.param('{"zz": 1}', "0.3", "0.5", cli.EXIT_CONFIG, id='{"zz": 1}-2'),
+    pytest.param("[1]", "0.3", "0.5", cli.EXIT_CONFIG, id="[1]-2"),
     # mu_star must lie in (0, tau); WINDOW_SINE has tau = 1
-    pytest.param(None, "nan", cli.EXIT_CONFIG, id="mu_star=nan-2"),
-    pytest.param(None, "0", cli.EXIT_CONFIG, id="mu_star=0-2"),
-    pytest.param(None, "1", cli.EXIT_CONFIG, id="mu_star=1-2"),
+    pytest.param(None, "nan", "0.5", cli.EXIT_CONFIG, id="mu_star=nan-2"),
+    pytest.param(None, "0", "0.5", cli.EXIT_CONFIG, id="mu_star=0-2"),
+    pytest.param(None, "1", "0.5", cli.EXIT_CONFIG, id="mu_star=1-2"),
+    # theta must lie in Theta, which is [-1, 1] on WINDOW_SINE
+    pytest.param(None, "0.3", "nan", cli.EXIT_CONFIG, id="theta=nan-2"),
+    pytest.param(None, "0.3", "inf", cli.EXIT_CONFIG, id="theta=inf-2"),
+    pytest.param(None, "0.3", "5", cli.EXIT_CONFIG, id="theta=5-2"),
+    pytest.param(None, "0.3", "-1.5", cli.EXIT_CONFIG, id="theta=-1.5-2"),
+    pytest.param(None, "0.3", "1", cli.EXIT_OK, id="theta=1-0"),
 ])
-def test_windows_exit_codes(tmp_path, params, mu_star, code):
+def test_windows_exit_codes(tmp_path, params, mu_star, theta, code):
     out = tmp_path / "window.json"
-    argv = ["windows", "--model", "WINDOW_SINE", "--theta", "0.5", "--mu-star", mu_star,
+    argv = ["windows", "--model", "WINDOW_SINE", "--theta", theta, "--mu-star", mu_star,
             "--out", str(out)]
     if params is not None:
         argv += ["--params", params]
     assert cli.main(argv) == code
+    assert out.exists() == (code == cli.EXIT_OK)
     if code == cli.EXIT_OK:
         doc = json.loads(out.read_text())
         assert set(doc) == {"model", "theta", "mu_star", "threshold", "intervals", "measure"}

@@ -380,6 +380,8 @@ _BOUNDED = {
     "JUMP_SHIFT": pl.make_model("JUMP_SHIFT"),
     "JUMP_SHIFT c1<0": pl.make_model("JUMP_SHIFT", {"c0": 3.0, "c1": -0.5}),
     "JUMP_SHIFT r<0": pl.make_model("JUMP_SHIFT", {"r": -1.0}),
+    # a small jump on a steep ramp: some thetas fall back to direct sums
+    "JUMP_SHIFT steep ramp": pl.make_model("JUMP_SHIFT", {"r": 0.05, "c1": 2.0}),
     "CHANGEPOINT": pl.make_model("CHANGEPOINT"),
     "SUFFWIN_LINEAR": pl.make_model("SUFFWIN_LINEAR"),
     "CUSP": pl.make_model("CUSP"),
@@ -390,30 +392,32 @@ _ZOOMED = {"CUSP zoom": ("CUSP", EstimatorSettings(zoom_rounds=3))}
 @pytest.mark.parametrize("name", list(_BOUNDED) + list(_ZOOMED))
 @pytest.mark.parametrize("n", [20, 100, 400, 1600])
 def test_bounded_mle_equals_exhaustive_search(name, n, monkeypatch):
-    # the per-segment caps skip grid points but return the exhaustive argmax
-    # and value bit for bit, zoom rounds included
+    # the per-segment caps of a kink family skip grid points, and a jump
+    # family's end-row anchors spare them their event sums of N terms, but
+    # both return the exhaustive argmax and value bit for bit, zoom rounds
+    # included
     family, settings = _ZOOMED.get(name, (name, DEFAULT))
     model = _BOUNDED[family]
-    assert model.event_sum_rounding(10) is not None
+    assert model.event_sum_rounding(10) is not None or model.event_term_slope() is not None
     iv = model.theta_interval
     grid = np.linspace(iv.alpha, iv.beta, settings.grid_size)
     evaluated = []
-    event_sums = LikelihoodEvaluator.event_sums
+    direct = LikelihoodEvaluator._direct
 
     def counted(self, thetas, theta_side=0):
         if theta_side == 0:
             evaluated.append(int(np.isin(thetas, grid).sum()))
-        return event_sums(self, thetas, theta_side)
+        return direct(self, thetas, theta_side)
 
     for seed in range(4):
         s = simulate_sample((model, iv.alpha + 0.45 * iv.width), n, RngStream(300 + seed, n))
         expected = _exhaustive_mle(model, s, settings)
         with monkeypatch.context() as m:
-            m.setattr(LikelihoodEvaluator, "event_sums", counted)
+            m.setattr(LikelihoodEvaluator, "_direct", counted)
             est = mle(model, s, settings)
         assert (est.value, est.objective_at_value) == expected, (name, n, seed)
     if n >= 400:
-        # most of the grid is ruled out
+        # most of the grid takes no sum of N terms
         assert sum(evaluated) < settings.grid_size, (name, n, evaluated)
 
 
@@ -469,7 +473,17 @@ def test_jump_shift_bound_falls_back_without_a_positive_floor(monkeypatch):
     assert (0, DEFAULT.grid_size) in calls
 
 
-@pytest.mark.parametrize("name", list(_BOUNDED))
+def test_jump_families_state_no_caps():
+    # where log L jumps at the breakpoints the end-row anchors alone spare the
+    # grid its event sums; only a family whose curve kinks states caps
+    models = [pl.make_model(cid) for cid in pl.CATALOG] + list(_BOUNDED.values())
+    for model in models:
+        s = simulate_sample((model, model.theta_interval.midpoint), 50, RngStream(14, 0))
+        ev = LikelihoodEvaluator(model, s)
+        assert (ev.caps is None) == model.event_breakpoints_are_jumps, model
+
+
+@pytest.mark.parametrize("name", ["CUSP"])
 def test_slope_bound_holds_inside_segments(name):
     # inside each segment that the breakpoints cut Theta into, log L stays at
     # or below the segment's cap on the event sum plus the integral term, to
@@ -496,8 +510,7 @@ def test_slope_bound_holds_inside_segments(name):
                       left[1:] - ev.integral_terms(ev.breaks[1:]))
     assert np.all(caps[1:-1] >= ends - 1e-9), name
     # each cap is the sum over the events of the larger of the two limits of
-    # each term from inside the segment (on a jump family, the larger of the
-    # two end sums): exactly where R = 0, within R otherwise
+    # each term from inside the segment, within R
     br, t = ev.breaks, ev.events[None, :]
     from_left = model.log_value(br[:, None], t, -1)
     from_right = model.log_value(br[:, None], t, 1)

@@ -167,9 +167,7 @@ _WINSINE = {"model": "WINDOW_SINE", "theta0": 0.5,
 @pytest.mark.parametrize("doc", [
     {"model": "CUSP", "theta0": 0.5, "regime": "cusp", "n": [400], "replicates": 3,
      "seed": 5, "limit_draws": 50, "estimator": {"zoom_rounds": 3}},
-    {"model": "JUMP_SHIFT", "theta0": 0.5, "regime": "jump", "n": [100, 400],
-     "replicates": 2, "seed": 5, "limit_draws": 50},
-], ids=["CUSP", "JUMP_SHIFT"])
+], ids=["CUSP"])
 def test_grid_points_ruled_out_by_the_caps_leave_the_table_unchanged(doc, monkeypatch,
                                                                      tmp_path):
     # mle's per-segment caps only skip work: keeping every grid point writes the

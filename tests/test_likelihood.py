@@ -228,7 +228,7 @@ def _anchor_of(ev, theta, j):
 @pytest.mark.parametrize("n", [20, 100, 400, 1600])
 def test_anchor_series_stays_within_its_bound(name, n):
     # inside a segment the event sum comes from the nearer end's row and its
-    # series in delta.  It stays within the bound that _may_win adds of the
+    # series in delta.  It stays within 2R + E (E the anchors' error) of the
     # row-loop sums, and its series part within the tail after the anchor's
     # order (plus rounding) of the exact sum of log(1 + s*delta/lambda_i)
     model = _SLOPED[name]
@@ -241,7 +241,7 @@ def test_anchor_series_stays_within_its_bound(name, n):
     thetas = (edges[:-1, None] + frac[None, :] * np.diff(edges)[:, None]).ravel()
     got = ev.event_sums(thetas)
     rows = [float(model.log_value(th, ev.events).sum()) for th in thetas]
-    assert np.all(np.abs(got - rows) <= 2.0 * rounding + ev.expansion_error), name
+    assert np.all(np.abs(got - rows) <= 2.0 * rounding + ev._limits[3].error), name
     anchors = ev._limits[3]
     j, delta, served = anchors.route(thetas)
     assert served.all(), name
@@ -292,7 +292,7 @@ def test_steep_ramp_falls_back_to_direct_sums():
     got = ev.event_sums(thetas)
     assert np.array_equal(got[~served], direct[~served])
     rounding = model.event_sum_rounding(ev.events.size)
-    assert np.all(np.abs(got - direct) <= 2.0 * rounding + ev.expansion_error)
+    assert np.all(np.abs(got - direct) <= 2.0 * rounding + ev._limits[3].error)
 
 
 @pytest.mark.parametrize("name", ["CHANGEPOINT", "SUFFWIN_LINEAR"])
@@ -308,12 +308,12 @@ def test_slope_zero_sums_are_the_direct_sums(name, n):
     _, _, served = ev._limits[3].route(thetas)
     assert served.sum() == 4001 - np.isin(iv.grid(4001), ev.breaks).sum()
     assert np.array_equal(ev.event_sums(thetas), model.event_log_sums(thetas, ev.events))
-    assert ev.expansion_error == 0.0
+    assert ev._limits[3].error == 0.0
 
 
 def test_an_edge_on_an_event_breakpoint_is_evaluated_directly():
     # an event at alpha: the side-0 row there is no limit from inside the first
-    # segment, so it neither anchors nor caps it
+    # segment, so it does not anchor it
     model = pl.make_model("CHANGEPOINT")
     s = Sample.from_trajectories([Trajectory(np.array([0.1, 0.3, 0.5, 0.7]), 1.0)], 1.0)
     ev = LikelihoodEvaluator(model, s)
@@ -321,4 +321,3 @@ def test_an_edge_on_an_event_breakpoint_is_evaluated_directly():
     _, _, served = ev._limits[3].route(thetas)
     assert served.tolist() == [False, False, False, True, True]
     assert np.array_equal(ev.event_sums(thetas), model.event_log_sums(thetas, ev.events))
-    assert ev.caps[0] == np.inf and np.isfinite(ev.caps[1:]).all()
