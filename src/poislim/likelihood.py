@@ -388,7 +388,7 @@ def log_likelihood(model: IntensityModel, theta: float, sample: Sample,
     iv = model.theta_interval
     if not iv.contains(theta):
         raise DomainError(f"theta={theta} outside [{iv.alpha}, {iv.beta}]")
-    return LikelihoodEvaluator(model, sample, window).value(theta, theta_side)
+    return _direct_value(LikelihoodEvaluator(model, sample, window), theta, theta_side)
 
 
 def normalized_lr(model: IntensityModel, theta0: float, u: float, rate_exponent: float,
@@ -405,8 +405,15 @@ def normalized_lr(model: IntensityModel, theta0: float, u: float, rate_exponent:
             f"u={u} leaves the local parameter set U_n = [{lo:.6g}, {hi:.6g}]"
         )
     ev = LikelihoodEvaluator(model, sample, window)
-    diff = ev.value(shifted) - ev.value(float(theta0))
+    diff = _direct_value(ev, shifted) - _direct_value(ev, float(theta0))
     return diff if log else float(np.exp(diff))
+
+
+def _direct_value(ev: LikelihoodEvaluator, theta: float, theta_side=0) -> float:
+    """log L at one theta from its direct event sum: the anchors that ``values``
+    serves a side-0 theta from cost 2B + 2 event sums to build, for one theta."""
+    thetas = np.array([theta])
+    return float(_log_l(ev._direct(thetas, theta_side), ev.integral_terms(thetas))[0])
 
 
 @dataclass(frozen=True)

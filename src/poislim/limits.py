@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import MISSING, dataclass, field
+from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
 
-from . import analysis
+from . import analysis, intensity
 from .errors import (CapabilityError, ConfigurationError, DomainError, NumericalError,
                      PreconditionError)
 from .estimators import _prior_weights
@@ -376,13 +377,9 @@ class JumpParams(RegimeLimit):
             # one uniform call per block, counts in the order p0, m0, p1, m1, ...: the
             # same doubles as one call per draw and side, whatever the block size
             counts = np.stack([n_plus[lo:lo + _JUMP_BLOCK], n_minus[lo:lo + _JUMP_BLOCK]], axis=1)
-            times = g.uniform(0.0, u_max, counts.sum())
-            starts = (np.cumsum(counts) - counts.ravel()).reshape(counts.shape)
-            paths = (_jump_groups(times, starts[:, 0], counts[:, 0]),
-                     _jump_groups(times, starts[:, 1], counts[:, 1]),
-                     log_ratio, drift, u_max, counts.shape[0])
-            yield slice(lo, lo + _JUMP_BLOCK), {"mle": lambda: _jump_mle(*paths),
-                                                "bayes": lambda: _jump_bayes(*paths)}
+            block = _JumpBlock(g.uniform(0.0, u_max, counts.sum()), counts, log_ratio, drift,
+                               u_max)
+            yield slice(lo, lo + _JUMP_BLOCK), {"mle": block.mle, "bayes": block.bayes}
 
 
 REGIMES = {cls.regime: cls for cls in (
@@ -447,7 +444,21 @@ def _kolmogorov_sf(x: float) -> float:
 # fractional Brownian motion
 # ---------------------------------------------------------------------------
 
-_FBM_CHUNK = 128  # paths per chunk: about 14 MB of buffers on the default 2,001-point grid
+# a chunk of fBm paths takes as many as this many bytes of buffers hold, from 16 to
+# 128 paths: 32 paths, about 3.4 MiB, on the default 2,001-point grid
+_FBM_CHUNK_BYTES = 7 * 2 ** 19
+
+
+def _fbm_chunk_rows(n: int) -> int:
+    """Paths per chunk on a grid of n + 1 points: as many as the byte budget holds
+    (a path takes 7n + 3 doubles of buffers), rounded down to a multiple of 16,
+    from 16 to 128.  The paths do not depend on it, but the matrix-vector product
+    of ``_grid_posterior_mean`` rounds a row by its place in groups of rows
+    (groups of four in OpenBLAS), and a chunk of one path takes a dot product.
+    Two chunk sizes of this form give the same Bayes draws bit for bit except
+    the last, where one of them leaves that path alone in its chunk."""
+    rows = _FBM_CHUNK_BYTES // (8 * (7 * n + 3))
+    return min(128, max(16, rows - rows % 16))
 
 
 def _fbm_grid(grid: np.ndarray) -> tuple[int, float]:
@@ -475,14 +486,14 @@ def _fgn_spectrum(hurst: float, n: int, step: float) -> np.ndarray:
 
 def _fbm_chunks(hurst: float, grid: np.ndarray, g: np.random.Generator, size: int):
     """Yield size paths of two-sided fBm on the grid, one per row, W(0) = 0 exactly,
-    in chunks of at most ``_FBM_CHUNK`` rows, each with a scratch array of its shape.
+    in chunks of at most ``_fbm_chunk_rows`` rows, each with a scratch array of its shape.
 
     The paths are exact by circulant embedding (Davies and Harte, 1987): with N = grid
     points - 1 and M = 2N, a path takes one row of 2N normals a_0..a_N, b_1..b_N-1, the
     Hermitian half-spectrum sqrt(lam_k M / 2) (a_k + i b_k), sqrt(lam_k M) a_k at k = 0
     and N, and its real inverse FFT, whose first N values are the fGn increments; their
     cumsum less its value at the 0.0 node is the path.  A path depends only on its own
-    row of normals, so not on ``_FBM_CHUNK``.  The yielded arrays are views of buffers
+    row of normals, so not on the chunk size.  The yielded arrays are views of buffers
     that the next chunk overwrites.
     """
     zero, step = _fbm_grid(grid)
@@ -491,7 +502,7 @@ def _fbm_chunks(hurst: float, grid: np.ndarray, g: np.random.Generator, size: in
     weight = np.full(n + 1, float(n))
     weight[[0, n]] = m
     scale = np.sqrt(_fgn_spectrum(hurst, n, step) * weight)
-    chunk = _FBM_CHUNK
+    chunk = _fbm_chunk_rows(n)
     rows = min(chunk, size)
     z, inc = np.empty((rows, m)), np.empty((rows, m))
     spec = np.zeros((rows, n + 1), dtype=complex)
@@ -539,99 +550,156 @@ def _grid_posterior_mean(u, log_z, scratch=None):
     return num / den
 
 
-_JUMP_BLOCK = 1024  # draws per uniform call in the jump sampler; bounds its memory
+_JUMP_BLOCK = 512  # draws per uniform call in the jump sampler; bounds its memory
 # expected events per jump draw, (lam_left + lam_right) u_halfwidth, at most: one
-# block of _JUMP_BLOCK draws then holds about 2^26 event times (512 MiB)
+# block of _JUMP_BLOCK draws then holds about 2^25 event times (256 MiB)
 _JUMP_MAX_EVENTS = 2 ** 16
 
 
-def _jump_groups(times, starts, counts):
-    """[(draw indices, their sorted (k, L) event times)] per distinct count L."""
-    order = np.argsort(counts, kind="stable")
-    groups = []
-    for idx in np.split(order, np.flatnonzero(np.diff(counts[order])) + 1):
-        cols = np.arange(counts[idx[0]])
-        groups.append((idx, np.sort(times[starts[idx, None] + cols], axis=1)))
-    return groups
+def _jump_tiles(times, starts, counts, u_max):
+    """[(draw indices, their counts, edges)] of one side of a block of jump draws.
 
-
-def _jump_mle(plus, minus, log_ratio, drift, u_max, size):
-    """Exact argmax of the two-branch jump limit over realized event points.
-
-    ``plus`` and ``minus`` hold each draw's event times s >= 0 on the
-    positive and negative half-lines (u = s and u = -s), grouped as by
-    ``_jump_groups``.  Each draw tries its candidates in one fixed order
-    (+ counts k, + counts k-1, + tail, then the same on the - side) and keeps
-    a candidate only if it is strictly better, so ties resolve the same way
-    whatever the grouping.
+    The draws are sorted by count and cut into tiles whose padded edges array
+    (rows x (largest count + 2)) holds at most ``intensity._BLOCK_PAIRS``
+    doubles, or one row.  Row i of edges is 0, the draw's c_i sorted event
+    times and u_max, padded with u_max: edges[i, :c_i + 2] are the draw's
+    segment ends.
     """
-    best_u, best_v = np.zeros(size), np.zeros(size)
-    for sign, groups in ((1.0, plus), (-1.0, minus)):
-        # the - side is log_ratio -> -log_ratio, drift -> -drift, u -> -s
-        lr, dr = sign * log_ratio, sign * drift
-        for idx, times in groups:
-            n_events = times.shape[1]
-            cands = []
-            if n_events:
-                ks = np.arange(1, n_events + 1)
-                rows = np.arange(idx.size)
-                for counts in (ks, ks - 1):
-                    vals = lr * counts - dr * times
-                    i = np.argmax(vals, axis=1)
-                    cands.append((sign * times[rows, i], vals[rows, i]))
-            tail = lr * n_events - dr * u_max
-            cands.append((np.full(idx.size, sign * u_max), np.full(idx.size, tail)))
-            for u, v in cands:
-                better = v > best_v[idx]
-                best_u[idx[better]] = u[better]
-                best_v[idx[better]] = v[better]
-    return best_u
+    order = np.argsort(counts, kind="stable")
+    sorted_counts = counts[order]
+    widths = sorted_counts + 2
+    tiles = []
+    lo = 0
+    while lo < order.size:
+        # rows x width grows with hi along the sorted counts
+        fits = (np.arange(1, order.size - lo + 1) * widths[lo:]) <= intensity._BLOCK_PAIRS
+        hi = lo + max(1, int(np.count_nonzero(fits)))
+        idx, cnt = order[lo:hi], sorted_counts[lo:hi]
+        top = int(cnt[-1])
+        edges = np.full((idx.size, top + 2), u_max)
+        edges[:, 0] = 0.0
+        if top:
+            cols = np.arange(top)
+            inner = edges[:, 1:-1]
+            np.copyto(inner, np.take(times, starts[idx, None] + cols, mode="clip"),
+                      where=cols < cnt[:, None])
+            inner.sort(axis=1)
+        tiles.append((idx, cnt, edges))
+        lo = hi
+    return tiles
 
 
-def _segment_integrals(edges, levels, r, m):
-    """Per-row sums of the exact integrals of exp(level - m - r*s) and s * same
-    over the segments between consecutive ``edges``.  Each exponent is taken whole:
-    with m the peak none overflows, as exp(level - m) or exp(-r*s) alone could."""
+class _JumpBlock:
+    """Both functionals of one block of jump draws, from count-sorted tiles.
+
+    ``times`` holds the block's event times draw by draw, the positive side
+    then the negative (s >= 0 on each: u = s and u = -s), and ``counts`` (draws
+    x 2) their numbers.  Each functional equals the per-draw computation bit
+    for bit: ``mle`` tries each draw's candidates in one fixed order and keeps
+    a candidate only if it is strictly better, and ``bayes`` sums each draw's
+    segments in one row of exactly its own length.
+    """
+
+    def __init__(self, times, counts, log_ratio, drift, u_max):
+        starts = (np.cumsum(counts) - counts.ravel()).reshape(counts.shape)
+        self.tiles = [_jump_tiles(times, starts[:, j], counts[:, j], u_max) for j in (0, 1)]
+        self.log_ratio, self.drift, self.u_max, self.size = log_ratio, drift, u_max, len(counts)
+
+    @cached_property
+    def best(self):
+        """(argmax, max) of log Z per draw over its realized event points.
+
+        Per side the candidates are the event times once with the count
+        including them (k) and once without (k - 1), then the window's end;
+        the + side goes first.  Z starts at u = 0, log Z = 0.
+        """
+        best_u, best_v = np.zeros(self.size), np.zeros(self.size)
+        for sign, tiles in zip((1.0, -1.0), self.tiles):
+            # the - side is log_ratio -> -log_ratio, drift -> -drift, u -> -s
+            lr, dr = sign * self.log_ratio, sign * self.drift
+            for idx, cnt, edges in tiles:
+                top = edges.shape[1] - 2
+                cands = []
+                if top:
+                    times = edges[:, 1:-1]
+                    pad = np.arange(top) >= cnt[:, None]
+                    rows = np.arange(idx.size)
+                    ks = np.arange(1.0, top + 1.0)
+                    for k in (ks, ks - 1.0):
+                        vals = lr * k - dr * times
+                        vals[pad] = -np.inf  # a padded column never wins
+                        i = np.argmax(vals, axis=1)
+                        cands.append((sign * times[rows, i], vals[rows, i]))
+                cands.append((sign * self.u_max, lr * cnt - dr * self.u_max))
+                u_now, v_now = best_u[idx], best_v[idx]
+                for u, v in cands:
+                    better = v > v_now
+                    u_now = np.where(better, u, u_now)
+                    v_now = np.where(better, v, v_now)
+                best_u[idx], best_v[idx] = u_now, v_now
+        return best_u, best_v
+
+    def mle(self):
+        return self.best[0]
+
+    def bayes(self):
+        """integral u Z / integral Z with piecewise-exact segments between jumps.
+
+        Each exponent is taken whole against m, the draw's largest log Z: with
+        it none overflows, as exp(level - m) or exp(-r*s) alone could.  That m
+        is the ``best`` value: log Z peaks on a segment at one of its ends, and
+        every end value that is not an mle candidate lies below one that is.
+        """
+        peak = self.best[1]
+        sums = np.empty((2, 2, self.size))  # (side, mass or first moment, draw)
+        for sign, tiles, side in zip((1.0, -1.0), self.tiles, sums):
+            # positive side: Z(u) = exp(level - drift*u); negative side with
+            # s = -u: Z = exp(level + drift*s), and the u-weight flips sign
+            r = sign * self.drift
+            for idx, cnt, edges in tiles:
+                i0, i1 = _segment_terms(edges, sign * self.log_ratio, r, peak[idx])
+                tile = np.empty((2, idx.size))
+                # each run of equal counts sums exactly its count + 1 segments
+                cuts = [0, *(np.flatnonzero(np.diff(cnt)) + 1).tolist(), idx.size]
+                for lo, hi in zip(cuts[:-1], cuts[1:]):
+                    c = int(cnt[lo]) + 1
+                    i0[lo:hi, :c].sum(axis=1, out=tile[0, lo:hi])
+                    i1[lo:hi, :c].sum(axis=1, out=tile[1, lo:hi])
+                side[:, idx] = tile
+        den = sums[0, 0] + sums[1, 0]
+        num = sums[0, 1] - sums[1, 1]
+        if np.any((den <= 0.0) | ~np.isfinite(den)):
+            raise NumericalError("jump-limit posterior mass degenerate")
+        return num / den
+
+
+def _segment_terms(edges, log_ratio, r, m):
+    """(i0, i1), rows x segments: the exact integrals of exp(level - m - r*s) and
+    s * same over the segments between consecutive ``edges`` of each row,
+    level = log_ratio * the segment's index and m one value per row.  Each
+    exponent is taken whole, and the work runs in place on four arrays of the
+    segments' shape."""
     a, b = edges[:, :-1], edges[:, 1:]
+    base = np.subtract(log_ratio * np.arange(a.shape[1]), m[:, None])  # level - m
     if abs(r) < 1e-14:
-        amp = np.exp(levels - m)
-        i0 = amp * (b - a)
-        i1 = amp * 0.5 * (b * b - a * a)
-    else:
-        ea, eb = np.exp(levels - m - r * a), np.exp(levels - m - r * b)
-        i0 = (ea - eb) / r
-        i1 = (a / r + 1.0 / r ** 2) * ea - (b / r + 1.0 / r ** 2) * eb
-    return i0.sum(axis=1), i1.sum(axis=1)
-
-
-def _jump_bayes(plus, minus, log_ratio, drift, u_max, size):
-    """integral u Z / integral Z with piecewise-exact segments between jumps.  Arguments as
-    for ``_jump_mle``; each row sum runs over one draw's segments, as a 1-D sum would."""
-    peak = np.full(size, -np.inf)
-    sides = []
-    for sign, groups in ((1.0, plus), (-1.0, minus)):
-        # positive side: Z(u) = exp(level - drift*u); negative side with
-        # s = -u: Z = exp(level + drift*s), and the u-weight flips sign
-        r = sign * drift
-        segs = []
-        for idx, times in groups:
-            ends = np.zeros((idx.size, 1)), np.full((idx.size, 1), u_max)
-            edges = np.concatenate([ends[0], times, ends[1]], axis=1)
-            levels = sign * log_ratio * np.arange(times.shape[1] + 1)
-            # exp(level - r*s) peaks at a segment's left end for r >= 0, else its right end
-            near = edges[:, :-1] if r >= 0 else edges[:, 1:]
-            peak[idx] = np.maximum(peak[idx], np.max(levels - r * near, axis=1))
-            segs.append((idx, edges, levels))
-        sides.append((r, segs))
-    sums = np.empty((2, 2, size))  # (side, mass or first moment, draw)
-    for (r, segs), side in zip(sides, sums):
-        for idx, edges, levels in segs:
-            side[:, idx] = _segment_integrals(edges, levels, r, peak[idx, None])
-    den = sums[0, 0] + sums[1, 0]
-    num = sums[0, 1] - sums[1, 1]
-    if np.any((den <= 0.0) | ~np.isfinite(den)):
-        raise NumericalError("jump-limit posterior mass degenerate")
-    return num / den
+        amp = np.exp(base, out=base)
+        return amp * (b - a), amp * 0.5 * (b * b - a * a)
+    ea = np.multiply(a, r)
+    np.exp(np.subtract(base, ea, out=ea), out=ea)
+    eb = np.multiply(b, r)
+    np.exp(np.subtract(base, eb, out=eb), out=eb)
+    # i1 = (a / r + 1 / r^2) ea - (b / r + 1 / r^2) eb, then i0 = (ea - eb) / r
+    q = 1.0 / r ** 2
+    i1 = np.divide(a, r, out=base)
+    i1 += q
+    i1 *= ea
+    right = np.divide(b, r)
+    right += q
+    right *= eb
+    i1 -= right
+    i0 = np.subtract(ea, eb, out=ea)
+    i0 /= r
+    return i0, i1
 
 
 def _mills(z):

@@ -10,7 +10,7 @@ from poislim import estimators, intensity
 from poislim.estimators import (EstimatorSettings, bayes, mle, moments_preliminary,
                                 two_stage_window)
 from poislim.intensity import ParameterInterval
-from poislim.likelihood import LikelihoodEvaluator, likelihood_curve
+from poislim.likelihood import LikelihoodEvaluator, curve_grid, likelihood_curve
 from poislim.simulate import RngStream, Sample, simulate_sample
 
 
@@ -521,17 +521,22 @@ def test_slope_bound_holds_inside_segments(name):
     assert np.all(np.abs(caps - expected) <= rounding), name
 
 
-@pytest.mark.parametrize("name", ["CUSP", "JUMP_SHIFT c1<0", "CHANGEPOINT"])
+@pytest.mark.parametrize("name", ["CUSP", "JUMP_SHIFT c1<0", "CHANGEPOINT",
+                                  "JUMP_SHIFT steep ramp"])
 def test_caps_do_not_depend_on_the_blocks(name, monkeypatch):
-    # one row per event_log_sums block gives the same sides and caps bit for bit
+    # one row per event_log_sums block gives the same sides, caps and values on
+    # the mle grid bit for bit; on a jump family (caps None) the values read
+    # the end-row anchors, whose power sums are taken block by block
     model = _BOUNDED[name]
     s = simulate_sample((model, model.theta_interval.midpoint), 60, RngStream(13, 0))
+    grid = curve_grid(model, DEFAULT.grid_size)
     ev = LikelihoodEvaluator(model, s)
-    expected = (*ev.sides, ev.caps)
+    expected = (*ev.sides, ev.caps, ev.values(grid))
     monkeypatch.setattr(intensity, "_BLOCK_PAIRS", 1)
     small = LikelihoodEvaluator(model, s)
     assert ev.breaks.size > 3
-    for got, want in zip((*small.sides, small.caps), expected):
+    assert (ev.caps is None) == model.event_breakpoints_are_jumps, name
+    for got, want in zip((*small.sides, small.caps, small.values(grid)), expected):
         assert np.array_equal(got, want), name
 
 

@@ -90,6 +90,33 @@ def test_normalized_lr_contracts():
     assert z == pytest.approx(math.exp(lz), rel=1e-12)
 
 
+def test_one_theta_likelihoods_take_direct_event_sums(monkeypatch):
+    # a one-theta call builds no end-row anchors (2B + 2 event sums of N terms
+    # on JUMP_SHIFT): one event_log_sums call of N pairs per theta
+    model = pl.make_model("JUMP_SHIFT")
+    s = simulate_sample((model, 0.5), 400, RngStream(3, 0))
+    n_events = sum(tr.events.size for tr in s.trajectories)
+    calls = []
+    generic = type(model).event_log_sums
+
+    def spy(self, thetas, events, theta_side=0, **kwargs):
+        calls.append(np.size(thetas) * np.size(events))
+        return generic(self, thetas, events, theta_side, **kwargs)
+
+    monkeypatch.setattr(type(model), "event_log_sums", spy)
+    for theta in (0.3, 0.5, 0.71):
+        calls.clear()
+        got = log_likelihood(model, theta, s)
+        assert calls == [n_events]
+        assert got == pytest.approx(naive_log_likelihood(model, theta, s), rel=1e-12)
+    calls.clear()
+    log_z = normalized_lr(model, 0.5, 10.0, 1.0, s, log=True)
+    assert calls == [n_events, n_events]
+    # each of the two values within rel 1e-12, so their difference within the sum of those
+    shifted, at_0 = naive_log_likelihood(model, 0.525, s), naive_log_likelihood(model, 0.5, s)
+    assert log_z == pytest.approx(shifted - at_0, abs=1e-12 * (abs(shifted) + abs(at_0)))
+
+
 def _lr_moment_check(model, theta0, u, rate, n, reps, seed):
     """E[Z] = 1 and E[sqrt(Z)] = exp(-n*hellinger/2), within 4 standard errors."""
     phi = float(n) ** (-rate)

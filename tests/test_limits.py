@@ -5,7 +5,7 @@ import pytest
 from scipy import integrate, special
 
 import poislim as pl
-from poislim import limits
+from poislim import intensity, limits
 from poislim.errors import CapabilityError, ConfigurationError, DomainError, PreconditionError
 from poislim.experiments import Scenario, run_scenario
 from poislim.limits import (
@@ -18,8 +18,7 @@ from poislim.limits import (
     NonidentParams,
     NullFisherParams,
     RegularParams,
-    _jump_bayes,
-    _jump_mle,
+    _JumpBlock,
     cusp_gamma_sq,
     limit_params,
     sample_limit_batch,
@@ -298,31 +297,84 @@ def _jump_reference(limit, rng, which, size):
     return out
 
 
-def _jump_one(kernel, tp, tm, log_ratio, drift, u_max):
-    """One draw through a batched kernel: each side is one group of one row."""
-    one = np.array([0])
-    return float(kernel([(one, tp[None, :])], [(one, tm[None, :])],
-                        log_ratio, drift, u_max, 1)[0])
+def _jump_one(which, tp, tm, log_ratio, drift, u_max):
+    """One draw through the batched block: each side is one tile of one row."""
+    block = _JumpBlock(np.concatenate([tp, tm]), np.array([[tp.size, tm.size]]),
+                       log_ratio, drift, u_max)
+    return float(getattr(block, which)()[0])
+
+
+def _tile_rows(rate, halfwidth):
+    """The draws that one tile holds on a side whose every count is its mean."""
+    return intensity._BLOCK_PAIRS // (round(rate * halfwidth) + 2)
+
+
+def _assert_tiles_match_per_draw_loop(lim, rng):
+    """Both estimators' draws at sizes on both sides of one tile and one block."""
+    tile = _tile_rows(max(lim.lam_left, lim.lam_right), lim.u_halfwidth)
+    for size in sorted({1, tile - 1, tile + 1, _JUMP_BLOCK + 1} - {0}):
+        got = sample_limit_batch(lim, rng, ["mle", "bayes"], size)
+        for row, which in zip(got, ("mle", "bayes")):
+            assert np.array_equal(row, _jump_reference(lim, rng, which, size)), (size, which)
 
 
 @pytest.mark.parametrize("which", ["mle", "bayes"])
 @pytest.mark.parametrize("seed", [1, 7919])
 def test_jump_sampler_matches_per_draw_loop(which, seed):
     lim = JumpParams(lam_left=2.5, lam_right=4.5, u_halfwidth=60.0)
-    for size in (1, 5, _JUMP_BLOCK - 1, _JUMP_BLOCK + 1, 8000):
+    tiles = [_tile_rows(rate, 60.0) + d for rate in (2.5, 4.5) for d in (-1, 1)]
+    for size in (1, 5, *tiles, _JUMP_BLOCK - 1, _JUMP_BLOCK + 1, 8000):
         got = sample_limit_batch(lim, RngStream(seed, size), which, size)
         assert np.array_equal(got, _jump_reference(lim, RngStream(seed, size), which, size)), size
 
 
+@pytest.mark.parametrize("halfwidth", [60.0, 750.0])
+@pytest.mark.parametrize("rates", [(2.5, 4.5), (4.5, 2.5), (3.0, 3.0)])
+def test_jump_tiles_match_per_draw_loop(rates, halfwidth):
+    # as for half-width 0.4 above; at 750 a tile holds a few rows of thousands
+    # of events
+    lim = JumpParams(lam_left=rates[0], lam_right=rates[1], u_halfwidth=halfwidth)
+    _assert_tiles_match_per_draw_loop(lim, RngStream(6, 0))
+
+
+def test_jump_draws_do_not_depend_on_tiles_or_blocks(monkeypatch):
+    lim = JumpParams(lam_left=2.5, lam_right=4.5, u_halfwidth=60.0)
+    want = sample_limit_batch(lim, RngStream(8, 0), ["mle", "bayes"], 300)
+    for pairs, block in ((1, 7), (500, 64), (10 ** 7, 300)):
+        monkeypatch.setattr(intensity, "_BLOCK_PAIRS", pairs)  # 1: one row per tile
+        monkeypatch.setattr(limits, "_JUMP_BLOCK", block)
+        got = sample_limit_batch(lim, RngStream(8, 0), ["mle", "bayes"], 300)
+        assert np.array_equal(got, want), (pairs, block)
+
+
+@pytest.mark.parametrize("rates", [(2.5, 4.5), (4.5, 2.5), (3.0, 3.0), (1.0, 2.0)])
+def test_jump_bayes_peak_is_the_mle_best_value(rates):
+    # the m that bayes takes its exponents against, per draw the largest of
+    # log Z at the segment ends, is the mle's best value bit for bit
+    lam_left, lam_right = rates
+    u_max, log_ratio, drift = 30.0, math.log(lam_right / lam_left), lam_right - lam_left
+    rng = np.random.default_rng(17)
+    sides = [(np.sort(rng.uniform(0.0, u_max, rng.poisson(lam_left * u_max))),
+              np.sort(rng.uniform(0.0, u_max, rng.poisson(lam_right * u_max))))
+             for _ in range(400)]
+    sides[0] = (np.empty(0), np.empty(0))  # no event on either side
+    block = _JumpBlock(np.concatenate([t for pair in sides for t in pair]),
+                       np.array([[tp.size, tm.size] for tp, tm in sides]),
+                       log_ratio, drift, u_max)
+    peaks = [max(_jump_seg_peak(np.concatenate([[0.0], tp, [u_max]]),
+                                log_ratio * np.arange(tp.size + 1), drift),
+                 _jump_seg_peak(np.concatenate([[0.0], tm, [u_max]]),
+                                -log_ratio * np.arange(tm.size + 1), -drift))
+             for tp, tm in sides]
+    assert np.array_equal(block.best[1], peaks)
+
+
 @pytest.mark.parametrize("rates", [(2.5, 4.5), (4.5, 2.5), (3.0, 3.0)])
 def test_jump_sampler_matches_per_draw_loop_few_events(rates):
-    # a half-width of 0.4 leaves many sides with no event (count-0 groups);
+    # a half-width of 0.4 leaves many sides with no event (tiles of count 0);
     # equal rates take the zero-drift branch of the segment integrals
     lim = JumpParams(lam_left=rates[0], lam_right=rates[1], u_halfwidth=0.4)
-    for which in ("mle", "bayes"):
-        got = sample_limit_batch(lim, RngStream(2, 0), which, _JUMP_BLOCK + 1)
-        ref = _jump_reference(lim, RngStream(2, 0), which, _JUMP_BLOCK + 1)
-        assert np.array_equal(got, ref), which
+    _assert_tiles_match_per_draw_loop(lim, RngStream(2, 0))
 
 
 @pytest.mark.parametrize("rates", [(1.0, 2.0), (2.0, 1.0)])
@@ -369,7 +421,7 @@ def test_jump_sampler_against_dense_oracle():
     for _ in range(25):
         tp = np.sort(rng.uniform(0, 30.0, rng.poisson(2.5 * 30)))
         tm = np.sort(rng.uniform(0, 30.0, rng.poisson(4.5 * 30)))
-        u_mle = _jump_one(_jump_mle, tp, tm, log_ratio, drift, 30.0)
+        u_mle = _jump_one("mle", tp, tm, log_ratio, drift, 30.0)
 
         def log_z(u):
             u = np.asarray(u, dtype=float)
@@ -384,7 +436,7 @@ def test_jump_sampler_against_dense_oracle():
         attained = max(log_z(u_mle - eps), log_z(u_mle), log_z(u_mle + eps))
         assert attained >= vals.max() - 1e-6
 
-        u_bayes = _jump_one(_jump_bayes, tp, tm, log_ratio, drift, 30.0)
+        u_bayes = _jump_one("bayes", tp, tm, log_ratio, drift, 30.0)
         grid = np.linspace(-30, 30, 600_001)
         lz = log_z(grid)
         w = np.exp(lz - lz.max())
@@ -471,14 +523,32 @@ def test_fbm_covariance_matches_formula(hurst):
 def test_fbm_draws_do_not_depend_on_chunk(monkeypatch):
     grid = np.linspace(-20.0, 20.0, 2001)
     draws = []
-    for chunk in (1, 7, limits._FBM_CHUNK):
-        monkeypatch.setattr(limits, "_FBM_CHUNK", chunk)
+    for chunk in (1, 7, limits._fbm_chunk_rows(grid.size - 1)):
+        monkeypatch.setattr(limits, "_fbm_chunk_rows", lambda n, chunk=chunk: chunk)
         draws.append(limits._fbm_batch(0.75, grid, RngStream(30, 0).generator(), 300))
     monkeypatch.undo()
     assert np.array_equal(draws[0], draws[1]) and np.array_equal(draws[0], draws[2])
     lim = CuspParams(kappa=0.25, gamma_sq=1.0)
     mle = [sample_limit_batch(lim, RngStream(30, 1), "mle", size) for size in (1, 300)]
     assert mle[0][0] == mle[1][0]
+
+
+def test_fbm_chunk_rows_follow_the_byte_budget(monkeypatch):
+    # a path's buffers take 7n + 3 doubles; whole groups of 16 paths, 16 to 128
+    assert [limits._fbm_chunk_rows(n) for n in (2, 400, 2000, 4000)] == [128, 128, 32, 16]
+    for n in (400, 2000, 4000):
+        rows = limits._fbm_chunk_rows(n)
+        assert rows % 16 == 0
+        assert rows == 128 or rows * 8 * (7 * n + 3) <= limits._FBM_CHUNK_BYTES
+    # the cusp draw sizes of the benchmark and of the entry point's defaults give
+    # the same bayes draws as chunks of 128 paths
+    lim = CuspParams(kappa=0.25, gamma_sq=1.5)
+    for size in (200, 1000, 8000):
+        got = sample_limit_batch(lim, RngStream(35, 0), ("mle", "bayes"), size)
+        monkeypatch.setattr(limits, "_fbm_chunk_rows", lambda n: 128)
+        want = sample_limit_batch(lim, RngStream(35, 0), ("mle", "bayes"), size)
+        monkeypatch.undo()
+        assert np.array_equal(got, want), size
 
 
 def _fbm_reference(hurst, grid, g, size):
@@ -538,7 +608,7 @@ def test_cusp_draws_match_dense_product():
     lim = limit_params("cusp", pl.make_model("CUSP"), 0.5)
     u = np.linspace(-lim.grid_halfwidth, lim.grid_halfwidth, lim.grid_points)
     pen = np.abs(u) ** (2.0 * lim.hurst) * lim.gamma_sq / 2.0
-    for size in (1, 2 * limits._FBM_CHUNK + 1):  # across two chunk boundaries
+    for size in (1, 2 * limits._fbm_chunk_rows(lim.grid_points - 1) + 1):  # two chunk ends
         log_z = _fbm_reference(lim.hurst, u, RngStream(33, size).generator(), size)
         log_z = log_z * math.sqrt(lim.gamma_sq) - pen
         got = sample_limit_batch(lim, RngStream(33, size), ("mle", "bayes"), size)
