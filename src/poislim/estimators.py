@@ -182,9 +182,10 @@ def mle(model: IntensityModel, sample: Sample, settings: EstimatorSettings | Non
     curve only kinks, the sides come with per-segment caps
     (``LikelihoodEvaluator.caps``), and a grid point is evaluated only where
     its segment's cap does not rule it out (``_may_win``).  Where it jumps
-    and the family declares ``event_term_slope``, a grid point inside a
-    segment takes its sum from the segment's end rows, and the search costs
-    2B (+2, the edge row) event sums of N terms.  Ties break toward the
+    and the family declares ``event_term_slope``, every candidate, both
+    sides of each breakpoint included, reads the evaluator's table of
+    prefix sums at O(P) cost, after K(P + 1) passes over the N events to
+    build it (``likelihood._SumTable``).  Ties break toward the
     smaller theta; at sample-dependent discontinuities both one-sided limits
     compete for the sup.
     Zoom rounds then refine cusp-type likelihoods, and golden-section and score
@@ -364,9 +365,9 @@ def bayes(model: IntensityModel, sample: Sample, settings: EstimatorSettings | N
     built at once, and each distinct (theta, side) is evaluated once: the two
     nodes of a sample breakpoint take ``ev.sides``, and the two nodes of a
     declared kink share one side-0 value.  Where the family declares
-    ``event_term_slope`` every other node takes its event sum from its
-    segment's end rows, so the nodes cost 2B (+2, the edge row) event sums of
-    N terms in all, shared with ``mle``, against one per node otherwise.
+    ``event_term_slope`` every node reads the evaluator's table of prefix
+    sums, built once and shared with ``mle``, at O(P) cost, against an event
+    sum of N terms per node otherwise.
     Log-likelihood values are max-subtracted before exponentiation; each
     segment is summed as np.sum sums it, and the segment sums are added in
     order.  ``evaluator`` is as in ``mle``.

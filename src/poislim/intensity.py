@@ -84,10 +84,11 @@ class IntensityModel:
     ``event_sums_are_closed_form`` says whether ``event_log_sums`` costs a few
     operations per theta (a sufficient statistic) rather than one per event;
     ``event_sum_rounding`` bounds the rounding of the event sums, which the
-    segment caps of a family whose curve only kinks read, and so do the
-    anchors of a nonzero ``event_term_slope``; ``event_term_slope`` is not
+    segment caps of a family whose curve only kinks read, and so does the
+    series of a nonzero ``event_term_slope``; ``event_term_slope`` is not
     None where every term is the log of an affine function of theta of one
-    slope on each segment, whose end rows then give every event sum inside.
+    slope on each side of its one breakpoint (``event_branches``), so that
+    one table of prefix sums gives every event sum.
     Construction runs a positivity/bound grid scan.
     """
 
@@ -139,23 +140,33 @@ class IntensityModel:
         whose curve only kinks, which it returns R for only if every term log
         lambda(theta, t_i) is monotone in theta on each such segment (R then
         also bounds how far a segment's computed cap lies from its exact
-        value, up to one constant on each segment), and the anchors of a
+        value, up to one constant on each segment), and the series of a
         nonzero ``event_term_slope``.  None, the default, states no bound.
         """
         return None
 
     def event_term_slope(self):
-        """The slope s that every lambda(theta, t_i) has in theta on each open
-        segment between consecutive ``event_theta_breakpoints``, or None.
+        """The slope s in theta of both branches of every event's intensity
+        (``event_branches``), or None.
 
         A family declares s != 0 only where it states ``event_sum_rounding``
         R and a computed intensity lies within relative R/(2N) of exact on N
-        events; s = 0 needs no R.  The event sum at a + delta inside a segment
-        is then S(a+) + sum_p (-1)^(p+1) M_p delta^p / p, M_p = sum_i
-        (s/lambda_i(a+))^p, which ``LikelihoodEvaluator`` reads off the rows
-        of the segment's end sums.  None, the default, declares no slope.
+        events; s = 0 needs no R.  ``LikelihoodEvaluator`` then takes every
+        event sum from one table of prefix sums over the events in breakpoint
+        order, with a series in theta - a about each of its anchors a where
+        s != 0.  None, the default, declares no slope.
         """
         return None
+
+    def event_branches(self, theta, events):
+        """(b, before, after) of a family that declares ``event_term_slope``:
+        each event's theta-breakpoint b_i, computed as the side test of
+        ``_value`` computes it, and its intensity at ``theta`` on the branch
+        that holds for theta < b_i and on the one for theta > b_i, each
+        extended past b_i.  Each is the float ``_value`` returns on its own
+        side of b_i (and the same expression off it), so both carry the
+        rounding of ``value``."""
+        raise NotImplementedError
 
     # ---- shared surface ----------------------------------------------------
 
@@ -181,10 +192,9 @@ class IntensityModel:
         on every block (a 1M-pair block would fault in about 50 MB each
         time); they also fit in L2.  Every row is summed whole, so the values
         do not depend on the block size.  ``rows``, if given, is called with
-        each block's (thetas x events) arrays of log terms and of intensities
-        (which it may overwrite), in order, before the block is summed.  Families with a closed-form
-        sufficient statistic override this (same values up to rounding, and
-        no ``rows``).
+        each block's (thetas x events) array of log terms, in order, before
+        the block is summed.  Families with a closed-form sufficient statistic
+        override this (same values up to rounding, and no ``rows``).
         """
         thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
         events = np.asarray(events, dtype=float)
@@ -193,13 +203,11 @@ class IntensityModel:
         out = np.empty(thetas.shape)
         step = max(1, _BLOCK_PAIRS // events.size)
         for lo in range(0, thetas.size, step):
-            lam = self.value(thetas[lo:lo + step, None], events[None, :], theta_side)
-            with np.errstate(divide="ignore"):
-                terms = np.log(lam)  # ``log_value``, keeping the intensities
+            terms = self.log_value(thetas[lo:lo + step, None], events[None, :], theta_side)
             if rows is not None:
-                rows(terms, lam)
+                rows(terms)
             out[lo:lo + step] = terms.sum(axis=1)
-            del terms, lam  # freed before the next block, so the heap reuses them
+            del terms  # freed before the next block, so the heap reuses them
         return out
 
     def dtheta(self, theta, t, order, side=None):
@@ -542,6 +550,12 @@ class JumpShiftModel(IntensityModel):
         cross = np.clip(self.s_star - th, lo, hi)
         return smooth + self.r * (hi - cross)
 
+    @property
+    def _lam_min(self):
+        iv = self.theta_interval
+        return min(self.c0 + self.c1 * iv.alpha,
+                   self.c0 + self.c1 * (self.horizon + iv.beta)) + min(self.r, 0.0)
+
     def event_sum_rounding(self, n_events):
         """None where lam_min = min(c0 + c1*alpha, c0 + c1*(T + beta)) + min(r, 0),
         the least intensity over Theta x [0, T], is not positive by more than
@@ -552,9 +566,7 @@ class JumpShiftModel(IntensityModel):
         within 4u*C of exact, and its log within 8u*(Lambda + C/lam_min)
         (Lambda = max|log lambda|).
         """
-        iv = self.theta_interval
-        lam_min = min(self.c0 + self.c1 * iv.alpha,
-                      self.c0 + self.c1 * (self.horizon + iv.beta)) + min(self.r, 0.0)
+        iv, lam_min = self.theta_interval, self._lam_min
         y = self.horizon + max(abs(iv.alpha), abs(iv.beta))
         coeff = abs(self.c0) + abs(self.c1) * y + abs(self.r)
         if not lam_min > 64.0 * _U * coeff:
@@ -563,9 +575,18 @@ class JumpShiftModel(IntensityModel):
         return _event_sum_rounding(n_events, log_max, coeff / lam_min)
 
     def event_term_slope(self):
-        """c1 where ``event_sum_rounding`` states R: a computed intensity is
-        then within relative 4u*C/lam_min <= R/(2N) of exact."""
-        return self.c1 if self.event_sum_rounding(1) is not None else None
+        """c1 where ``event_sum_rounding`` states R (a computed intensity is
+        then within relative 4u*C/lam_min <= R/(2N) of exact) and
+        |c1|*|Theta| <= 16*lam_min, which keeps the table to about 64
+        anchors."""
+        if self.event_sum_rounding(1) is None:
+            return None
+        return self.c1 if abs(self.c1) * self.theta_interval.width <= 16.0 * self._lam_min else None
+
+    def event_branches(self, theta, events):
+        t = np.asarray(events, dtype=float)
+        before = self.c0 + self.c1 * (t + theta)
+        return self.s_star - t, before, before + self.r
 
 
 @dataclass(frozen=True)
@@ -602,6 +623,10 @@ class ChangePointModel(_BreakAtTheta):
     def event_term_slope(self):
         """0: the terms are constant in theta on a segment."""
         return 0.0
+
+    def event_branches(self, theta, events):
+        t = np.asarray(events, dtype=float)
+        return t, np.full(t.shape, float(self.g2)), np.full(t.shape, float(self.g1))
 
 
 @dataclass(frozen=True)
@@ -693,6 +718,11 @@ class SuffWinLinearModel(_BreakAtTheta):
 
     def event_term_slope(self):
         return 0.0
+
+    def event_branches(self, theta, events):
+        t = np.asarray(events, dtype=float)
+        ramp = 2.0 * self.a * t
+        return t, ramp + self.b, ramp
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ exponentiated only at the API boundary.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -49,9 +50,8 @@ class LikelihoodEvaluator:
         for lo, hi in self.intervals:
             inside |= (events >= lo) & (events <= hi)
         self.events = events[inside]
-        self._slope = model.event_term_slope() if self.events.size else None
-        # while ``_limits`` or ``caps`` evaluates: takes each block of event log
-        # terms and intensities (the ``rows`` of ``event_log_sums``)
+        # while ``caps`` evaluates: takes each block of event log terms (the
+        # ``rows`` of ``event_log_sums``)
         self._rows = None
 
     @cached_property
@@ -75,7 +75,7 @@ class LikelihoodEvaluator:
         """Caps on the event sum of log L over the segments that ``breaks``
         cut Theta into, where the curve only kinks and the family states
         ``event_sum_rounding``; None elsewhere (a jump family's segments take
-        their sums from the anchors of ``event_sums`` instead).
+        their sums from the table of ``event_sums`` instead).
 
         Entry k caps the segment that ends at breaks[k] (k = 0 starts at
         Theta's lower edge, k = B ends at its upper edge): the sum over the
@@ -90,7 +90,7 @@ class LikelihoodEvaluator:
             return None
         inner, first, last = bounds
         rows = []
-        self._rows = lambda terms, _: rows.append(terms)
+        self._rows = rows.append
         try:
             self.event_sums(self._edges)
         finally:
@@ -105,40 +105,32 @@ class LikelihoodEvaluator:
         return np.array([iv.alpha, iv.beta])
 
     @cached_property
-    def _plain_edges(self) -> np.ndarray:
-        """Whether alpha and beta are not themselves event breakpoints: there
-        the two one-sided intensities of every event agree, so the edge row
-        may anchor its outer segment."""
-        at = self._edges[:, None]
-        return np.all(self.model.value(at, self.events, -1) == self.model.value(at, self.events, 1),
-                      axis=1)
-
-    @cached_property
     def _limits(self):
-        """(left, right, bounds, anchors) of ``sides``, ``caps`` and
-        ``event_sums``.
+        """(left, right, bounds) of ``sides`` and ``caps``.
 
-        On a jump family ``bounds`` is None, and ``anchors`` (``_Anchors``)
-        is None where the family declares no ``event_term_slope``.  Where the
-        curve only kinks ``anchors`` is None and the terms move both ways on a
-        segment: where the family states ``event_sum_rounding`` the one side-0
-        call streams its terms block by block as ``event_log_sums`` computes
-        them (``_rows``), and each segment sums the maxima of two consecutive
-        rows, at no log evaluation of its own.  ``bounds`` is then (the caps
-        of the B - 1 segments between breakpoints, the row at the first
-        breakpoint, the row at the last), else None.
+        On a jump family ``bounds`` is None and the sides are one
+        ``event_sums`` call per side.  Where the curve only kinks the terms
+        move both ways on a segment: where the family states
+        ``event_sum_rounding`` the one side-0 call streams its terms block by
+        block as ``event_log_sums`` computes them (``_rows``), and each
+        segment sums the maxima of two consecutive rows, at no log evaluation
+        of its own.  ``bounds`` is then (the caps of the B - 1 segments
+        between breakpoints, the row at the first breakpoint, the row at the
+        last), else None.
         """
         br, model = self.breaks, self.model
         if not br.size:
-            return br, br, None, None
+            return br, br, None
         if model.event_breakpoints_are_jumps:
-            return self._jump_limits(br)
+            integral = self.integral_terms(br)
+            return (_log_l(self.event_sums(br, -1), integral),
+                    _log_l(self.event_sums(br, 1), integral), None)
         capped = model.event_sum_rounding(self.events.size) is not None
         inner = np.empty(br.size - 1)
         first = last = None
         at = 0
 
-        def pair(terms, _):
+        def pair(terms):
             # a segment runs from one row to the next and takes the sum of
             # their maxima
             nonlocal first, last, at
@@ -155,42 +147,14 @@ class LikelihoodEvaluator:
             both = self.values(br)
         finally:
             self._rows = None
-        return both, both, (inner, first, last) if capped else None, None
+        return both, both, (inner, first, last) if capped else None
 
-    def _jump_limits(self, br):
-        """``_limits`` of a jump family: one ``event_sums`` call per side over
-        the breakpoints and, where the family declares a slope, one side-0 row
-        at alpha and beta (the edge row), which anchors the two outer
-        segments."""
-        slope, n_events = self._slope, self.events.size
-        edges = np.concatenate([self._edges[:1], br, self._edges[1:]])
-        anchors = None
-        if slope is not None:
-            # row order: the sums from the left at br (each the right end of
-            # segment k), from the right (the left end of segment k + 1), then
-            # the edge row at alpha and beta; each serves half its segment
-            half = 0.5 * np.diff(edges)
-            anchors = _Anchors(slope, np.concatenate([half[:-1], half[1:], half[[0, -1]]]),
-                               self.model.event_sum_rounding(n_events), n_events)
-        # where s = 0 the end sums alone are the anchors
-        self._rows = anchors if slope else None
-        try:
-            from_left, from_right = self.event_sums(br, -1), self.event_sums(br, 1)
-            if slope is not None:
-                at_edges = self._direct(self._edges)
-        finally:
-            self._rows = None
-        integral = self.integral_terms(br)
-        if slope is not None:
-            b = br.size
-            # segment k's left anchor: alpha, then the sums from the right; its
-            # right anchor: the sums from the left, then beta
-            order = np.concatenate([[2 * b], np.arange(b, 2 * b), np.arange(b), [2 * b + 1]])
-            sums = np.concatenate([from_left, from_right, at_edges])
-            usable = np.ones(sums.size, dtype=bool)
-            usable[2 * b:] = self._plain_edges
-            anchors.finish(edges, sums, usable, order)
-        return _log_l(from_left, integral), _log_l(from_right, integral), None, anchors
+    @cached_property
+    def _table(self):
+        """The ``_SumTable`` of a family that declares ``event_term_slope``,
+        else None; built on the first ``event_sums`` call."""
+        slope = self.model.event_term_slope() if self.events.size else None
+        return None if slope is None else _SumTable(self.model, self.events, slope)
 
     def integral_terms(self, thetas) -> np.ndarray:
         """-n * (integral of lambda(theta, .) - 1 over the window): log L less its
@@ -202,21 +166,18 @@ class LikelihoodEvaluator:
         """sum_i log lambda(theta, t_i) over the window's events: log L less its
         integral terms.
 
-        Where the family declares ``event_term_slope``, a side-0 theta
-        strictly inside a segment between breakpoints (or on an edge of Theta
-        that is no event's breakpoint) takes the sum from the anchors of its
-        segment's nearer end (``_Anchors``) wherever their truncation bound
-        allows; every other theta is evaluated directly.
+        Where the family declares ``event_term_slope`` a theta in Theta takes
+        its sum, on any side, from the evaluator's ``_SumTable`` at O(P) cost;
+        a side-0 theta on an event's breakpoint, a theta outside Theta and
+        every theta of any other family take a direct sum of N terms.
         """
         thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-        if theta_side or self._slope is None:
+        table = self._table
+        if table is None:
             return self._direct(thetas, theta_side)
-        anchors = self._limits[3]
-        if anchors is None:
-            return self._direct(thetas)
-        out, served = anchors.sums(thetas)
-        if not served.all():
-            out[~served] = self._direct(thetas[~served])
+        out, direct = table.sums(thetas, theta_side)
+        if direct.any():
+            out[direct] = self._direct(thetas[direct], theta_side)
         return out
 
     def _direct(self, thetas, theta_side=0) -> np.ndarray:
@@ -231,148 +192,113 @@ class LikelihoodEvaluator:
         return float(self.values(np.array([float(theta)]), theta_side)[0])
 
 
-# the highest order P of an anchor's series.  An anchor of order P costs about
-# 2P + 2 passes over the events' intensities (a division, the least, the
-# powers and their sums), against about ten per theta (intensity, log, sum)
-# for the two or three thetas per half segment that ``bayes`` asks for; past
-# order 8 the series costs more
-_MAX_ORDER = 8
+# the largest x = |s|*h/m of a ``_SumTable``'s series (h the farthest a theta
+# lies from its anchor, m the least branch intensity); its order P then stays
+# at or below 16
+_MAX_X = 0.125
 
 
-def _order_limits():
-    """x_P, P = 1.._MAX_ORDER: the largest x whose tail bound after order P is
-    at most N*u, i.e. x^(P+1) <= u*(P+1)*(1-x) (a fixed-point iteration from
-    below)."""
-    limits = []
-    for p in range(1, _MAX_ORDER + 1):
-        x = 0.0
-        for _ in range(60):
-            x = (_U * (p + 1) * (1.0 - x)) ** (1.0 / (p + 1))
-        limits.append(x)
-    return np.array(limits)
+def _split_sums(after, before):
+    """Entry j, j = 0..N: the sum of after[:j] plus the sum of before[j:], each
+    a running sum (the second from the far end), so that no entry subtracts
+    one sum from another and a -inf term never meets a +inf."""
+    head = np.concatenate([[0.0], np.cumsum(after)])
+    tail = np.concatenate([np.cumsum(before[::-1])[::-1], [0.0]])
+    return head + tail
 
 
-_ORDER_LIMITS = _order_limits()
+class _SumTable:
+    """Every event sum of an evaluator whose family declares
+    ``event_term_slope`` s, from prefix sums in breakpoint order.
 
+    Each event has one theta-breakpoint b_i, and its intensity is affine in
+    theta with slope s on the branch before b_i and on the one after it
+    (``event_branches``).  With the N events sorted by b_i, the sum at theta
+    on side -1 takes the after-branch of the first j = #{b_i < theta} events
+    and the before-branch of the rest; side +1 takes j = #{b_i <= theta}, and
+    so does side 0 off every breakpoint.  A side-0 theta on one is left to a
+    direct sum, and so is a theta outside Theta.
 
-def _ratio(slope, delta, low, rounding, n_events):
-    """|s*delta|/m, m read down by the relative error R/(2N) that a computed
-    intensity may carry, so that it bounds the exact |s*delta/lambda_i|."""
-    return np.abs(slope) * np.abs(delta) / (low * (1.0 - 0.5 * rounding / n_events))
+    Theta is cut into K equal cells of width 2h, each with its anchor a at the
+    middle.  With y_i = s/lambda_i(a) on the branch that the event takes,
+    log lambda_i(a + delta) = log lambda_i(a) + sum_p (-1)^(p+1) (y_i delta)^p/p,
+    so the sum at theta = a + delta is
+        L[j] + sum_{p=1..P} c_p[j] delta^p  (Horner's rule in delta),
+    where L[j] is the sum of log lambda_i(a) and c_p[j] = (-1)^(p+1)/p times the
+    sum of y_i^p, each over the after-branches of the first j events and the
+    before-branches of the rest (``_split_sums``).
 
-
-class _Anchors:
-    """The event sums at the two ends of every segment between breakpoints,
-    each with its series in delta, the distance from that end.
-
-    Segment k runs from edges[k] to edges[k + 1]; its anchors are the sum
-    from the right at its left end and from the left at its right end (the
-    side-0 sums at alpha and beta on the outer segments).  On a segment every
-    term is log(lambda_i(a+) + s*delta) = log lambda_i(a+) + log(1 + y_i*delta),
-    y_i = s/lambda_i(a+), so the sum at a + delta is S(a+) + sum_p (-1)^(p+1)
-    M_p delta^p/p with M_p = sum_i y_i^p.  A theta takes the nearer end's
-    series (the left end on a tie) where its own x = |s*delta|/m <= 1/2 and
-    the tail T after the anchor's order is at most R; where s = 0 the sum is
-    the anchor's sum itself.
-
-    As the ``_rows`` hook of a jump family's ``_limits`` it reads the M_p of
-    each end row off its intensities.  Row j ends a segment of half-width
-    h_j, the farthest that a theta it serves lies from it.  With m_j the
-    row's least intensity, x_j = |s|*h_j/m_j bounds |s*delta/lambda_i| over
-    the row's N events, and the tail of the series after order P is at most
-    T = N*x^(P+1)/((P+1)*(1-x)).  The row's order P_j is the least P with
-    T <= N*u at x_j (as small as one rounding per event), at most
-    ``_MAX_ORDER``.  A block of rows computes the powers up to its highest
-    order; ``finish`` keeps each row's own.
-
-    ``error`` bounds, to first order in the unit roundoff u, how far a
-    served sum lies from the exact one beyond the anchor's own rounding R:
-    the tail, T <= R; the rounding of the series, whose terms add up to at
-    most N*x/(1-x) <= N in magnitude and carry a relative error of
-    p*R/(2N) from the intensities (``event_term_slope``) and (N + 5P)u from
-    the powers, the sums over the events, the division by p and Horner's
-    rule, doubled for the higher orders: R + 2N(N + 5P)u; and the final
-    addition, u*(|S(a+)| + 2N).  Where s = 0 it is 0.
+    K is the least with |s|*h/m <= ``_MAX_X``, m the least branch intensity at
+    alpha and beta (an affine branch takes its least value over Theta at an
+    edge).  P is the least order whose tail N*x^(P+1)/((P+1)*(1-x)) is at
+    most N*u (u the unit roundoff), for x = |s|*h/m_a at the anchor with the
+    largest one, m_a the anchor's least branch intensity.  Both m are read
+    down by the relative error R/(2N) of a computed intensity.  Where s = 0
+    the sum is L[j] and no power is built (lambda = 0 would give 0/0).
+    README ("Event sums from breakpoint-ordered prefix sums") bounds how far
+    a sum lies from the exact one.
     """
 
-    def __init__(self, slope, halves, rounding, n_events):
-        self.slope, self.halves, self.rounding, self.n_events = slope, halves, rounding, n_events
-        self.coeff = np.zeros((_MAX_ORDER, halves.size))
-        self.low = np.full(halves.size, np.inf)
-        self.order = np.zeros(halves.size, dtype=int)
-        self.at = 0
+    def __init__(self, model, events, slope):
+        iv = model.theta_interval
+        b = model.event_branches(iv.alpha, events)[0]
+        order = np.argsort(b, kind="stable")
+        self.breaks, events = b[order], events[order]
+        self.alpha, self.beta = iv.alpha, iv.beta
+        n = events.size
+        count, shrink = 1, 1.0
+        if slope:
+            shrink = 1.0 - 0.5 * model.event_sum_rounding(n) / n
+            low = shrink * min(float(lam.min()) for th in (iv.alpha, iv.beta)
+                               for lam in model.event_branches(th, events)[1:])
+            count = max(1, math.ceil(abs(slope) * iv.width / (2.0 * _MAX_X * low)))
+        self.step = iv.width / count
+        self.anchors = iv.alpha + (np.arange(count) + 0.5) * self.step
+        rows = [model.event_branches(a, events)[1:] for a in self.anchors]
+        x = max(0.5 * abs(slope) * self.step / (shrink * min(before.min(), after.min()))
+                for before, after in rows) if slope else 0.0
+        self.order = 0
+        while x ** (self.order + 1) > _U * (self.order + 1) * (1.0 - x):
+            self.order += 1
+        sums = np.empty((count, n + 1))
+        coeff = np.empty((self.order, count, n + 1))
+        for k, (before, after) in enumerate(rows):
+            with np.errstate(divide="ignore"):
+                sums[k] = _split_sums(np.log(after), np.log(before))
+            if self.order:
+                y_after, y_before = slope / after, slope / before
+                power_after, power_before = y_after, y_before
+                for p in range(1, self.order + 1):
+                    if p > 1:
+                        power_after, power_before = power_after * y_after, power_before * y_before
+                    coeff[p - 1, k] = _split_sums(power_after, power_before) / (p if p % 2 else -p)
+        self.logs, self.coeff = sums.ravel(), coeff.reshape(self.order, sums.size)
 
-    def __call__(self, terms, lam):
-        rows = slice(self.at, self.at + len(lam))
-        self.at += len(lam)
-        low = lam.min(axis=1, out=self.low[rows])
-        x = _ratio(self.slope, self.halves[rows], low, self.rounding, self.n_events)
-        order = np.minimum(np.searchsorted(_ORDER_LIMITS, x) + 1, _MAX_ORDER)
-        self.order[rows] = order
-        # the intensities are not read again once the block's terms are taken
-        y = np.divide(self.slope, lam, out=lam)
-        power = y
-        for p in range(int(order.max())):
-            if p:
-                power = power * y if p == 1 else np.multiply(power, y, out=power)
-            power.sum(axis=1, out=self.coeff[p, rows])
+    def locate(self, thetas, theta_side):
+        """(k, j, direct): each theta's anchor, its entry j in the anchor's row,
+        and whether the table leaves it to a direct sum."""
+        lo = np.searchsorted(self.breaks, thetas, "left")
+        hi = np.searchsorted(self.breaks, thetas, "right")
+        inside = (thetas >= self.alpha) & (thetas <= self.beta)
+        direct = ~inside | (lo != hi) if theta_side == 0 else ~inside
+        cell = (np.where(inside, thetas, self.alpha) - self.alpha) / self.step
+        k = np.minimum(cell.astype(int), self.anchors.size - 1)
+        return k, lo if theta_side < 0 else hi, direct
 
-    def finish(self, edges, sums, usable, order):
-        """Puts the rows in anchor order (left ends, then right ends) by the
-        permutation ``order`` from anchor order to row order, with their
-        ``sums`` and whether each is ``usable``."""
-        p = np.arange(1, _MAX_ORDER + 1)[:, None]
-        top = int(self.order.max()) if self.slope else 0
-        # coeff[p - 1]: Horner's coefficient (-1)^(p+1) M_p/p of every anchor, 0
-        # past the anchor's order
-        coeff = np.where(p <= self.order, self.coeff / np.where(p % 2, p, -p), 0.0)
-        self.coeff, self.order, self.low = coeff[:top, order], self.order[order], self.low[order]
-        self.edges, self.anchor_sums, self.usable = edges, sums[order], usable[order]
-        self.error = 0.0
-        if self.slope:
-            finite = np.abs(sums[np.isfinite(sums)])
-            self.error = (2.0 * self.rounding + 2.0 * self.n_events * (self.n_events + 5 * top + 1)
-                          * _U + _U * float(finite.max(initial=0.0)))
-        return self
-
-    def route(self, thetas):
-        """(j, delta, served) of ``thetas``: the index of each one's anchor,
-        its distance delta from it, and whether the series serves it."""
-        edges = self.edges
-        segments = edges.size - 1
-        k = np.clip(np.searchsorted(edges, thetas) - 1, 0, segments - 1)
-        from_left, from_right = thetas - edges[k], thetas - edges[k + 1]
-        # in Theta and on no breakpoint (those are evaluated directly)
-        inside = (from_left >= 0.0) & (from_right <= 0.0)
-        inside &= (from_right < 0.0) | (k == segments - 1)
-        near_left = from_left <= -from_right
-        j = np.where(near_left, k, segments + k)
-        delta = np.where(near_left, from_left, from_right)
-        served = inside & self.usable[j]
-        if self.slope:
-            # x <= 1/2 and the tail bound N*x^(P+1)/((P+1)*(1-x)) <= R of the
-            # anchor's order P
-            x = np.minimum(_ratio(self.slope, delta, self.low[j], self.rounding, self.n_events),
-                           1.0)
-            power = self.order[j] + 1
-            served &= (x <= 0.5) & (self.n_events * x ** power <= self.rounding * power * (1.0 - x))
-        return j, delta, served
-
-    def sums(self, thetas):
-        """(event sums, served): the anchors' sums at ``thetas`` where served."""
-        j, delta, served = self.route(thetas)
-        j, delta = j[served], delta[served]
-        sums = self.anchor_sums[j]
-        if len(self.coeff):
-            # Horner's rule in delta
-            series = self.coeff[-1][j]
+    def sums(self, thetas, theta_side):
+        """(event sums, direct): the table's sums at ``thetas`` and the mask of
+        those it leaves to a direct sum (their entries mean nothing)."""
+        k, j, direct = self.locate(thetas, theta_side)
+        at = k * (self.breaks.size + 1) + j
+        out = self.logs[at]
+        if self.order:
+            delta = np.where(direct, 0.0, thetas - self.anchors[k])
+            series = self.coeff[-1][at]
             for coeff in self.coeff[-2::-1]:
                 series *= delta
-                series += coeff[j]
-            sums = sums + series * delta
-        out = np.empty(thetas.shape)
-        out[served] = sums
-        return out, served
+                series += coeff[at]
+            out += series * delta
+        return out, direct
 
 
 def _log_l(event_sums, integral_terms):
@@ -410,8 +336,8 @@ def normalized_lr(model: IntensityModel, theta0: float, u: float, rate_exponent:
 
 
 def _direct_value(ev: LikelihoodEvaluator, theta: float, theta_side=0) -> float:
-    """log L at one theta from its direct event sum: the anchors that ``values``
-    serves a side-0 theta from cost 2B + 2 event sums to build, for one theta."""
+    """log L at one theta from its direct event sum: the table that ``values``
+    reads costs (P + 1) event passes per anchor to build, for one theta."""
     thetas = np.array([theta])
     return float(_log_l(ev._direct(thetas, theta_side), ev.integral_terms(thetas))[0])
 

@@ -380,7 +380,7 @@ _BOUNDED = {
     "JUMP_SHIFT": pl.make_model("JUMP_SHIFT"),
     "JUMP_SHIFT c1<0": pl.make_model("JUMP_SHIFT", {"c0": 3.0, "c1": -0.5}),
     "JUMP_SHIFT r<0": pl.make_model("JUMP_SHIFT", {"r": -1.0}),
-    # a small jump on a steep ramp: some thetas fall back to direct sums
+    # a small jump on a steep ramp: its table has two anchors
     "JUMP_SHIFT steep ramp": pl.make_model("JUMP_SHIFT", {"r": 0.05, "c1": 2.0}),
     "CHANGEPOINT": pl.make_model("CHANGEPOINT"),
     "SUFFWIN_LINEAR": pl.make_model("SUFFWIN_LINEAR"),
@@ -393,7 +393,7 @@ _ZOOMED = {"CUSP zoom": ("CUSP", EstimatorSettings(zoom_rounds=3))}
 @pytest.mark.parametrize("n", [20, 100, 400, 1600])
 def test_bounded_mle_equals_exhaustive_search(name, n, monkeypatch):
     # the per-segment caps of a kink family skip grid points, and a jump
-    # family's end-row anchors spare them their event sums of N terms, but
+    # family's table of prefix sums spares them their event sums of N terms, but
     # both return the exhaustive argmax and value bit for bit, zoom rounds
     # included
     family, settings = _ZOOMED.get(name, (name, DEFAULT))
@@ -474,8 +474,8 @@ def test_jump_shift_bound_falls_back_without_a_positive_floor(monkeypatch):
 
 
 def test_jump_families_state_no_caps():
-    # where log L jumps at the breakpoints the end-row anchors alone spare the
-    # grid its event sums; only a family whose curve kinks states caps
+    # where log L jumps at the breakpoints the table of prefix sums alone
+    # spares the grid its event sums; only a family whose curve kinks states caps
     models = [pl.make_model(cid) for cid in pl.CATALOG] + list(_BOUNDED.values())
     for model in models:
         s = simulate_sample((model, model.theta_interval.midpoint), 50, RngStream(14, 0))
@@ -526,7 +526,7 @@ def test_slope_bound_holds_inside_segments(name):
 def test_caps_do_not_depend_on_the_blocks(name, monkeypatch):
     # one row per event_log_sums block gives the same sides, caps and values on
     # the mle grid bit for bit; on a jump family (caps None) the values read
-    # the end-row anchors, whose power sums are taken block by block
+    # the table of prefix sums, which takes no block of event_log_sums
     model = _BOUNDED[name]
     s = simulate_sample((model, model.theta_interval.midpoint), 60, RngStream(13, 0))
     grid = curve_grid(model, DEFAULT.grid_size)

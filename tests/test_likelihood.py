@@ -91,8 +91,8 @@ def test_normalized_lr_contracts():
 
 
 def test_one_theta_likelihoods_take_direct_event_sums(monkeypatch):
-    # a one-theta call builds no end-row anchors (2B + 2 event sums of N terms
-    # on JUMP_SHIFT): one event_log_sums call of N pairs per theta
+    # a one-theta call builds no table of prefix sums ((P + 1) passes over the
+    # N events on JUMP_SHIFT): one event_log_sums call of N pairs per theta
     model = pl.make_model("JUMP_SHIFT")
     s = simulate_sample((model, 0.5), 400, RngStream(3, 0))
     n_events = sum(tr.events.size for tr in s.trajectories)
@@ -232,60 +232,146 @@ def test_grid_size_validation():
         likelihood_curve(c, s, 2)
 
 
-_SLOPED = {
+_TABLED = {
     "JUMP_SHIFT": pl.make_model("JUMP_SHIFT"),
     "JUMP_SHIFT c1<0": pl.make_model("JUMP_SHIFT", {"c0": 3.0, "c1": -0.5}),
     "JUMP_SHIFT r<0": pl.make_model("JUMP_SHIFT", {"r": -1.0}),
+    # a small jump on a steep ramp: two anchors
+    "JUMP_SHIFT steep ramp": pl.make_model("JUMP_SHIFT", {"r": 0.05, "c1": 2.0}),
+    "CHANGEPOINT": pl.make_model("CHANGEPOINT"),
+    "SUFFWIN_LINEAR": pl.make_model("SUFFWIN_LINEAR"),
 }
+_U = 2.0 ** -53
 
 
-def _anchor_of(ev, theta, j):
-    """(position, side) of the end row that anchor j of ``ev`` reads."""
-    iv = ev.model.theta_interval
-    edges = np.concatenate([[iv.alpha], ev.breaks, [iv.beta]])
-    segments = edges.size - 1
-    left = j < segments
-    k = j if left else j - segments
-    at = edges[k] if left else edges[k + 1]
-    on_edge = at in (iv.alpha, iv.beta)
-    return at, 0 if on_edge else (1 if left else -1)
+def _table_check(ev, thetas, side):
+    """Asserts the two bounds on the table's event sums at ``thetas``.
+
+    The whole sum lies within E of math.fsum of the row-loop terms, with
+    E = 2R + (N + 4)u*W + N*u + Q*(N + 5P + 5)*u + R*x/(2(1 - x)) where s != 0
+    (R the family's rounding, W the largest sum of |log lambda_i| at an
+    anchor, x the table's, Q = N*x/(1 - x)), and E = (N + 4)u*W where s = 0
+    (the terms are the same floats at every theta of a segment).  Its series
+    part, the sum less its entry L[j], lies within the tail after order P
+    plus the rounding of the series of the exact sum of
+    log1p(s*delta/lambda_i) over the intensities at the anchor: the sum over
+    the events of |z_i|^(P+1)/((P+1)(1 - |z_i|)), z_i = s*delta/lambda_i,
+    plus sum_p |c_p delta^p|*(N + 5p)*u for the coefficients, powers, running
+    sums and Horner's rule, plus u*|sum| for the last addition, plus
+    4u*sum|log1p(z_i)| + u*|reference| for the reference itself.
+    """
+    model, table, events = ev.model, ev._table, ev.events
+    slope, big_n, order = model.event_term_slope(), events.size, ev._table.order
+    events = events[np.argsort(model.event_branches(model.theta_interval.alpha, events)[0],
+                               kind="stable")]
+    rows = [model.event_branches(a, events)[1:] for a in table.anchors]
+    logs = [np.maximum(np.abs(np.log(before)), np.abs(np.log(after))) for before, after in rows]
+    big_w = max(float(w.sum()) for w in logs)
+    bound = (big_n + 4) * _U * big_w
+    if slope:
+        rounding = model.event_sum_rounding(big_n)
+        x = max(0.5 * abs(slope) * table.step / min(b.min(), a.min()) for b, a in rows)
+        q = big_n * x / (1.0 - x)
+        bound += (2.0 * rounding + big_n * _U + q * (big_n + 5 * order + 5) * _U
+                  + rounding * x / (2.0 * (1.0 - x)))
+    got = ev.event_sums(thetas, side)
+    k, j, direct = table.locate(thetas, side)
+    for theta, value, kk, jj, off in zip(thetas, got, k, j, direct):
+        terms = model.log_value(theta, ev.events, side)
+        assert abs(value - math.fsum(terms)) <= bound, (theta, side)
+        if off or not slope:
+            continue
+        before, after = rows[kk]
+        lam = np.concatenate([after[:jj], before[jj:]])
+        delta = theta - table.anchors[kk]
+        z = slope * delta / lam
+        exact = np.log1p(z)
+        reference = math.fsum(exact)
+        at = kk * (big_n + 1) + jj
+        series = value - table.logs[at]
+        p = np.arange(1, order + 1)
+        coeff = np.abs(table.coeff[:, at] * delta ** p)
+        tail = float(np.sum(np.abs(z) ** (order + 1) / ((order + 1) * (1.0 - np.abs(z)))))
+        slack = (tail + float(np.sum(coeff * (big_n + 5 * p))) * _U + _U * abs(value)
+                 + 4.0 * _U * float(np.abs(exact).sum()) + _U * abs(reference))
+        assert abs(series - reference) <= slack, (theta, side, order)
 
 
-@pytest.mark.parametrize("name", list(_SLOPED))
-@pytest.mark.parametrize("n", [20, 100, 400, 1600])
-def test_anchor_series_stays_within_its_bound(name, n):
-    # inside a segment the event sum comes from the nearer end's row and its
-    # series in delta.  It stays within 2R + E (E the anchors' error) of the
-    # row-loop sums, and its series part within the tail after the anchor's
-    # order (plus rounding) of the exact sum of log(1 + s*delta/lambda_i)
-    model = _SLOPED[name]
+@pytest.mark.parametrize("name", list(_TABLED))
+@pytest.mark.parametrize("n", [5, 20, 100, 400, 1600])
+def test_table_sums_stay_within_their_bounds(name, n):
+    # every grid point, breakpoint and random theta, on each side
+    model = _TABLED[name]
     iv = model.theta_interval
     s = simulate_sample((model, iv.midpoint), n, RngStream(31, n))
     ev = LikelihoodEvaluator(model, s)
-    big_n, rounding, slope = ev.events.size, model.event_sum_rounding(ev.events.size), model.c1
-    edges = np.concatenate([[iv.alpha], ev.breaks, [iv.beta]])
-    frac = np.array([0.01, 0.2, 0.45, 0.5, 0.55, 0.8, 0.99])
-    thetas = (edges[:-1, None] + frac[None, :] * np.diff(edges)[:, None]).ravel()
-    got = ev.event_sums(thetas)
-    rows = [float(model.log_value(th, ev.events).sum()) for th in thetas]
-    assert np.all(np.abs(got - rows) <= 2.0 * rounding + ev._limits[3].error), name
-    anchors = ev._limits[3]
-    j, delta, served = anchors.route(thetas)
-    assert served.all(), name
-    u = 2.0 ** -53
-    every = max(1, thetas.size // 280)
-    for th, jj, d, value in zip(*(x[::every] for x in (thetas, j, delta, got))):
-        at, side = _anchor_of(ev, th, jj)
-        lam = model.value(at, ev.events, side)
-        anchor_sum = float(model.event_log_sums([at], ev.events, side)[0])
-        exact = math.fsum(np.log1p(slope * d / lam))
-        order = int(anchors.order[jj])
-        x = abs(slope * d) / lam.min()
-        tail = big_n * x ** (order + 1) / ((order + 1) * (1.0 - x))
-        rounding_of_series = 2.0 * big_n * x / (1.0 - x) * (big_n + 5 * order) * u
-        bound = tail + rounding_of_series + u * abs(value) + 4.0 * u * big_n * x
-        assert abs((value - anchor_sum) - exact) <= bound, (name, th, order)
+    rng = np.random.default_rng(n)
+    thetas = np.concatenate([iv.grid(4001), ev.breaks, rng.uniform(iv.alpha, iv.beta, 200)])
+    # at most about 2M row terms a side against math.fsum
+    thetas = thetas[::max(1, thetas.size * ev.events.size // 2_000_000)]
+    for side in (-1, 0, 1):
+        _table_check(ev, thetas, side)
 
+
+def test_table_series_bound_is_tight_on_one_event():
+    # one event whose intensity is 1 + 1e-6 at alpha and grows by s*h/8 to the
+    # anchor: x = 1/9 there, the most that the anchor spacing allows, so the
+    # series needs order 15, and its last term (2.9u at alpha and beta) is
+    # more than the series part's bound leaves (about 1.7u)
+    model = pl.make_model("JUMP_SHIFT", {"c0": 1.000001 - 0.5 * 0.3, "c1": 0.5})
+    s = Sample.from_trajectories([Trajectory(np.array([0.05]), 1.0)], 1.0)
+    ev = LikelihoodEvaluator(model, s)
+    iv = model.theta_interval
+    assert ev._table.anchors.tolist() == [iv.midpoint] and ev._table.order == 15
+    for side in (-1, 0, 1):
+        _table_check(ev, iv.grid(101), side)
+
+
+@pytest.mark.parametrize("name", ["JUMP_SHIFT", "CHANGEPOINT", "SUFFWIN_LINEAR"])
+def test_table_leaves_side_0_breakpoints_to_direct_sums(name):
+    # a side-0 theta on an event's breakpoint, alpha among them here, is not a
+    # limit from either side: it takes its direct sum, bit for bit
+    model = _TABLED[name]
+    iv = model.theta_interval
+    s = simulate_sample((model, iv.midpoint), 40, RngStream(33, 0))
+    at_alpha = iv.alpha if name != "JUMP_SHIFT" else model.s_star - iv.alpha
+    events = np.append(s.trajectories[0].events, at_alpha)
+    s = Sample.from_trajectories([Trajectory(np.sort(events), 1.0), *s.trajectories[1:]], 1.0)
+    ev = LikelihoodEvaluator(model, s)
+    thetas = np.concatenate([[iv.alpha], ev.breaks])
+    assert ev._table.locate(thetas, 0)[2].all()
+    assert np.array_equal(ev.event_sums(thetas), model.event_log_sums(thetas, ev.events))
+
+
+def test_table_gives_minus_inf_where_the_direct_sums_do():
+    # a = 0: an event before theta sees zero intensity on the after-branch, so
+    # every running sum past it is -inf; the table never subtracts one sum
+    # from another, so no entry turns NaN
+    model = pl.make_model("SUFFWIN_LINEAR", {"a": 0.0})
+    iv = model.theta_interval
+    s = simulate_sample((model, iv.midpoint), 30, RngStream(34, 0))
+    ev = LikelihoodEvaluator(model, s)
+    thetas = np.concatenate([iv.grid(401), ev.breaks])
+    for side in (-1, 0, 1):
+        got, direct = ev.event_sums(thetas, side), model.event_log_sums(thetas, ev.events, side)
+        assert not np.isnan(got).any(), side
+        assert np.array_equal(got == -np.inf, direct == -np.inf), side
+        assert (got == -np.inf).any() and np.isfinite(got).any(), side
+        finite = np.isfinite(direct)
+        assert np.allclose(got[finite], direct[finite], rtol=0, atol=1e-12), side
+
+
+
+def test_a_table_past_about_64_anchors_is_not_built():
+    # lam_min = 0.01 and |c1|*|Theta| = 0.25 > 16*lam_min: JUMP_SHIFT states R
+    # but declares no slope, so its event sums stay direct
+    model = pl.make_model("JUMP_SHIFT", {"c0": 0.3, "r": -0.415})
+    assert model.event_sum_rounding(100) is not None and model.event_term_slope() is None
+    s = simulate_sample((model, 0.5), 20, RngStream(35, 0))
+    ev = LikelihoodEvaluator(model, s)
+    assert ev._table is None
+    thetas = model.theta_interval.grid(101)
+    assert np.array_equal(ev.event_sums(thetas), model.event_log_sums(thetas, ev.events))
 
 def test_values_do_not_depend_on_the_batch():
     # a theta's value depends on the evaluator and the theta only: anchored
@@ -302,49 +388,3 @@ def test_values_do_not_depend_on_the_batch():
         assert np.array_equal(ev.values(thetas), one_by_one), name
         fresh = LikelihoodEvaluator(model, s)
         assert np.array_equal(fresh.values(thetas[::-1]), one_by_one[::-1]), name
-
-
-def test_steep_ramp_falls_back_to_direct_sums():
-    # a small jump on a steep ramp, few events: near the middle of its widest
-    # segments the tail bound of the highest order exceeds R, and those
-    # thetas are evaluated directly, bit for bit
-    model = pl.make_model("JUMP_SHIFT", {"r": 0.05, "c1": 2.0})
-    iv = model.theta_interval
-    s = simulate_sample((model, 0.5), 5, RngStream(3, 5))
-    ev = LikelihoodEvaluator(model, s)
-    thetas = iv.grid(4001)
-    _, _, served = ev._limits[3].route(thetas)
-    assert 0 < np.sum(~served) < thetas.size
-    direct = model.event_log_sums(thetas, ev.events)
-    got = ev.event_sums(thetas)
-    assert np.array_equal(got[~served], direct[~served])
-    rounding = model.event_sum_rounding(ev.events.size)
-    assert np.all(np.abs(got - direct) <= 2.0 * rounding + ev._limits[3].error)
-
-
-@pytest.mark.parametrize("name", ["CHANGEPOINT", "SUFFWIN_LINEAR"])
-@pytest.mark.parametrize("n", [20, 400])
-def test_slope_zero_sums_are_the_direct_sums(name, n):
-    # log lambda is constant in theta on a segment: every theta inside one
-    # takes the sum of its nearer end's row, the same float as a direct sum
-    model = pl.make_model(name)
-    iv = model.theta_interval
-    s = simulate_sample((model, iv.midpoint), n, RngStream(33, n))
-    ev = LikelihoodEvaluator(model, s)
-    thetas = np.concatenate([iv.grid(4001), ev.breaks])
-    _, _, served = ev._limits[3].route(thetas)
-    assert served.sum() == 4001 - np.isin(iv.grid(4001), ev.breaks).sum()
-    assert np.array_equal(ev.event_sums(thetas), model.event_log_sums(thetas, ev.events))
-    assert ev._limits[3].error == 0.0
-
-
-def test_an_edge_on_an_event_breakpoint_is_evaluated_directly():
-    # an event at alpha: the side-0 row there is no limit from inside the first
-    # segment, so it does not anchor it
-    model = pl.make_model("CHANGEPOINT")
-    s = Sample.from_trajectories([Trajectory(np.array([0.1, 0.3, 0.5, 0.7]), 1.0)], 1.0)
-    ev = LikelihoodEvaluator(model, s)
-    thetas = np.array([0.1, 0.12, 0.19, 0.25, 0.9])
-    _, _, served = ev._limits[3].route(thetas)
-    assert served.tolist() == [False, False, False, True, True]
-    assert np.array_equal(ev.event_sums(thetas), model.event_log_sums(thetas, ev.events))
