@@ -50,7 +50,7 @@ from .intensity import (
     make_model,
     theta_derivative,
 )
-from .likelihood import LikelihoodEvaluator, LogLikelihoodCurve, likelihood_curve, log_likelihood, normalized_lr
+from .likelihood import LikelihoodEvaluator
 from .limits import CuspParams, RegimeLimit, limit_params, sample_limit_batch, simulate_fbm
 from .simulate import RngStream, Sample, Trajectory, simulate_sample, simulate_trajectory, slice_periodic
 from .windows import Window, jump_sufficient_window, level_threshold, optimal_window, sufficient_window

@@ -54,10 +54,12 @@ _TRUE_KEYS = {"constant_shift": {"h"}, "changepoint": {"h1", "h2"}}
 
 
 def _integer(value, what: str) -> int:
-    """``value`` as an int; a non-integral number such as 20.7 fails, not truncates."""
+    """``value`` as an int; a non-integral number such as 20.7 fails, not truncates,
+    and so does a bool."""
     try:
         out = int(value)
-        exact = isinstance(value, str) or out == value  # int == float compares exactly
+        exact = not isinstance(value, bool) and (
+            isinstance(value, str) or out == value)  # int == float compares exactly
     except (TypeError, ValueError, OverflowError):
         exact = False
     if not exact:
@@ -74,9 +76,9 @@ def check_seed(value) -> int:
 
 
 def _check_number(value, what: str) -> None:
-    """Fail unless ``value`` is a finite number; a numeric string fails too."""
+    """Fail unless ``value`` is a finite number; a numeric string or a bool fails too."""
     try:
-        finite = not isinstance(value, str) and math.isfinite(float(value))
+        finite = not isinstance(value, (str, bool)) and math.isfinite(float(value))
     except (TypeError, ValueError):
         finite = False
     if not finite:
@@ -112,13 +114,18 @@ class Scenario:
         object.__setattr__(self, "replicates", _integer(self.replicates, "replicates"))
         object.__setattr__(self, "seed", check_seed(self.seed))
         object.__setattr__(self, "limit_draws", _integer(self.limit_draws, "limit_draws"))
+        # checked before they are read as floats, which the summary records
         _check_number(self.theta0, "theta0")
+        object.__setattr__(self, "theta0", float(self.theta0))
         if self.theta_interval is not None:
             if not isinstance(self.theta_interval, (list, tuple)) or len(self.theta_interval) != 2:
                 raise ConfigurationError("theta_interval must be two numbers [alpha, beta], "
                                          f"got {self.theta_interval!r}")
             for v in self.theta_interval:
                 _check_number(v, "theta_interval")
+            object.__setattr__(self, "theta_interval", tuple(float(v) for v in self.theta_interval))
+        if not isinstance(self.long_record, bool):
+            raise ConfigurationError(f"long_record must be true or false, got {self.long_record!r}")
         _check_number(self.atom_epsilon, "atom_epsilon")
         if not self.atom_epsilon > 0:
             raise ConfigurationError(f"atom_epsilon must be positive, got {self.atom_epsilon!r}")
@@ -184,15 +191,7 @@ class Scenario:
         missing = {"model", "theta0", "n", "replicates", "seed"} - set(doc)
         if missing:
             raise ConfigurationError(f"missing scenario keys: {sorted(missing)}")
-        doc = dict(doc)
-        try:
-            doc["model"] = str(doc["model"])
-            doc["theta0"] = float(doc["theta0"])
-            if doc.get("theta_interval") is not None:
-                doc["theta_interval"] = tuple(float(v) for v in doc["theta_interval"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(f"bad scenario value: {exc}") from None
-        return Scenario(**doc)
+        return Scenario(**dict(doc, model=str(doc["model"])))
 
     def to_dict(self) -> dict:
         out = asdict(self)

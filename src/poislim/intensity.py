@@ -34,7 +34,7 @@ __all__ = [
 ]
 
 _POSITIVITY_GRID = 50
-# (theta, event) pairs per event_log_sums block; see its docstring
+# (theta, event) pairs per event_log_terms block; see its docstring
 _BLOCK_PAIRS = 16_000
 # unit roundoff of float64
 _U = 2.0 ** -53
@@ -180,33 +180,37 @@ class IntensityModel:
         with np.errstate(divide="ignore"):
             return np.log(v)
 
-    def event_log_sums(self, thetas, events, theta_side=0, rows=None):
-        """sum_i log lambda(theta, t_i) for each theta in ``thetas``.
+    def event_log_terms(self, thetas, events, theta_side=0):
+        """Yields (lo, terms): the (rows x events) array of log lambda(theta, t_i)
+        for thetas[lo:lo + rows], block by block, in order.
 
-        Broadcast over blocks of whole theta rows, at most ``_BLOCK_PAIRS``
-        (16,000) (theta, event) pairs each, or one row when there are more
-        events.  The bound is set by the allocator more than by the cache: a
-        float64 temporary of 16,000 pairs is 125 KiB, under glibc's default
-        128 KiB mmap threshold, so the block's temporaries are reused from the
-        heap instead of being mapped, page-faulted, zeroed and unmapped again
-        on every block (a 1M-pair block would fault in about 50 MB each
-        time); they also fit in L2.  Every row is summed whole, so the values
-        do not depend on the block size.  ``rows``, if given, is called with
-        each block's (thetas x events) array of log terms, in order, before
-        the block is summed.  Families with a closed-form sufficient statistic
-        override this (same values up to rounding, and no ``rows``).
+        A block holds whole theta rows, at most ``_BLOCK_PAIRS`` (16,000)
+        (theta, event) pairs, or one row when there are more events.  The
+        bound is set by the allocator more than by the cache: a float64
+        temporary of 16,000 pairs is 125 KiB, under glibc's default 128 KiB
+        mmap threshold, so the block's temporaries are reused from the heap
+        instead of being mapped, page-faulted, zeroed and unmapped again on
+        every block (a 1M-pair block would fault in about 50 MB each time);
+        they also fit in L2, provided that the caller drops each block before
+        it takes the next.
         """
         thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
         events = np.asarray(events, dtype=float)
-        if events.size == 0:
-            return np.zeros(thetas.shape)
-        out = np.empty(thetas.shape)
-        step = max(1, _BLOCK_PAIRS // events.size)
+        step = max(1, _BLOCK_PAIRS // max(events.size, 1))
         for lo in range(0, thetas.size, step):
-            terms = self.log_value(thetas[lo:lo + step, None], events[None, :], theta_side)
-            if rows is not None:
-                rows(terms)
-            out[lo:lo + step] = terms.sum(axis=1)
+            yield lo, self.log_value(thetas[lo:lo + step, None], events[None, :], theta_side)
+
+    def event_log_sums(self, thetas, events, theta_side=0):
+        """sum_i log lambda(theta, t_i) for each theta in ``thetas``.
+
+        Each row of ``event_log_terms`` is summed whole, so the values do not
+        depend on the block size.  Families with a closed-form sufficient
+        statistic override this (same values up to rounding).
+        """
+        thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
+        out = np.empty(thetas.shape)
+        for lo, terms in self.event_log_terms(thetas, events, theta_side):
+            out[lo:lo + len(terms)] = terms.sum(axis=1)
             del terms  # freed before the next block, so the heap reuses them
         return out
 

@@ -1,4 +1,4 @@
-"""Log-likelihood, normalized likelihood ratio, and curve materialization.
+"""The log-likelihood of one sample, over Theta.
 
 log L(theta) = sum_j sum_{t_i in W} ln lambda(theta, t_i)
              - n * integral_W (lambda(theta, t) - 1) dt
@@ -6,38 +6,29 @@ log L(theta) = sum_j sum_{t_i in W} ln lambda(theta, t_i)
 The "-1" reference intensity inside the integral is kept verbatim; it shifts
 the log-likelihood by a theta-free constant and cancels in every ratio.
 The integral term is each family's closed-form ``integral_hint`` summed over
-the window's intervals.  Everything is computed in log space; ratios are
-exponentiated only at the API boundary.
+the window's intervals.  Everything is computed in log space.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 import numpy.ma  # noqa: F401  np.unique loads it lazily; load it before workers fork
 
 from . import analysis
-from .errors import DomainError
 from .intensity import _U, IntensityModel
 from .simulate import Sample
 
-__all__ = [
-    "LogLikelihoodCurve",
-    "LikelihoodEvaluator",
-    "log_likelihood",
-    "normalized_lr",
-    "likelihood_curve",
-]
+__all__ = ["LikelihoodEvaluator", "curve_grid"]
 
 
 class LikelihoodEvaluator:
     """log L(theta, X^n) of one sample, over ``window`` (None = [0, horizon]).
 
     The windowed pooled events and ``sample.n`` are stored once; every
-    estimator search and curve evaluates this one object.
+    estimator search evaluates this one object.
     """
 
     def __init__(self, model: IntensityModel, sample: Sample, window=None):
@@ -50,9 +41,6 @@ class LikelihoodEvaluator:
         for lo, hi in self.intervals:
             inside |= (events >= lo) & (events <= hi)
         self.events = events[inside]
-        # while ``caps`` evaluates: takes each block of event log terms (the
-        # ``rows`` of ``event_log_sums``)
-        self._rows = None
 
     @cached_property
     def breaks(self) -> np.ndarray:
@@ -70,53 +58,31 @@ class LikelihoodEvaluator:
         """
         return self._limits[:2]
 
-    @cached_property
+    @property
     def caps(self) -> np.ndarray | None:
         """Caps on the event sum of log L over the segments that ``breaks``
         cut Theta into, where the curve only kinks and the family states
         ``event_sum_rounding``; None elsewhere (a jump family's segments take
         their sums from the table of ``event_sums`` instead).
 
-        Entry k caps the segment that ends at breaks[k] (k = 0 starts at
-        Theta's lower edge, k = B ends at its upper edge): the sum over the
-        events of the larger of the two limits of log lambda(theta, t_i) from
-        inside the segment, which bounds the term on the whole segment where
-        it is monotone.  The limits at the breakpoints come with ``sides``;
-        those at the two edges are their side-0 values, from one more
-        ``event_sums`` call.
+        Entry k caps the segment between edges k and k + 1 of
+        [alpha, *breaks, beta]: the sum over the events of the larger of the
+        two limits of log lambda(theta, t_i) from inside the segment, which
+        bounds the term on the whole segment where it is monotone.
         """
-        bounds = self._limits[2]
-        if bounds is None:
-            return None
-        inner, first, last = bounds
-        rows = []
-        self._rows = rows.append
-        try:
-            self.event_sums(self._edges)
-        finally:
-            self._rows = None
-        at_alpha, at_beta = np.concatenate(rows)
-        return np.concatenate([[np.maximum(at_alpha, first).sum()], inner,
-                               [np.maximum(last, at_beta).sum()]])
-
-    @property
-    def _edges(self) -> np.ndarray:
-        iv = self.model.theta_interval
-        return np.array([iv.alpha, iv.beta])
+        return self._limits[2]
 
     @cached_property
     def _limits(self):
-        """(left, right, bounds) of ``sides`` and ``caps``.
+        """(left, right, caps) of ``sides`` and ``caps``.
 
-        On a jump family ``bounds`` is None and the sides are one
-        ``event_sums`` call per side.  Where the curve only kinks the terms
-        move both ways on a segment: where the family states
-        ``event_sum_rounding`` the one side-0 call streams its terms block by
-        block as ``event_log_sums`` computes them (``_rows``), and each
-        segment sums the maxima of two consecutive rows, at no log evaluation
-        of its own.  ``bounds`` is then (the caps of the B - 1 segments
-        between breakpoints, the row at the first breakpoint, the row at the
-        last), else None.
+        On a jump family the sides are one ``event_sums`` call per side and
+        there are no caps.  Where the curve only kinks the terms are
+        continuous in theta, so one side-0 pass of ``event_log_terms`` over
+        [alpha, *breaks, beta] gives both: the sums of its inner rows are the
+        values at the breakpoints, and the maxima of each two consecutive rows
+        sum to the cap of the segment between them, at no log evaluation of
+        its own.
         """
         br, model = self.breaks, self.model
         if not br.size:
@@ -125,29 +91,21 @@ class LikelihoodEvaluator:
             integral = self.integral_terms(br)
             return (_log_l(self.event_sums(br, -1), integral),
                     _log_l(self.event_sums(br, 1), integral), None)
+        iv = model.theta_interval
+        sums, caps = np.empty(br.size + 2), np.empty(br.size + 1)
+        last = None
+        for lo, terms in model.event_log_terms(np.concatenate([[iv.alpha], br, [iv.beta]]),
+                                               self.events):
+            sums[lo:lo + len(terms)] = terms.sum(axis=1)
+            if last is not None:
+                caps[lo - 1] = np.maximum(last, terms[0]).sum()
+            caps[lo:lo + len(terms) - 1] = np.maximum(terms[:-1], terms[1:]).sum(axis=1)
+            # a copy: a view would keep the whole block alive past the next one
+            last = terms[-1].copy()
+            del terms
+        both = _log_l(sums[1:-1], self.integral_terms(br))
         capped = model.event_sum_rounding(self.events.size) is not None
-        inner = np.empty(br.size - 1)
-        first = last = None
-        at = 0
-
-        def pair(terms):
-            # a segment runs from one row to the next and takes the sum of
-            # their maxima
-            nonlocal first, last, at
-            if last is None:
-                first = terms[0].copy()
-            else:
-                inner[at - 1] = np.maximum(last, terms[0]).sum()
-            inner[at:at + len(terms) - 1] = np.maximum(terms[:-1], terms[1:]).sum(axis=1)
-            # a copy: a view would keep the whole block alive past the call
-            last, at = terms[-1].copy(), at + len(terms)
-
-        self._rows = pair if capped else None
-        try:
-            both = self.values(br)
-        finally:
-            self._rows = None
-        return both, both, (inner, first, last) if capped else None
+        return both, both, caps if capped else None
 
     @cached_property
     def _table(self):
@@ -174,15 +132,11 @@ class LikelihoodEvaluator:
         thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
         table = self._table
         if table is None:
-            return self._direct(thetas, theta_side)
+            return self.model.event_log_sums(thetas, self.events, theta_side)
         out, direct = table.sums(thetas, theta_side)
         if direct.any():
-            out[direct] = self._direct(thetas[direct], theta_side)
+            out[direct] = self.model.event_log_sums(thetas[direct], self.events, theta_side)
         return out
-
-    def _direct(self, thetas, theta_side=0) -> np.ndarray:
-        extra = {} if self._rows is None else {"rows": self._rows}
-        return self.model.event_log_sums(thetas, self.events, theta_side=theta_side, **extra)
 
     def values(self, thetas, theta_side=0) -> np.ndarray:
         thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
@@ -307,52 +261,6 @@ def _log_l(event_sums, integral_terms):
     return np.where(np.isnan(vals), -np.inf, vals)
 
 
-def log_likelihood(model: IntensityModel, theta: float, sample: Sample,
-                   window=None, theta_side=0) -> float:
-    """Windowed log-likelihood; -inf (not an exception) if an event has zero rate."""
-    theta = float(theta)
-    iv = model.theta_interval
-    if not iv.contains(theta):
-        raise DomainError(f"theta={theta} outside [{iv.alpha}, {iv.beta}]")
-    return _direct_value(LikelihoodEvaluator(model, sample, window), theta, theta_side)
-
-
-def normalized_lr(model: IntensityModel, theta0: float, u: float, rate_exponent: float,
-                  sample: Sample, window=None, log: bool = False) -> float:
-    """Z_n(u): likelihood ratio at theta0 + n^{-rate_exponent} * u versus theta0."""
-    n = sample.n
-    phi = float(n) ** (-float(rate_exponent))
-    shifted = float(theta0) + phi * float(u)
-    iv = model.theta_interval
-    if not iv.contains(shifted):
-        lo = (iv.alpha - theta0) / phi
-        hi = (iv.beta - theta0) / phi
-        raise DomainError(
-            f"u={u} leaves the local parameter set U_n = [{lo:.6g}, {hi:.6g}]"
-        )
-    ev = LikelihoodEvaluator(model, sample, window)
-    diff = _direct_value(ev, shifted) - _direct_value(ev, float(theta0))
-    return diff if log else float(np.exp(diff))
-
-
-def _direct_value(ev: LikelihoodEvaluator, theta: float, theta_side=0) -> float:
-    """log L at one theta from its direct event sum: the table that ``values``
-    reads costs (P + 1) event passes per anchor to build, for one theta."""
-    thetas = np.array([theta])
-    return float(_log_l(ev._direct(thetas, theta_side), ev.integral_terms(thetas))[0])
-
-
-@dataclass(frozen=True)
-class LogLikelihoodCurve:
-    """Materialized log L(., X^n) on a grid, with one-sided values at jumps."""
-
-    thetas: np.ndarray
-    values: np.ndarray
-    break_thetas: np.ndarray
-    break_left: np.ndarray
-    break_right: np.ndarray
-
-
 def curve_grid(model: IntensityModel, grid_size: int) -> np.ndarray:
     """Uniform grid over Theta's closure plus the declared kinks."""
     iv = model.theta_interval
@@ -362,21 +270,3 @@ def curve_grid(model: IntensityModel, grid_size: int) -> np.ndarray:
         grid = np.unique(np.concatenate([grid, np.array(kinks)]))
     return grid
 
-
-def likelihood_curve(model: IntensityModel, sample: Sample, grid_size: int,
-                     window=None) -> LogLikelihoodCurve:
-    """log L over a uniform grid with kinks inserted and one-sided jump values."""
-    if grid_size < 3:
-        raise DomainError(f"grid_size must be >= 3, got {grid_size}")
-    ev = LikelihoodEvaluator(model, sample, window)
-    grid = curve_grid(model, grid_size)
-    full = np.union1d(grid, ev.breaks)
-    left, right = ev.sides
-    values = np.empty(full.size)
-    fresh = np.ones(full.size, dtype=bool)
-    if left is right:  # the curve only kinks: sides holds the side-0 values
-        at = np.searchsorted(full, ev.breaks)
-        values[at], fresh[at] = left, False
-    values[fresh] = ev.values(full[fresh])
-    return LogLikelihoodCurve(thetas=full, values=values,
-                              break_thetas=ev.breaks, break_left=left, break_right=right)

@@ -31,3 +31,18 @@ class FlatModel(IntensityModel):
 @pytest.fixture
 def flat_model():
     return FlatModel()
+
+
+@pytest.fixture
+def term_passes(monkeypatch):
+    """The (theta_side, thetas) of every ``IntensityModel.event_log_terms`` pass
+    made while the test runs, in order."""
+    passes = []
+    terms = IntensityModel.event_log_terms
+
+    def counted(self, thetas, events, theta_side=0):
+        passes.append((theta_side, np.atleast_1d(np.asarray(thetas, dtype=float)).copy()))
+        return terms(self, thetas, events, theta_side)
+
+    monkeypatch.setattr(IntensityModel, "event_log_terms", counted)
+    return passes

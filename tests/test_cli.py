@@ -172,6 +172,17 @@ KINK = {"model": "DISCFI_KINK", "theta0": 1.0, "n": [5], "replicates": 2, "seed"
       "n": [100], "replicates": 2, "seed": 3}, [], cli.EXIT_CONFIG),
     ({"model": "JUMP_SHIFT", "theta0": 0.5, "window": {"mode": "sufficient"},
       "n": [9], "replicates": 2, "seed": 3}, [], cli.EXIT_OK),
+    # a JSON bool is no number, a numeric string no number either, and
+    # long_record takes only a bool
+    (dict(TINY, theta0=True), [], cli.EXIT_CONFIG),
+    (dict(TINY, n=[True, 20]), [], cli.EXIT_CONFIG),
+    (dict(TINY, replicates=True), [], cli.EXIT_CONFIG),
+    (dict(TINY, seed=False), [], cli.EXIT_CONFIG),
+    (dict(TINY, estimator={"zoom_rounds": True}), [], cli.EXIT_CONFIG),
+    (dict(TINY, theta0="0.3"), [], cli.EXIT_CONFIG),
+    (dict(TINY, theta_interval=["-1", "1"]), [], cli.EXIT_CONFIG),
+    (dict(TINY, theta_interval=[False, 1]), [], cli.EXIT_CONFIG),
+    (dict(TINY, long_record="false"), [], cli.EXIT_CONFIG),
 ])
 def test_experiment_exit_codes(tmp_path, capsys, doc, extra, code):
     scenario = write_scenario(tmp_path, doc)
@@ -179,7 +190,7 @@ def test_experiment_exit_codes(tmp_path, capsys, doc, extra, code):
     assert cli.main(["experiment", scenario, "--out-prefix", str(prefix), *extra]) == code
     if code == cli.EXIT_CONFIG:
         assert not (tmp_path / "out.table.csv").exists()
-    if doc.get("long_record"):
+    if doc.get("long_record") is True:
         expect = ("got one long_record" if "window" in doc else
                   f"long_record: {doc['model']} on one record of n*tau = {doc['n'][0]}")
         assert expect in capsys.readouterr().err

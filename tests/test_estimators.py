@@ -10,8 +10,8 @@ from poislim import estimators, intensity
 from poislim.estimators import (EstimatorSettings, bayes, mle, moments_preliminary,
                                 two_stage_window)
 from poislim.intensity import ParameterInterval
-from poislim.likelihood import LikelihoodEvaluator, curve_grid, likelihood_curve
-from poislim.simulate import RngStream, Sample, simulate_sample
+from poislim.likelihood import LikelihoodEvaluator, curve_grid
+from poislim.simulate import RngStream, Sample, Trajectory, simulate_sample
 
 
 def test_mle_constant_closed_form():
@@ -95,9 +95,11 @@ def test_bayes_nonuniform_prior_against_dense_oracle(family):
     grid = np.linspace(iv.alpha, iv.beta, 5)
     dens = np.exp(8.0 * (grid - iv.alpha) / iv.width)
     est = bayes(model, s, EstimatorSettings(prior=(grid, dens)))
-    curve = likelihood_curve(model, s, 200_001)
-    w = np.exp(curve.values - curve.values.max()) * np.interp(curve.thetas, grid, dens)
-    oracle = np.trapezoid(w * curve.thetas, curve.thetas) / np.trapezoid(w, curve.thetas)
+    ev = LikelihoodEvaluator(model, s)
+    thetas = np.union1d(curve_grid(model, 200_001), ev.breaks)
+    values = ev.values(thetas)
+    w = np.exp(values - values.max()) * np.interp(thetas, grid, dens)
+    oracle = np.trapezoid(w * thetas, thetas) / np.trapezoid(w, thetas)
     assert est.value == pytest.approx(oracle, abs=1e-4)
 
 
@@ -162,7 +164,7 @@ def _bayes_oracle_cases():
 
 
 @pytest.mark.parametrize("case", range(len(_bayes_oracle_cases())))
-def test_bayes_matches_per_segment_reference(case, monkeypatch):
+def test_bayes_matches_per_segment_reference(case, monkeypatch, term_passes):
     # the one-pass node layout, its single evaluation of each (theta, side) and its
     # grouped segment sums reproduce the per-segment loop bit for bit
     name, model, n, settings, window = _bayes_oracle_cases()[case]
@@ -177,6 +179,7 @@ def test_bayes_matches_per_segment_reference(case, monkeypatch):
         return event_sums(self, thetas, theta_side)
 
     monkeypatch.setattr(LikelihoodEvaluator, "event_sums", counted)
+    term_passes.clear()
     est = bayes(model, s, settings, window)
     assert est.value == expected, name
     # every case cuts Theta: at sample breakpoints, or at DISCFI_KINK's declared kink
@@ -189,9 +192,15 @@ def test_bayes_matches_per_segment_reference(case, monkeypatch):
     # one-sided values at the jump cuts only, and none on side 0 there
     assert np.array_equal(thetas[-1], jumps) and np.array_equal(thetas[1], jumps), name
     assert not np.isin(jumps, thetas[0]).any(), name
-    # a kink family's breakpoints once each, on side 0
-    if not model.event_breakpoints_are_jumps:
-        assert np.isin(breaks, thetas[0]).all(), name
+    # a kink family's breakpoints once each, on side 0, in the one pass of
+    # sides that takes alpha and beta with them and no event_sums call sees
+    if not model.event_breakpoints_are_jumps and breaks.size:
+        edges = np.concatenate([[iv.alpha], breaks, [iv.beta]])
+        kink = [k for k, (side, th) in enumerate(term_passes) if np.array_equal(th, edges)]
+        assert len(kink) == 1 and term_passes[kink[0]][0] == 0, name
+        rest = [th for k, (_, th) in enumerate(term_passes) if k != kink[0]]
+        assert not np.isin(breaks, np.concatenate(rest or [np.empty(0)])).any(), name
+        assert not np.isin(breaks, thetas[0]).any(), name
 
 
 def test_bayes_prior_must_be_positive():
@@ -298,8 +307,10 @@ def test_mle_attains_the_likelihood_maximum(family, seed):
     # CUSP sample a second mode, 0.042 below the maximum, lies 0.05 or more away)
     model = pl.make_model(family)
     s = simulate_sample((model, model.theta_interval.midpoint), 400, RngStream(seed, 0))
-    curve = likelihood_curve(model, s, 4001)
-    best = max(curve.values.max(), curve.break_left.max(), curve.break_right.max())
+    ev = LikelihoodEvaluator(model, s)
+    left, right = ev.sides
+    best = max(ev.values(np.union1d(curve_grid(model, 4001), ev.breaks)).max(),
+               left.max(), right.max())
     assert mle(model, s).objective_at_value == best
 
 
@@ -402,18 +413,18 @@ def test_bounded_mle_equals_exhaustive_search(name, n, monkeypatch):
     iv = model.theta_interval
     grid = np.linspace(iv.alpha, iv.beta, settings.grid_size)
     evaluated = []
-    direct = LikelihoodEvaluator._direct
+    direct = intensity.IntensityModel.event_log_sums
 
-    def counted(self, thetas, theta_side=0):
+    def counted(self, thetas, events, theta_side=0):
         if theta_side == 0:
             evaluated.append(int(np.isin(thetas, grid).sum()))
-        return direct(self, thetas, theta_side)
+        return direct(self, thetas, events, theta_side)
 
     for seed in range(4):
         s = simulate_sample((model, iv.alpha + 0.45 * iv.width), n, RngStream(300 + seed, n))
         expected = _exhaustive_mle(model, s, settings)
         with monkeypatch.context() as m:
-            m.setattr(LikelihoodEvaluator, "_direct", counted)
+            m.setattr(intensity.IntensityModel, "event_log_sums", counted)
             est = mle(model, s, settings)
         assert (est.value, est.objective_at_value) == expected, (name, n, seed)
     if n >= 400:
@@ -487,11 +498,20 @@ def test_jump_families_state_no_caps():
 def test_slope_bound_holds_inside_segments(name):
     # inside each segment that the breakpoints cut Theta into, log L stays at
     # or below the segment's cap on the event sum plus the integral term, to
-    # within the margin of _may_win
+    # within the margin of _may_win; on a simulated sample, and on one with a
+    # single event inside Theta (one breakpoint, two caps)
     model = _BOUNDED[name]
     iv = model.theta_interval
-    s = simulate_sample((model, iv.midpoint), 200, RngStream(12, 0))
-    ev = LikelihoodEvaluator(model, s)
+    single = Sample.from_trajectories(
+        [Trajectory(np.array([0.5 * iv.alpha, iv.midpoint, 0.5 * (iv.beta + 1.0)]), 1.0)], 1.0)
+    for s in (simulate_sample((model, iv.midpoint), 200, RngStream(12, 0)), single):
+        ev = LikelihoodEvaluator(model, s)
+        _check_caps(model, ev)
+    assert ev.breaks.size == 1 and ev.caps.size == 2
+
+
+def _check_caps(model, ev):
+    iv, name = model.theta_interval, model.catalog_id
     rounding = model.event_sum_rounding(ev.events.size)
     assert 0.0 <= rounding < 1e-6
     caps = ev.caps

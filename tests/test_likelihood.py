@@ -5,13 +5,17 @@ import pytest
 from scipy.integrate import quad
 
 import poislim as pl
-from poislim.errors import DomainError
-from poislim.likelihood import LikelihoodEvaluator, likelihood_curve, log_likelihood, normalized_lr
+from poislim.likelihood import LikelihoodEvaluator, curve_grid
 from poislim.simulate import RngStream, Sample, Trajectory, simulate_sample
 
 
 def one_event_sample(t, horizon=1.0):
     return Sample.from_trajectories([Trajectory(np.array([t]), horizon)], horizon)
+
+
+def log_l(model, theta, sample, window=None):
+    """log L at one theta, from a fresh evaluator of the sample."""
+    return LikelihoodEvaluator(model, sample, window).value(theta)
 
 
 def naive_log_likelihood(model, theta, sample, window=None):
@@ -33,14 +37,14 @@ def naive_log_likelihood(model, theta, sample, window=None):
 def test_unit_intensity_gives_zero():
     c = pl.make_model("CONSTANT")
     s = simulate_sample((c, 1.0), 20, RngStream(0, 0))
-    assert log_likelihood(c, 1.0, s) == 0.0
+    assert log_l(c, 1.0, s) == 0.0
 
 
 def test_single_event_closed_form():
     c = pl.make_model("CONSTANT")
     s = one_event_sample(0.5)
     for theta in (0.5, 2.0, 7.3):
-        assert log_likelihood(c, theta, s) == pytest.approx(
+        assert log_l(c, theta, s) == pytest.approx(
             math.log(theta) - (theta - 1.0), abs=1e-12)
 
 
@@ -53,7 +57,7 @@ def test_against_naive_reference(cid, theta):
     model = pl.make_model(cid)
     for seed in range(3):
         s = simulate_sample((model, model.theta_interval.midpoint), 4, RngStream(seed, 0))
-        mine = log_likelihood(model, theta, s)
+        mine = log_l(model, theta, s)
         ref = naive_log_likelihood(model, theta, s)
         assert mine == pytest.approx(ref, abs=2e-9 * max(1.0, abs(ref)))
 
@@ -64,9 +68,9 @@ def test_window_additivity():
     s = simulate_sample((reg, 0.5), 30, RngStream(7, 0))
     for _ in range(5):
         cut = rng.uniform(0.2, 0.8)
-        full = log_likelihood(reg, 0.3, s)
-        left = log_likelihood(reg, 0.3, s, window=[(0.0, cut)])
-        right = log_likelihood(reg, 0.3, s, window=[(cut, 1.0)])
+        full = log_l(reg, 0.3, s)
+        left = log_l(reg, 0.3, s, window=[(0.0, cut)])
+        right = log_l(reg, 0.3, s, window=[(cut, 1.0)])
         assert full == pytest.approx(left + right, abs=1e-10 * max(1, abs(full)))
 
 
@@ -74,47 +78,8 @@ def test_minus_inf_sentinel():
     sw = pl.make_model("SUFFWIN_LINEAR", params={"a": 0.0, "b": 2.0})
     s = one_event_sample(0.2)
     # event below the jump sees zero intensity: -inf, not an exception
-    assert log_likelihood(sw, 0.5, s) == -np.inf
-    assert log_likelihood(sw, 0.1, s) > -np.inf
-
-
-def test_normalized_lr_contracts():
-    reg = pl.make_model("REGULAR_EXP")
-    s = simulate_sample((reg, 0.5), 50, RngStream(8, 0))
-    assert normalized_lr(reg, 0.5, 0.0, 0.5, s) == 1.0
-    with pytest.raises(DomainError, match="U_n"):
-        normalized_lr(reg, 0.5, 100.0, 0.5, s)
-    # log-space form agrees
-    z = normalized_lr(reg, 0.5, 1.0, 0.5, s)
-    lz = normalized_lr(reg, 0.5, 1.0, 0.5, s, log=True)
-    assert z == pytest.approx(math.exp(lz), rel=1e-12)
-
-
-def test_one_theta_likelihoods_take_direct_event_sums(monkeypatch):
-    # a one-theta call builds no table of prefix sums ((P + 1) passes over the
-    # N events on JUMP_SHIFT): one event_log_sums call of N pairs per theta
-    model = pl.make_model("JUMP_SHIFT")
-    s = simulate_sample((model, 0.5), 400, RngStream(3, 0))
-    n_events = sum(tr.events.size for tr in s.trajectories)
-    calls = []
-    generic = type(model).event_log_sums
-
-    def spy(self, thetas, events, theta_side=0, **kwargs):
-        calls.append(np.size(thetas) * np.size(events))
-        return generic(self, thetas, events, theta_side, **kwargs)
-
-    monkeypatch.setattr(type(model), "event_log_sums", spy)
-    for theta in (0.3, 0.5, 0.71):
-        calls.clear()
-        got = log_likelihood(model, theta, s)
-        assert calls == [n_events]
-        assert got == pytest.approx(naive_log_likelihood(model, theta, s), rel=1e-12)
-    calls.clear()
-    log_z = normalized_lr(model, 0.5, 10.0, 1.0, s, log=True)
-    assert calls == [n_events, n_events]
-    # each of the two values within rel 1e-12, so their difference within the sum of those
-    shifted, at_0 = naive_log_likelihood(model, 0.525, s), naive_log_likelihood(model, 0.5, s)
-    assert log_z == pytest.approx(shifted - at_0, abs=1e-12 * (abs(shifted) + abs(at_0)))
+    assert log_l(sw, 0.5, s) == -np.inf
+    assert log_l(sw, 0.1, s) > -np.inf
 
 
 def _lr_moment_check(model, theta0, u, rate, n, reps, seed):
@@ -142,41 +107,43 @@ def test_lr_unit_expectation_and_hellinger_moment():
 def test_likelihood_curve_flat(flat_model):
     s = simulate_sample(pl.TrueIntensity(fn=lambda t: np.ones_like(t), horizon=1.0,
                                          lambda_max=1.0), 10, RngStream(9, 0))
-    curve = likelihood_curve(flat_model, s, 101)
-    assert np.allclose(curve.values, curve.values[0])
+    values = LikelihoodEvaluator(flat_model, s).values(curve_grid(flat_model, 101))
+    assert np.allclose(values, values[0])
 
 
 def test_likelihood_curve_constant_model():
     c = pl.make_model("CONSTANT")
     s = simulate_sample((c, 3.0), 50, RngStream(10, 0))
-    curve = likelihood_curve(c, s, 801)
+    grid = curve_grid(c, 801)
+    values = LikelihoodEvaluator(c, s).values(grid)
     target = s.total_events() / s.n
     cell = c.theta_interval.width / 800
-    assert abs(curve.thetas[np.argmax(curve.values)] - target) <= cell
+    assert abs(grid[np.argmax(values)] - target) <= cell
     # curve values agree with pointwise evaluation
     for k in (0, 100, 400, 799):
-        assert curve.values[k] == pytest.approx(
-            log_likelihood(c, curve.thetas[k], s), rel=1e-12)
+        assert values[k] == pytest.approx(log_l(c, grid[k], s), rel=1e-12)
 
 
 def test_likelihood_curve_sides_at_jumps():
     cp = pl.make_model("CHANGEPOINT")
     s = simulate_sample((cp, 0.5), 5, RngStream(11, 0))
-    curve = likelihood_curve(cp, s, 101)
+    ev = LikelihoodEvaluator(cp, s)
     inside = [t for tr in s.trajectories for t in tr.events if 0.1 < t < 0.9]
-    assert curve.break_thetas.size == len(set(inside))
+    assert ev.breaks.size == len(set(inside))
     # one-sided values straddle a genuine jump of size log(g2/g1) per event
-    gaps = np.abs(curve.break_left - curve.break_right)
-    assert np.all(gaps > 1e-12)
+    left, right = ev.sides
+    assert np.all(np.abs(left - right) > 1e-12)
 
 
 @pytest.mark.parametrize("family, sides", [("CUSP", [0]), ("CHANGEPOINT", [-1, 1]),
                                            ("REGULAR_EXP", [])])
-def test_sides_evaluates_each_breakpoint_once_per_side(family, sides, monkeypatch):
-    # a kink family's one side-0 array serves both sides; a family without
-    # breakpoints makes no call
+def test_sides_evaluates_each_breakpoint_once_per_side(family, sides, monkeypatch, term_passes):
+    # a jump family takes each side from one event_sums call; a kink family's
+    # one side-0 pass over [alpha, *breaks, beta] serves both sides (and the
+    # caps); a family without breakpoints makes no call
     model = pl.make_model(family)
-    s = simulate_sample((model, model.theta_interval.midpoint), 20, RngStream(12, 0))
+    iv = model.theta_interval
+    s = simulate_sample((model, iv.midpoint), 20, RngStream(12, 0))
     ev = LikelihoodEvaluator(model, s)
     calls = []
     event_sums = LikelihoodEvaluator.event_sums
@@ -187,24 +154,34 @@ def test_sides_evaluates_each_breakpoint_once_per_side(family, sides, monkeypatc
 
     monkeypatch.setattr(LikelihoodEvaluator, "event_sums", counted)
     left, right = ev.sides
-    assert ev.sides[0] is left
-    assert [side for side, _ in calls] == sides
-    assert all(np.array_equal(th, ev.breaks) for _, th in calls)
+    caps = ev.caps
+    assert ev.sides[0] is left and (caps is None) == model.event_breakpoints_are_jumps
+    if model.event_breakpoints_are_jumps:
+        evaluated, expected = calls, ev.breaks
+    else:
+        evaluated, expected = term_passes, np.concatenate([[iv.alpha], ev.breaks, [iv.beta]])
+        assert not calls
+    assert [side for side, _ in evaluated] == sides
+    assert all(np.array_equal(th, expected) for _, th in evaluated)
     assert left.shape == right.shape == ev.breaks.shape
     monkeypatch.undo()
     if family == "CUSP":
         assert left is right
         assert np.array_equal(left, ev.values(ev.breaks))
-    curve = likelihood_curve(model, s, 101)
-    assert np.array_equal(curve.break_left, left) and np.array_equal(curve.break_right, right)
 
 
 @pytest.mark.parametrize("family", ["CUSP", "CHANGEPOINT"])
-def test_likelihood_curve_evaluates_each_theta_once(family, monkeypatch):
-    # a kink family's curve takes its breakpoint values from sides; a jump
-    # family evaluates its breakpoints on side 0 as well as on both sides
+def test_likelihood_curve_evaluates_each_theta_once(family, monkeypatch, term_passes):
+    # log L over mle's grid and the breakpoints, from one evaluator: a kink
+    # family's breakpoint values come from the one side-0 pass of sides,
+    # which takes alpha and beta with them for the caps (the grid takes them
+    # again); a jump family takes both sides there from its table, and the
+    # grid off the breakpoints
     model = pl.make_model(family)
-    s = simulate_sample((model, model.theta_interval.midpoint), 30, RngStream(13, 0))
+    iv = model.theta_interval
+    s = simulate_sample((model, iv.midpoint), 30, RngStream(13, 0))
+    ev = LikelihoodEvaluator(model, s)
+    grid = curve_grid(model, 101)
     calls = []
     event_sums = LikelihoodEvaluator.event_sums
 
@@ -213,23 +190,26 @@ def test_likelihood_curve_evaluates_each_theta_once(family, monkeypatch):
         return event_sums(self, thetas, theta_side)
 
     monkeypatch.setattr(LikelihoodEvaluator, "event_sums", counted)
-    curve = likelihood_curve(model, s, 101)
+    left, right = ev.sides
+    assert (ev.caps is None) == model.event_breakpoints_are_jumps
+    off = grid[~np.isin(grid, ev.breaks)]
+    values = ev.values(off)
     monkeypatch.undo()
-    breaks = curve.break_thetas.size
+    breaks = ev.breaks.size
     assert breaks > 0
     if family == "CUSP":
-        assert calls == [(0, breaks), (0, curve.thetas.size - breaks)]
+        edges = np.concatenate([[iv.alpha], ev.breaks, [iv.beta]])
+        assert calls == [(0, off.size)]
+        assert [side for side, _ in term_passes] == [0, 0]
+        assert np.array_equal(term_passes[0][1], edges)
+        assert np.array_equal(term_passes[1][1], off)
     else:
-        assert calls == [(-1, breaks), (1, breaks), (0, curve.thetas.size)]
-    ev = LikelihoodEvaluator(model, s)
-    assert np.array_equal(curve.values, ev.values(curve.thetas))
-
-
-def test_grid_size_validation():
-    c = pl.make_model("CONSTANT")
-    s = one_event_sample(0.5)
-    with pytest.raises(DomainError):
-        likelihood_curve(c, s, 2)
+        assert calls == [(-1, breaks), (1, breaks), (0, off.size)]
+        assert term_passes == []
+    fresh = LikelihoodEvaluator(model, s)
+    assert np.array_equal(values, fresh.values(off))
+    if family == "CUSP":
+        assert np.array_equal(left, fresh.values(ev.breaks))
 
 
 _TABLED = {
